@@ -25,7 +25,6 @@ from .orders import (
     pareto_front,
     slice_partition,
     terminal_interval,
-    weak_pareto_front,
 )
 from .winlose import (
     Muller,

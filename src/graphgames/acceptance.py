@@ -54,7 +54,6 @@ from .orders import (
     forbidden_pattern,
     linear_order,
     pareto_front,
-    weak_pareto_front,
 )
 from .winlose import Parity, WinLoseGame, brute_force_solve, solve_muller, solve_parity
 from .arena import EnergySpec, energy_product
@@ -322,8 +321,8 @@ def criterion_8_gallery() -> CriterionResult:
     ne = enumerate_ne_outcomes(g6)
     if ne != frozenset({"z", "gamma"}):
         problems.append(f"six-outcome NE set {sorted(ne)}")
-    weak = weak_pareto_front(g6.prefs, realizable_outcomes(g6))
-    if "z" in weak or "gamma" in weak:
+    front = pareto_front(g6.prefs, realizable_outcomes(g6))
+    if "z" in front or "gamma" in front:
         problems.append("six-outcome equilibria not flagged")
     return CriterionResult(
         8, "gallery regressions", not problems,

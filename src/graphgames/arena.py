@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import InvalidArenaError, InvalidInputError, TooLargeError
 
@@ -26,31 +26,67 @@ def skey(x: Any) -> str:
     return f"{type(x).__name__}:{x}"
 
 
+class ArenaIndex:
+    """Integer view of a game graph, built once and shared by every solver.
+
+    Vertices are numbered in ``skey`` order.  ``succ[i]`` lists the
+    successor indices of vertex ``i`` in the graph's successor order,
+    ``pred[i]`` its predecessor indices in ascending order, ``owner[i]`` its
+    owner label, and ``owned[label]`` the vertices of each label in
+    ``skey`` order.
+    """
+
+    __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned")
+
+    def __init__(self, vertices: Iterable, successors: Callable, owner: Callable):
+        self.vertices = tuple(sorted(vertices, key=skey))
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.succ = tuple(tuple(self.index[w] for w in successors(v)) for v in self.vertices)
+        pred: list = [[] for _ in self.vertices]
+        for i, ws in enumerate(self.succ):
+            for j in ws:
+                pred[j].append(i)
+        self.pred = tuple(map(tuple, pred))
+        self.owner = tuple(owner(v) for v in self.vertices)
+        owned: dict = {}
+        for v, o in zip(self.vertices, self.owner):
+            owned.setdefault(o, []).append(v)
+        self.owned = {o: tuple(vs) for o, vs in owned.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class Arena:
-    """Finite directed game graph with per-vertex ownership and a start vertex."""
+    """Finite directed game graph with per-vertex ownership and a start vertex.
+
+    Successors are listed in ``skey`` order; ``view`` is the arena's
+    integer index.
+    """
 
     players: tuple
     vertices: tuple
     edges: frozenset
     owner: Mapping
     start: Vertex
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
+    view: ArenaIndex = field(init=False, repr=False, compare=False)
+    _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        succ: dict = {v: [] for v in self.vertices}
-        for (u, w) in sorted(self.edges, key=lambda e: (skey(e[0]), skey(e[1]))):
-            succ[u].append(w)
-        object.__setattr__(self, "_succ", {v: tuple(ws) for v, ws in succ.items()})
+        out: dict = {v: [] for v in self.vertices}
+        for (u, w) in self.edges:
+            out[u].append(w)
+        view = ArenaIndex(self.vertices, lambda v: sorted(out[v], key=skey), self.owner.__getitem__)
+        vs = view.vertices
+        object.__setattr__(self, "view", view)
+        object.__setattr__(self, "_succ", {v: tuple(vs[j] for j in ws) for v, ws in zip(vs, view.succ)})
 
     def successors(self, v: Vertex) -> tuple:
         return self._succ[v]
 
     def owned_by(self, player: Player) -> tuple:
-        return tuple(v for v in sorted(self.vertices, key=skey) if self.owner[v] == player)
+        return self.view.owned.get(player, ())
 
     def sorted_vertices(self) -> tuple:
-        return tuple(sorted(self.vertices, key=skey))
+        return self.view.vertices
 
     def sorted_players(self) -> tuple:
         return tuple(sorted(self.players, key=skey))
@@ -101,6 +137,18 @@ def make_arena(players, vertices, edges, owner, start) -> Arena:
     return Arena(players, vertices, edges, dict(owner), start)
 
 
+def identifier(x, what: str):
+    """Return ``x`` if it can name a player, vertex or outcome.
+
+    Identifiers are hashable; the JSON lists and objects are not.
+    """
+    try:
+        hash(x)
+    except TypeError:
+        raise InvalidInputError(f"{what} {x!r} must be a string or a number") from None
+    return x
+
+
 def validate_arena(doc: Mapping) -> Arena:
     """Parse and validate the arena JSON document form.
 
@@ -112,10 +160,10 @@ def validate_arena(doc: Mapping) -> Arena:
     if not isinstance(doc, Mapping):
         raise InvalidInputError("arena document must be an object")
     try:
-        players = list(doc["players"])
+        players = [identifier(p, "player") for p in doc["players"]]
         vertex_docs = list(doc["vertices"])
         edge_docs = list(doc["edges"])
-        start = doc["start"]
+        start = identifier(doc["start"], "start vertex")
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"arena document missing field: {exc}") from exc
     vertices = []
@@ -123,13 +171,13 @@ def validate_arena(doc: Mapping) -> Arena:
     for vd in vertex_docs:
         if not isinstance(vd, Mapping) or "id" not in vd or "owner" not in vd:
             raise InvalidInputError(f"vertex entry {vd!r} must have 'id' and 'owner'")
-        vertices.append(vd["id"])
-        owner[vd["id"]] = vd["owner"]
+        vertices.append(identifier(vd["id"], "vertex id"))
+        owner[vd["id"]] = identifier(vd["owner"], "owner")
     edges = []
     for ed in edge_docs:
         if not isinstance(ed, (list, tuple)) or len(ed) != 2:
             raise InvalidInputError(f"edge entry {ed!r} must be a [src, dst] pair")
-        edges.append((ed[0], ed[1]))
+        edges.append((identifier(ed[0], "edge end"), identifier(ed[1], "edge end")))
     return make_arena(players, vertices, edges, owner, start)
 
 
@@ -202,12 +250,16 @@ class StrategyMachine:
     def has_choice(self, v: Vertex, q: int) -> bool:
         return (v, q) in self.choice
 
-    def state_count(self) -> int:
+    def states(self) -> tuple:
+        """Every memory state the machine mentions, ascending."""
         used = {self.init}
         used.update(q for (_, q) in self.update)
         used.update(self.update.values())
         used.update(q for (_, q) in self.choice)
-        return len(used)
+        return tuple(sorted(used))
+
+    def state_count(self) -> int:
+        return len(self.states())
 
 
 def memoryless_machine(player: Player, choices: Mapping) -> StrategyMachine:
@@ -215,9 +267,11 @@ def memoryless_machine(player: Player, choices: Mapping) -> StrategyMachine:
     return StrategyMachine(player, 0, {}, {(v, 0): w for v, w in choices.items()})
 
 
-def fallback_machine(arena: Arena, player: Player) -> StrategyMachine:
-    """Memoryless machine picking the first successor everywhere."""
-    return memoryless_machine(player, {v: arena.successors(v)[0] for v in arena.owned_by(player)})
+def fallback_machine(arena: Arena, player: Player, partial: Mapping) -> StrategyMachine:
+    """Memoryless machine following ``partial`` and the first successor elsewhere."""
+    return memoryless_machine(
+        player, {v: partial.get(v, arena.successors(v)[0]) for v in arena.owned_by(player)}
+    )
 
 
 def bits_for(n_states: int) -> int:
@@ -354,102 +408,62 @@ def induced_lasso(arena: Arena, profile: StrategyProfile, start: Vertex | None =
     return Lasso(stem, cycle)
 
 
-def closed_strongly_connected_sets(arena: Arena, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> frozenset:
+def closed_strongly_connected_sets(
+    arena: Arena, max_vertices: int = DEFAULT_FEASIBLE_BOUND, source: Vertex | None = None
+) -> frozenset:
     """All non-empty vertex sets a play can eventually stay in while covering.
 
     A set qualifies when its induced subgraph is strongly connected and
-    every member has a successor inside the set; reachability is not
-    required, so this is the union of the feasible families over all
-    source vertices.
+    every member has a successor inside the set.  With a ``source`` it must
+    also be reachable from there, which makes these exactly the sets some
+    play from ``source`` visits infinitely often; without one the result is
+    the union of those families over all sources.
     """
-    vs = arena.sorted_vertices()
+    view = arena.view
+    vs = view.vertices
     n = len(vs)
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds the bound {max_vertices}")
-    idx = {v: i for i, v in enumerate(vs)}
-    adj = [0] * n
-    for (u, w) in arena.edges:
-        adj[idx[u]] |= 1 << idx[w]
-    result = []
-    for mask in range(1, 1 << n):
-        if _closed_and_strongly_connected(mask, adj, n):
-            result.append(frozenset(vs[i] for i in range(n) if mask >> i & 1))
-    return frozenset(result)
+    adj = [sum(1 << j for j in ws) for ws in view.succ]
+    radj = [sum(1 << j for j in ws) for ws in view.pred]
+    everything = (1 << n) - 1
+    reach = everything if source is None else _reach(1 << view.index[source], adj, everything)
+    return frozenset(
+        frozenset(vs[i] for i in range(n) if mask >> i & 1)
+        for mask in range(1, 1 << n)
+        if mask & reach and _closed_and_strongly_connected(mask, adj, radj)
+    )
 
 
 def feasible_inf_sets(arena: Arena, source: Vertex, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> frozenset:
-    """All sets of vertices some play from ``source`` visits infinitely often.
+    """All sets of vertices some play from ``source`` visits infinitely often."""
+    return closed_strongly_connected_sets(arena, max_vertices, source)
 
-    A non-empty set qualifies exactly when it is reachable from ``source``,
-    its induced subgraph is strongly connected, and every member keeps a
-    successor inside the set.
-    """
-    vs = arena.sorted_vertices()
-    n = len(vs)
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceeds the bound {max_vertices}")
-    idx = {v: i for i, v in enumerate(vs)}
-    adj = [0] * n
-    for (u, w) in arena.edges:
-        adj[idx[u]] |= 1 << idx[w]
-    # forward reachability from the source
-    reach = 1 << idx[source]
-    frontier = reach
+
+def _reach(start: int, adj: list, within: int) -> int:
+    """Bitmask of the vertices reachable from ``start`` inside ``within``."""
+    seen = frontier = start
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
+        while frontier:
+            b = frontier & -frontier
             nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & ~reach
-        reach |= nxt
-    result = []
-    for mask in range(1, 1 << n):
-        if not (mask & reach):
-            continue
-        if not _closed_and_strongly_connected(mask, adj, n):
-            continue
-        result.append(frozenset(vs[i] for i in range(n) if mask >> i & 1))
-    return frozenset(result)
+            frontier ^= b
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
-def _closed_and_strongly_connected(mask: int, adj: list, n: int) -> bool:
-    members = []
+def _closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
     m = mask
     while m:
         b = m & -m
-        members.append(b.bit_length() - 1)
-        m ^= b
-    for i in members:
-        if not (adj[i] & mask):
+        if not adj[b.bit_length() - 1] & mask:
             return False
-    # forward reach inside the set from the lowest member must cover the set
-    start = 1 << members[0]
-    fwd = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1] & mask
-            f ^= b
-        frontier = nxt & ~fwd
-        fwd |= nxt
-    if fwd != mask:
-        return False
-    # backward reach: members that can reach the lowest member
-    back = start
-    changed = True
-    while changed:
-        changed = False
-        for i in members:
-            bit = 1 << i
-            if not (back & bit) and (adj[i] & back):
-                back |= bit
-                changed = True
-    return back == mask
+        m ^= b
+    # the lowest member reaches every member and every member reaches it
+    start = mask & -mask
+    return _reach(start, adj, mask) == mask and _reach(start, radj, mask) == mask
 
 
 @dataclass(frozen=True)

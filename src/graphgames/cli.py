@@ -38,7 +38,7 @@ from .extensive import (
     realizable_outcomes,
 )
 from .guarantees import guarantee_table
-from .orders import weak_pareto_front
+from .orders import pareto_front
 from .winlose import solve as solve_winlose
 
 
@@ -58,11 +58,12 @@ def _write(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _write_dot(name: str, text: str, args) -> None:
-    if not getattr(args, "emit_dot", False):
+def _write_dot(name: str, render, subject, args) -> None:
+    """Write ``render(subject)`` as a DOT file; rendered only under ``--emit-dot``."""
+    if not args.emit_dot:
         return
     base = Path(args.out).with_suffix("") if args.out else Path(name)
-    Path(f"{base}.{name}.dot").write_text(text)
+    Path(f"{base}.{name}.dot").write_text(render(subject))
 
 
 def _error_payload(exc: GraphGamesError) -> dict:
@@ -75,9 +76,9 @@ def cmd_solve(args) -> int:
     game = jsonio.winlose_from_json(_read_json(args.game))
     result = solve_winlose(game, max_product_states=args.max_product_states)
     _write(jsonio.solve_result_to_json(result), args)
-    _write_dot("arena", jsonio.arena_to_dot(game.arena), args)
-    _write_dot("strategy0", jsonio.machine_to_dot(result.strategy0), args)
-    _write_dot("strategy1", jsonio.machine_to_dot(result.strategy1), args)
+    _write_dot("arena", jsonio.arena_to_dot, game.arena, args)
+    _write_dot("strategy0", jsonio.machine_to_dot, result.strategy0, args)
+    _write_dot("strategy1", jsonio.machine_to_dot, result.strategy1, args)
     return 0
 
 
@@ -85,14 +86,14 @@ def cmd_guarantee(args) -> int:
     game = jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices)
     table = guarantee_table(game, args.max_product_states)
     _write(jsonio.table_to_json(table), args)
-    _write_dot("arena", jsonio.arena_to_dot(game.arena), args)
+    _write_dot("arena", jsonio.arena_to_dot, game.arena, args)
     return 0
 
 
 def _emit_report(report, args) -> None:
     _write(jsonio.report_to_json(report), args)
     for p in report.profile.players():
-        _write_dot(f"machine_{p}", jsonio.machine_to_dot(report.profile.machines[p]), args)
+        _write_dot(f"machine_{p}", jsonio.machine_to_dot, report.profile.machines[p], args)
 
 
 def cmd_ne(args) -> int:
@@ -106,7 +107,7 @@ def cmd_spe(args) -> int:
     profile = synthesize_antagonistic_spe(game)
     _write(jsonio.profile_to_json(profile), args)
     for p in profile.players():
-        _write_dot(f"machine_{p}", jsonio.machine_to_dot(profile.machines[p]), args)
+        _write_dot(f"machine_{p}", jsonio.machine_to_dot, profile.machines[p], args)
     return 0
 
 
@@ -172,7 +173,7 @@ def cmd_gallery(args) -> int:
     three = build_three_leaf_example()
     six = build_six_outcome_example()
     six_ne = sorted(map(str, enumerate_ne_outcomes(six)))
-    six_weak = weak_pareto_front(six.prefs, realizable_outcomes(six))
+    six_front = pareto_front(six.prefs, realizable_outcomes(six))
     usc = {}
     for d in range(2, min(depth, 8) + 1):
         value = backward_induction(build_usc_escape_truncation(d)).root_value()
@@ -184,7 +185,7 @@ def cmd_gallery(args) -> int:
             "three_leaf_ne_outcomes": sorted(map(str, enumerate_ne_outcomes(three))),
             "six_outcome": {
                 "ne_outcomes": six_ne,
-                "weakly_pareto_optimal": {o: (o in six_weak) for o in six_ne},
+                "weakly_pareto_optimal": {o: (o in six_front) for o in six_ne},
             },
             "usc_escape_values": usc,
         },

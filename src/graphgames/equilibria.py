@@ -275,10 +275,9 @@ def _position_machine(player, seq_vertices, loop_index, arena: Arena) -> Strateg
     return minimize_machine(machine, vertices, owned)
 
 
-def _first_divergence(arena: Arena, profile_a: StrategyProfile, profile_b: StrategyProfile, start, mems):
-    """Vertex at which two profile walks first choose different moves."""
-    ca, la = walk_configurations(arena, profile_a, start, mems)
-    cb, lb = walk_configurations(arena, profile_b, start, mems)
+def _first_divergence(walk_a, walk_b):
+    """Vertex at which two walks ``(configs, loop_index)`` first move apart."""
+    (ca, la), (cb, lb) = walk_a, walk_b
 
     def expand(cfgs, loop, length):
         seq = [v for v, _ in cfgs]
@@ -312,7 +311,7 @@ def verify_ne(
     """
     arena = game.arena
     profile.validate(arena)
-    players = tuple(sorted(arena.players, key=skey))
+    players = arena.sorted_players()
     v0 = arena.start if start is None else start
     mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in players}
     cfgs, loop = walk_configurations(arena, profile, v0, mems0)
@@ -339,7 +338,7 @@ def verify_ne(
         alt = StrategyProfile({**fixed, a: machine})
         mems_alt = dict(mems0)
         mems_alt[a] = machine.init
-        vertex = _first_divergence(arena, profile, alt, v0, mems_alt)
+        vertex = _first_divergence((cfgs, loop), walk_configurations(arena, alt, v0, mems_alt))
         return DeviationWitness(a, vertex, machine, improved)
     return None
 
@@ -353,7 +352,7 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = 100_
     """
     arena = game.arena
     profile.validate(arena)
-    players = tuple(sorted(arena.players, key=skey))
+    players = arena.sorted_players()
     machines = [profile.machines[p] for p in players]
     s0 = (arena.start, tuple(m.init for m in machines))
     seen = {s0}
@@ -406,10 +405,12 @@ def _conformance_machine(game: GraphGame, table: GuaranteeTable, lasso: Lasso, p
             pun_machines[key] = table.rows[b].punish[key[1]]
             pun_keys.append(key)
     base = {}
+    span = {}
     offset = L
     for key in pun_keys:
         base[key] = offset
-        offset += _machine_state_span(pun_machines[key])
+        span[key] = max(pun_machines[key].states()) + 1
+        offset += span[key]
     vertices = arena.sorted_vertices()
     owned = arena.owned_by(player)
     update = {}
@@ -432,7 +433,7 @@ def _conformance_machine(game: GraphGame, table: GuaranteeTable, lasso: Lasso, p
                 choice[(u, p)] = arena.successors(u)[0]
     for key in pun_keys:
         pun = pun_machines[key]
-        for q in range(_machine_state_span(pun)):
+        for q in range(span[key]):
             s = base[key] + q
             for w in vertices:
                 nq = pun.next_state(w, q)
@@ -442,14 +443,6 @@ def _conformance_machine(game: GraphGame, table: GuaranteeTable, lasso: Lasso, p
                 choice[(u, s)] = pun.choice.get((u, q), arena.successors(u)[0])
     machine = StrategyMachine(player, bits_for(offset), update, choice, 0)
     return minimize_machine(machine, vertices, owned)
-
-
-def _machine_state_span(machine: StrategyMachine) -> int:
-    states = {machine.init}
-    states.update(q for (_, q) in machine.update)
-    states.update(machine.update.values())
-    states.update(q for (_, q) in machine.choice)
-    return max(states) + 1
 
 
 def _report_from_lasso(game: GraphGame, table: GuaranteeTable, lasso: Lasso) -> SynthesisReport:
@@ -544,15 +537,18 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     feas = feasible_inf_sets(arena, arena.start)
     realizable = {game.outcome_map[s] for s in feas}
     front = pareto_front(game.prefs, realizable)
+
+    def allowed_for(o) -> set:
+        """Vertices without a choice, or whose owner can be held to ``o``."""
+        return {
+            v for v in arena.vertices
+            if len(arena.successors(v)) == 1
+            or game.prefs.order_of(arena.owner[v]).rank_of(o) >= table.rows[arena.owner[v]].class_rank[v]
+        }
+
     supportable = {}
     for o in sorted(realizable, key=skey):
-        allowed = set()
-        for v in arena.vertices:
-            own = arena.owner[v]
-            no_alternative = len(arena.successors(v)) == 1
-            held = game.prefs.order_of(own).rank_of(o) >= table.rows[own].class_rank[v]
-            if no_alternative or held:
-                allowed.add(v)
+        allowed = allowed_for(o)
         if arena.start not in allowed:
             continue
         reach = {arena.start}
@@ -575,13 +571,7 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     target = candidates[0]
     cycle_set = supportable[target]
     entry_candidates = sorted(cycle_set, key=skey)
-    allowed = set()
-    for v in arena.vertices:
-        own = arena.owner[v]
-        if len(arena.successors(v)) == 1 or (
-            game.prefs.order_of(own).rank_of(target) >= table.rows[own].class_rank[v]
-        ):
-            allowed.add(v)
+    allowed = allowed_for(target)
     entry = None
     path = None
     for cand in entry_candidates:

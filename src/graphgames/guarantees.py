@@ -134,12 +134,6 @@ class GuaranteeTable:
         log_n = bits_for(self.piece_count)
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
-    def to_json(self) -> dict:
-        return {
-            str(p): {str(v): str(row.representative(v)) for v in sorted(row.class_rank, key=skey)}
-            for p, row in sorted(self.rows.items(), key=lambda kv: skey(kv[0]))
-        }
-
 
 def best_guarantee(game: GraphGame, player, max_product_states: int = 100_000) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
@@ -166,18 +160,10 @@ def best_guarantee(game: GraphGame, player, max_product_states: int = 100_000) -
     machines = {}
     punish = {}
     for c in used:
-        machines[c] = solves[c - 1].strategy0 if c >= 1 else fallback_machine(
-            _player_side_arena(arena, player), player
-        )
+        machines[c] = solves[c - 1].strategy0 if c >= 1 else fallback_machine(arena, player, {})
         punish[c] = solves[min(c, k - 1)].strategy1
     solver_bits = max((r.memory_bits_used for r in solves.values()), default=0)
     return GuaranteeRow(player, order, class_rank, machines, punish, solver_bits)
-
-
-def _player_side_arena(arena: Arena, player) -> Arena:
-    other = coalition_tag(player)
-    owner = {v: (player if arena.owner[v] == player else other) for v in arena.vertices}
-    return Arena((player, other), tuple(arena.vertices), arena.edges, owner, arena.start)
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = 100_000) -> GuaranteeTable:
@@ -208,7 +194,7 @@ def optimal_strategy(game: GraphGame, player, row: GuaranteeRow | None = None) -
     owned = arena.owned_by(player)
     used = sorted(set(row.class_rank.values()))
     machines = {c: row.machines[c] for c in used}
-    states_of = {c: sorted(_machine_states(machines[c])) for c in used}
+    states_of = {c: machines[c].states() for c in used}
     sid = {"fresh": 0}
     for c in used:
         for q in states_of[c]:
@@ -238,14 +224,6 @@ def optimal_strategy(game: GraphGame, player, row: GuaranteeRow | None = None) -
                 choice[(v, s)] = m.choice.get((v, q), arena.successors(v)[0])
     machine = StrategyMachine(player, bits_for(len(sid)), update, choice, 0)
     return minimize_machine(machine, vertices, owned)
-
-
-def _machine_states(machine: StrategyMachine) -> set:
-    states = {machine.init}
-    states.update(q for (_, q) in machine.update)
-    states.update(machine.update.values())
-    states.update(q for (_, q) in machine.choice)
-    return states
 
 
 def local_consistency_violations(game: GraphGame, table: GuaranteeTable) -> list:

@@ -19,12 +19,12 @@ from .arena import (
     StrategyProfile,
     closed_strongly_connected_sets,
     energy_product,
+    identifier,
     skey,
     validate_arena,
 )
-from .errors import TooLargeError
 from .equilibria import DeviationWitness, SynthesisReport
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TooLargeError
 from .extensive import Decision, Leaf, TreeGame
 from .guarantees import GraphGame, GuaranteeTable
 from .orders import PreferenceProfile, order_from_groups
@@ -33,6 +33,12 @@ from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseG
 
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _object(doc, what: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    return doc
 
 
 def arena_to_json(arena: Arena) -> dict:
@@ -44,10 +50,6 @@ def arena_to_json(arena: Arena) -> dict:
         "edges": sorted([[str(u), str(w)] for (u, w) in arena.edges]),
         "start": str(arena.start),
     }
-
-
-def arena_from_json(doc: Mapping) -> Arena:
-    return validate_arena(doc)
 
 
 def energy_from_json(doc: Mapping, arena: Arena) -> EnergySpec:
@@ -66,14 +68,17 @@ def objective_from_json(doc: Mapping):
     if not isinstance(doc, Mapping) or len(doc) != 1:
         raise InvalidInputError("objective must be one of parity/muller/reach/safe")
     kind, body = next(iter(doc.items()))
-    if kind == "parity":
-        return Parity({v: int(i) for v, i in body.items()})
-    if kind == "muller":
-        return Muller(frozenset(frozenset(s) for s in body))
-    if kind == "reach":
-        return Reachability(frozenset(body))
-    if kind == "safe":
-        return Safety(frozenset(body))
+    try:
+        if kind == "parity":
+            return Parity({v: int(i) for v, i in body.items()})
+        if kind == "muller":
+            return Muller(frozenset(frozenset(s) for s in body))
+        if kind == "reach":
+            return Reachability(frozenset(body))
+        if kind == "safe":
+            return Safety(frozenset(body))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad {kind} objective: {exc}") from exc
     raise InvalidInputError(f"unknown objective kind {kind!r}")
 
 
@@ -131,7 +136,8 @@ def _lift_objective(objective, base: Mapping, arena: Arena, max_subsets: int = 1
 
 
 def winlose_from_json(doc: Mapping) -> WinLoseGame:
-    arena = arena_from_json(doc.get("arena", {}))
+    doc = _object(doc, "game document")
+    arena = validate_arena(doc.get("arena", {}))
     if len(arena.players) != 2:
         raise InvalidInputError("win/lose game needs exactly 2 players")
     objective = objective_from_json(doc.get("objective", {}))
@@ -151,7 +157,9 @@ def preferences_from_json(doc: Mapping) -> PreferenceProfile:
     orders = {}
     outcomes = None
     for p, groups in doc.items():
-        order = order_from_groups(groups)
+        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+            raise InvalidInputError(f"rank groups of {p!r} must be a list of lists of outcomes")
+        order = order_from_groups([[identifier(o, "outcome") for o in g] for g in groups])
         if outcomes is None:
             outcomes = tuple(sorted(order.outcomes, key=skey))
         orders[p] = order
@@ -167,16 +175,20 @@ def preferences_to_json(prefs: PreferenceProfile) -> dict:
 
 
 def graph_game_from_json(doc: Mapping, max_vertices: int = 20) -> GraphGame:
-    arena = arena_from_json(doc.get("arena", {}))
+    doc = _object(doc, "game document")
+    arena = validate_arena(doc.get("arena", {}))
     prefs = preferences_from_json(doc.get("preferences", {}))
-    raw_map = doc.get("outcomes", {}).get("map")
+    raw_map = _object(doc.get("outcomes", {}), "outcomes").get("map")
     if raw_map is None:
         raise InvalidInputError("missing outcomes.map")
+    if not isinstance(raw_map, list):
+        raise InvalidInputError("outcomes.map must be a list of [[vertices], outcome] entries")
     outcome_map = {}
     for entry in raw_map:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], list)):
             raise InvalidInputError(f"outcome map entry {entry!r} must be [[vertices], outcome]")
-        outcome_map[frozenset(entry[0])] = entry[1]
+        vertices = frozenset(identifier(v, "vertex") for v in entry[0])
+        outcome_map[vertices] = identifier(entry[1], "outcome")
     if "energy" in doc.get("arena", {}):
         # unfold budgets first; outcomes then apply through the projection
         # back to the original vertices, which recurrence sets respect
@@ -236,7 +248,7 @@ def machine_from_json(doc: Mapping, player=None) -> StrategyMachine:
 
 
 def profile_from_json(doc: Mapping) -> StrategyProfile:
-    machines = doc.get("machines")
+    machines = _object(doc, "profile document").get("machines")
     if not isinstance(machines, Mapping):
         raise InvalidInputError("profile document needs a 'machines' object")
     return StrategyProfile({p: machine_from_json(m, p) for p, m in machines.items()})
@@ -293,7 +305,10 @@ def witness_to_json(witness: DeviationWitness) -> dict:
 
 
 def table_to_json(table: GuaranteeTable) -> dict:
-    return table.to_json()
+    return {
+        str(p): {str(v): str(row.representative(v)) for v in sorted(row.class_rank, key=skey)}
+        for p, row in sorted(table.rows.items(), key=lambda kv: skey(kv[0]))
+    }
 
 
 def tree_from_json(doc: Mapping) -> TreeGame:
@@ -311,7 +326,7 @@ def tree_from_json(doc: Mapping) -> TreeGame:
             return Decision(node["owner"], tuple(parse(c) for c in node["children"]))
         raise InvalidInputError(f"bad tree node {node!r}")
 
-    root = parse(doc.get("tree", doc))
+    root = parse(_object(doc, "tree document").get("tree", doc))
     prefs = None
     if "preferences" in doc:
         profile = preferences_from_json(doc["preferences"])
@@ -343,12 +358,8 @@ def arena_to_dot(arena: Arena, name: str = "arena") -> str:
 
 
 def machine_to_dot(machine: StrategyMachine, name: str = "machine") -> str:
-    states = {machine.init}
-    states.update(q for (_, q) in machine.update)
-    states.update(machine.update.values())
-    states.update(q for (_, q) in machine.choice)
     lines = [f"digraph {name} {{"]
-    for q in sorted(states):
+    for q in machine.states():
         marks = []
         for (v, qq), w in sorted(machine.choice.items(), key=lambda kv: (skey(kv[0][0]), kv[0][1])):
             if qq == q:

@@ -301,31 +301,6 @@ def pareto_front(prefs, realizable: Iterable) -> frozenset:
     return frozenset(o for o in todo if not any(_dominates(orders, q, o) for q in todo))
 
 
-def weak_pareto_front(prefs, realizable: Iterable) -> frozenset:
-    """Weak variant: the alternative must leave every player no worse off.
-
-    With preferences whose incomparability is transitive, "no worse off"
-    is the companion total preorder of the strict order, so this coincides
-    with ``pareto_front``; it is exposed separately because callers reason
-    about the two notions independently.
-    """
-    orders = _orders_of(prefs)
-    todo = set(realizable)
-    if not todo:
-        raise InvalidInputError("realizable set must be non-empty")
-    front = set()
-    for o in todo:
-        weakly_dominated = any(
-            q != o
-            and any(orders[p].lt(o, q) for p in orders)
-            and all(not orders[p].lt(q, o) for p in orders)
-            for q in todo
-        )
-        if not weakly_dominated:
-            front.add(o)
-    return frozenset(front)
-
-
 def grid_discretize(payoffs: Mapping, k: int) -> dict:
     """Map payoffs in [0, 1] to grid cell indices in {1, ..., k+1}.
 

@@ -17,12 +17,12 @@ from typing import Callable, Iterable, Mapping
 
 from .arena import (
     Arena,
+    ArenaIndex,
     StrategyMachine,
     bits_for,
     fallback_machine,
     memoryless_machine,
     minimize_machine,
-    skey,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
 
@@ -98,43 +98,100 @@ class BruteForceResult:
     not_determined: frozenset
 
 
-def _restricted_attractor(vs: frozenset, succ: Callable, side_of: Callable, side: int, target: Iterable):
-    """Least fixpoint attractor within the vertex set ``vs``.
+def _attractor(view: ArenaIndex, sub: set, side, player: int, target: Iterable):
+    """Least fixpoint attractor of ``player`` inside the index set ``sub``.
 
-    Returns ``(attractor, strategy, level)``; the strategy maps each newly
-    attracted vertex of ``side`` to a successor one level closer to the
-    target.
+    ``side[i]`` is the side (0 or 1) owning vertex ``i``; edges leaving
+    ``sub`` are ignored.  Returns the attractor and a strategy mapping each
+    newly attracted vertex of ``player`` to a successor one level closer to
+    the target.  Ties break by index, that is by ``skey``.
     """
-    preds: dict = {v: [] for v in vs}
-    remaining = {}
-    for v in vs:
-        cnt = 0
-        for w in succ(v):
-            if w in vs:
-                preds[w].append(v)
-                cnt += 1
-        remaining[v] = cnt
-    attr = set(t for t in target if t in vs)
-    level = {v: 0 for v in attr}
+    succ, pred = view.succ, view.pred
+    attr = {t for t in target if t in sub}
     strategy: dict = {}
-    queue = deque(sorted(attr, key=skey))
+    remaining: dict = {}
+    queue = deque(sorted(attr))
     while queue:
         w = queue.popleft()
-        for v in sorted(preds[w], key=skey):
-            if v in attr:
+        for v in pred[w]:
+            if v in attr or v not in sub:
                 continue
-            if side_of(v) == side:
-                attr.add(v)
-                level[v] = level[w] + 1
+            if side[v] == player:
                 strategy[v] = w
-                queue.append(v)
             else:
-                remaining[v] -= 1
-                if remaining[v] == 0:
-                    attr.add(v)
-                    level[v] = level[w] + 1
-                    queue.append(v)
-    return attr, strategy, level
+                left = remaining.get(v)
+                if left is None:
+                    left = sum(1 for x in succ[v] if x in sub)
+                remaining[v] = left = left - 1
+                if left:
+                    continue
+            attr.add(v)
+            queue.append(v)
+    return attr, strategy
+
+
+def _regions(view: ArenaIndex, side, prio, sub: set):
+    """Recursive region decomposition of the parity subgame on ``sub``.
+
+    Returns ``(W0, W1, s0, s1)``: both winning regions and memoryless
+    strategies, all over vertex indices.
+    """
+    if not sub:
+        return set(), set(), {}, {}
+    p = min(prio[v] for v in sub)
+    i = p % 2
+    P = [v for v in sub if prio[v] == p]
+    A, astrat = _attractor(view, sub, side, i, P)
+    W0, W1, s0, s1 = _regions(view, side, prio, sub - A)
+    w_opp = W1 if i == 0 else W0
+    if not w_opp:
+        si = dict(s0 if i == 0 else s1)
+        si.update(astrat)
+        for v in P:
+            if side[v] == i and v not in si:
+                si[v] = next(w for w in view.succ[v] if w in sub)
+        if i == 0:
+            return sub, set(), si, {}
+        return set(), sub, {}, si
+    B, bstrat = _attractor(view, sub, side, 1 - i, w_opp)
+    W0b, W1b, s0b, s1b = _regions(view, side, prio, sub - B)
+    s_opp = dict(s1 if i == 0 else s0)
+    s_opp.update(bstrat)
+    s_opp.update(s1b if i == 0 else s0b)
+    s_i = dict(s0b if i == 0 else s1b)
+    if i == 0:
+        return W0b, W1b | B, s_i, s_opp
+    return W0b | B, W1b, s_opp, s_i
+
+
+def _solve_view(view: ArenaIndex, side, prio):
+    """Parity regions and strategies of the whole graph, over indices."""
+    limit = max(sys.getrecursionlimit(), 4 * len(view.vertices) + 1000)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        return _regions(view, side, prio, set(range(len(view.vertices))))
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _to_vertices(view: ArenaIndex, strategy: Mapping) -> dict:
+    vs = view.vertices
+    return {vs[v]: vs[w] for v, w in strategy.items()}
+
+
+def _zielonka_regions(vertices: Iterable, succ: Callable, side_of: Callable, prio: Mapping):
+    """Solve the min-parity game on an explicit graph, keyed by vertex."""
+    view = ArenaIndex(vertices, succ, side_of)
+    W0, W1, s0, s1 = _solve_view(view, view.owner, [prio[v] for v in view.vertices])
+    vs = view.vertices
+    return {vs[v] for v in W0}, {vs[v] for v in W1}, _to_vertices(view, s0), _to_vertices(view, s1)
+
+
+def _sides(game: WinLoseGame) -> list:
+    """Side (0 or 1) of every vertex of the game's arena, by index."""
+    p0, _ = game.sides()
+    return [0 if o == p0 else 1 for o in game.arena.view.owner]
 
 
 def attractor(arena: Arena, side, target: Iterable):
@@ -143,68 +200,17 @@ def attractor(arena: Arena, side, target: Iterable):
     Returns the attractor set together with a memoryless machine whose
     moves strictly decrease the attractor level.
     """
+    view = arena.view
     target = set(target)
     for t in target:
-        if t not in set(arena.vertices):
+        if t not in view.index:
             raise InvalidInputError(f"target vertex {t!r} not in arena")
-    vs = frozenset(arena.vertices)
-
-    def side_of(v):
-        return 0 if arena.owner[v] == side else 1
-
-    attr, strategy, _ = _restricted_attractor(vs, arena.successors, side_of, 0, target)
-    return frozenset(attr), memoryless_machine(side, strategy)
-
-
-def _zielonka(vs: frozenset, succ: Callable, side_of: Callable, prio: Mapping):
-    if not vs:
-        return set(), set(), {}, {}
-    p = min(prio[v] for v in vs)
-    i = p % 2
-    P = {v for v in vs if prio[v] == p}
-
-    def sub_succ(v):
-        return tuple(w for w in succ(v) if w in vs)
-
-    A, astrat, _ = _restricted_attractor(vs, sub_succ, side_of, i, P)
-    W0, W1, s0, s1 = _zielonka(frozenset(vs - A), succ, side_of, prio)
-    w_opp = W1 if i == 0 else W0
-    if not w_opp:
-        si = dict(s0 if i == 0 else s1)
-        si.update(astrat)
-        for v in sorted(P, key=skey):
-            if side_of(v) == i and v not in si:
-                si[v] = next(w for w in sub_succ(v))
-        if i == 0:
-            return set(vs), set(), si, {}
-        return set(), set(vs), {}, si
-    B, bstrat, _ = _restricted_attractor(vs, sub_succ, side_of, 1 - i, w_opp)
-    W0b, W1b, s0b, s1b = _zielonka(frozenset(vs - B), succ, side_of, prio)
-    s_opp = dict(s1 if i == 0 else s0)
-    s_opp.update(bstrat)
-    s_opp.update(s1b if i == 0 else s0b)
-    s_i = dict(s0b if i == 0 else s1b)
-    if i == 0:
-        return set(W0b), set(W1b) | set(B), s_i, s_opp
-    return set(W0b) | set(B), set(W1b), s_opp, s_i
-
-
-def _zielonka_regions(vertices: Iterable, succ: Callable, side_of: Callable, prio: Mapping):
-    vs = frozenset(vertices)
-    limit = max(sys.getrecursionlimit(), 4 * len(vs) + 1000)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        return _zielonka(vs, succ, side_of, prio)
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def _fill_choices(arena: Arena, player, partial: Mapping) -> StrategyMachine:
-    choices = {}
-    for v in arena.owned_by(player):
-        choices[v] = partial.get(v, arena.successors(v)[0])
-    return memoryless_machine(player, choices)
+    sides = [0 if o == side else 1 for o in view.owner]
+    attr, strategy = _attractor(
+        view, set(range(len(view.vertices))), sides, 0, [view.index[t] for t in target]
+    )
+    region = frozenset(view.vertices[v] for v in attr)
+    return region, memoryless_machine(side, _to_vertices(view, strategy))
 
 
 def solve_parity(game: WinLoseGame) -> SolveResult:
@@ -221,54 +227,56 @@ def solve_parity(game: WinLoseGame) -> SolveResult:
         if v not in prio:
             raise InvalidInputError(f"vertex {v!r} has no priority")
     p0, p1 = game.sides()
-    W0, W1, s0, s1 = _zielonka_regions(arena.vertices, arena.successors, game.side_of, prio)
+    view = arena.view
+    W0, W1, s0, s1 = _solve_view(view, _sides(game), [prio[v] for v in view.vertices])
     return SolveResult(
-        win0=frozenset(W0),
-        win1=frozenset(W1),
-        strategy0=_fill_choices(arena, p0, s0),
-        strategy1=_fill_choices(arena, p1, s1),
+        win0=frozenset(view.vertices[v] for v in W0),
+        win1=frozenset(view.vertices[v] for v in W1),
+        strategy0=fallback_machine(arena, p0, _to_vertices(view, s0)),
+        strategy1=fallback_machine(arena, p1, _to_vertices(view, s1)),
+        memory_bits_used=0,
+    )
+
+
+def _forced_visit(game: WinLoseGame, reacher: int, target: Iterable) -> SolveResult:
+    """Side ``reacher`` forces a visit to ``target``; the other side avoids it.
+
+    The avoiding side keeps to the first successor outside the attractor.
+    """
+    arena = game.arena
+    players = game.sides()
+    view = arena.view
+    side = _sides(game)
+    everything = range(len(view.vertices))
+    attr, force = _attractor(
+        view, set(everything), side, reacher, [view.index[t] for t in target if t in view.index]
+    )
+    avoid = {
+        v: next(w for w in view.succ[v] if w not in attr)
+        for v in everything
+        if side[v] != reacher and v not in attr
+    }
+    win = frozenset(view.vertices[v] for v in attr)
+    lose = frozenset(arena.vertices) - win
+    strategies = [_to_vertices(view, force), _to_vertices(view, avoid)]
+    if reacher == 1:
+        win, lose = lose, win
+        strategies.reverse()
+    return SolveResult(
+        win0=win,
+        win1=lose,
+        strategy0=fallback_machine(arena, players[0], strategies[0]),
+        strategy1=fallback_machine(arena, players[1], strategies[1]),
         memory_bits_used=0,
     )
 
 
 def solve_reachability(game: WinLoseGame) -> SolveResult:
-    arena = game.arena
-    p0, p1 = game.sides()
-    targets = set(game.objective.targets)
-    attr, strat, _ = _restricted_attractor(
-        frozenset(arena.vertices), arena.successors, game.side_of, 0, targets
-    )
-    avoid = {}
-    for v in arena.owned_by(p1):
-        if v not in attr:
-            avoid[v] = next(w for w in arena.successors(v) if w not in attr)
-    return SolveResult(
-        win0=frozenset(attr),
-        win1=frozenset(set(arena.vertices) - attr),
-        strategy0=_fill_choices(arena, p0, strat),
-        strategy1=_fill_choices(arena, p1, avoid),
-        memory_bits_used=0,
-    )
+    return _forced_visit(game, 0, game.objective.targets)
 
 
 def solve_safety(game: WinLoseGame) -> SolveResult:
-    arena = game.arena
-    p0, p1 = game.sides()
-    bad = set(arena.vertices) - set(game.objective.safe)
-    danger, dstrat, _ = _restricted_attractor(
-        frozenset(arena.vertices), arena.successors, game.side_of, 1, bad
-    )
-    stay = {}
-    for v in arena.owned_by(p0):
-        if v not in danger:
-            stay[v] = next(w for w in arena.successors(v) if w not in danger)
-    return SolveResult(
-        win0=frozenset(set(arena.vertices) - danger),
-        win1=frozenset(danger),
-        strategy0=_fill_choices(arena, p0, stay),
-        strategy1=_fill_choices(arena, p1, dstrat),
-        memory_bits_used=0,
-    )
+    return _forced_visit(game, 1, set(game.arena.vertices) - set(game.objective.safe))
 
 
 class LarContext:
@@ -470,8 +478,8 @@ def brute_force_solve(game: WinLoseGame, bits: int, cap: int = DEFAULT_BRUTE_CAP
     if c0 * c1 > cap:
         raise CapExceededError(f"{c0} x {c1} machine pairs exceed cap {cap}")
     side_of = game.side_of
-    machines0 = list(enumerate_machines(arena, p0, bits)) if owned0 else [fallback_machine(arena, p0)]
-    machines1 = list(enumerate_machines(arena, p1, bits)) if owned1 else [fallback_machine(arena, p1)]
+    machines0 = list(enumerate_machines(arena, p0, bits)) if owned0 else [fallback_machine(arena, p0, {})]
+    machines1 = list(enumerate_machines(arena, p1, bits)) if owned1 else [fallback_machine(arena, p1, {})]
     family = game.objective
     cache: dict = {}
 

@@ -8,6 +8,7 @@ from graphgames.arena import (
     inf_set,
     make_arena,
     memoryless_machine,
+    walk_configurations,
 )
 from graphgames.equilibria import (
     induced_outcome_from,
@@ -247,6 +248,65 @@ def test_verify_spe_flags_non_credible_threat():
     assert vertex == "t"
     assert witness.player == "B"
     assert witness.improved_outcome == "mid"
+
+
+def reachable_configurations(arena, profile):
+    """Every (vertex, memories) pair reached when the token may take any edge."""
+    players = profile.players()
+    machines = profile.machines
+    start = (arena.start, tuple(machines[p].init for p in players))
+    seen = {start}
+    queue = [start]
+    for v, mems in queue:
+        for w in arena.successors(v):
+            nxt = (w, tuple(machines[p].next_state(w, q) for p, q in zip(players, mems)))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return [(v, dict(zip(players, mems))) for v, mems in queue]
+
+
+def play_prefix(arena, profile, v, mems, steps):
+    """The first ``steps + 1`` vertices of the profile's play from a configuration."""
+    mems = dict(mems)
+    seq = [v]
+    for _ in range(steps):
+        own = arena.owner[v]
+        v = profile.machines[own].move(v, mems[own])
+        mems = {p: profile.machines[p].next_state(v, q) for p, q in mems.items()}
+        seq.append(v)
+    return seq
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_witnesses_replay_from_every_configuration(seed):
+    # a witness found mid-play must replay, from that configuration, to the
+    # outcome it claims, which beats the induced one, and the deviation must
+    # leave the original play at the vertex it names
+    rng = random.Random(seed)
+    outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+    game = random_graph_game(rng, rng.randint(3, 5), ["P0", "P1", "P2"], outcomes)
+    profile = synthesize_ne(game).profile
+    arena = game.arena
+    for v, mems in reachable_configurations(arena, profile):
+        witness = verify_ne(game, profile, start=v, init_mems=mems)
+        if witness is None:
+            continue
+        a = witness.player
+        alt = StrategyProfile({**profile.machines, a: witness.machine})
+        alt_mems = {**mems, a: witness.machine.init}
+        induced = induced_outcome_from(game, profile, v, mems)
+        assert induced_outcome_from(game, alt, v, alt_mems) == witness.improved_outcome
+        assert game.prefs.order_of(a).lt(induced, witness.improved_outcome)
+        # both plays are ultimately periodic, so they part within as many
+        # steps as their two walks have configurations
+        steps = len(walk_configurations(arena, profile, v, mems)[0])
+        steps += len(walk_configurations(arena, alt, v, alt_mems)[0])
+        sa = play_prefix(arena, profile, v, mems, steps)
+        sb = play_prefix(arena, alt, v, alt_mems, steps)
+        apart = next((i for i in range(1, len(sa)) if sa[i] != sb[i]), None)
+        assert apart is not None
+        assert sa[apart - 1] == witness.vertex
 
 
 # --- antagonistic subgame perfection ---------------------------------------------------

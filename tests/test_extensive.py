@@ -28,7 +28,6 @@ from graphgames.orders import (
     grid_discretize,
     linear_order,
     pareto_front,
-    weak_pareto_front,
 )
 
 from oracles import tree_value
@@ -227,8 +226,8 @@ def test_escape_preferences_carry_the_pattern():
 def test_six_outcome_example_equilibria():
     game = build_six_outcome_example()
     assert enumerate_ne_outcomes(game) == {"z", "gamma"}
-    weak = weak_pareto_front(game.prefs, realizable_outcomes(game))
-    assert "z" not in weak and "gamma" not in weak
+    front = pareto_front(game.prefs, realizable_outcomes(game))
+    assert "z" not in front and "gamma" not in front
     assert {"y", "beta"} <= pareto_front(game.prefs, realizable_outcomes(game))
 
 

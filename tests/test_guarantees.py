@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphgames import jsonio
 from graphgames.arena import StrategyProfile, bits_for, induced_lasso, inf_set, make_arena
 from graphgames.gen import random_graph_game, random_profile
 from graphgames.guarantees import (
@@ -226,7 +227,7 @@ def test_local_consistency(seed):
 
 def test_table_serialization_shape():
     table = guarantee_table(single_player_game())
-    doc = table.to_json()
+    doc = jsonio.table_to_json(table)
     assert doc == {"A": {"u": "o2", "w": "o2"}}
     assert table.piece_bits == 0
     assert table.piece_count == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphgames import jsonio
-from graphgames.arena import make_arena
+from graphgames.arena import make_arena, validate_arena
 from graphgames.cli import main
 from graphgames.extensive import Leaf
 from graphgames.guarantees import GraphGame
@@ -43,8 +43,8 @@ def write(tmp_path, name, doc):
 
 
 def test_arena_round_trip():
-    arena = jsonio.arena_from_json(GAME_DOC["arena"])
-    assert jsonio.arena_from_json(jsonio.arena_to_json(arena)).edges == arena.edges
+    arena = validate_arena(GAME_DOC["arena"])
+    assert validate_arena(jsonio.arena_to_json(arena)).edges == arena.edges
 
 
 def test_graph_game_round_trip():
@@ -147,6 +147,56 @@ def test_cli_solve_rejects_dead_end(tmp_path, capsys):
     assert main(["solve", path]) == 2
     out = json.loads(capsys.readouterr().out)
     assert any(e["code"] == "DeadEndVertex" for e in out["errors"])
+
+
+def with_changes(doc, path, value):
+    """Deep copy of ``doc`` with the entry at key ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# one-character outcomes, so a string of rank groups spells outcome names
+SHORT_OUTCOMES_DOC = {
+    "arena": GAME_DOC["arena"],
+    "preferences": {"A": [["o"], ["x"]], "B": [["x"], ["o"]]},
+    "outcomes": {"map": [[["u"], "o"], [["w"], "x"], [["u", "w"], "o"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve", []),
+        ("guarantee", []),
+        ("guarantee", with_changes(GAME_DOC, ["outcomes", "map"], 5)),
+        ("guarantee", with_changes(GAME_DOC, ["arena", "vertices", 0, "id"], ["u"])),
+        ("solve", with_changes(PARITY_DOC, ["objective", "parity", "v0"], "x")),
+        ("guarantee", with_changes(SHORT_OUTCOMES_DOC, ["preferences", "A"], "ox")),
+    ],
+    ids=["list-document-solve", "list-document", "map-not-list", "list-vertex-id",
+         "priority-not-int", "string-rank-groups"],
+)
+def test_cli_rejects_malformed_documents(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "bad.json", doc)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"]
+    assert captured.err == ""
+
+
+def test_cli_renders_dot_only_when_asked(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("DOT rendered without --emit-dot")
+
+    monkeypatch.setattr(jsonio, "arena_to_dot", refuse)
+    monkeypatch.setattr(jsonio, "machine_to_dot", refuse)
+    path = write(tmp_path, "parity.json", PARITY_DOC)
+    assert main(["solve", path, "--out", str(tmp_path / "result.json")]) == 0
+    assert not list(tmp_path.glob("*.dot"))
 
 
 def test_cli_emit_dot(tmp_path, capsys):
@@ -283,12 +333,18 @@ def test_cli_deterministic_across_processes(tmp_path):
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import graphgames
+
+    # the child imports the same sources as this process
+    source = str(Path(graphgames.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     game_path = write(tmp_path, "game.json", GAME_DOC)
     outputs = []
     for hash_seed in ("1", "271828"):
         out = tmp_path / f"run{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-m", "graphgames.cli", "ne", game_path, "--out", str(out)],
             check=True,

@@ -23,7 +23,6 @@ from graphgames.orders import (
     pareto_front,
     slice_partition,
     terminal_interval,
-    weak_pareto_front,
 )
 
 
@@ -270,7 +269,6 @@ def test_front_nonempty(rnd):
     p = random_profile(rnd, ["a", "b", "c"], outcomes)
     realizable = set(rnd.sample(outcomes, rnd.randint(1, 4)))
     assert pareto_front(p, realizable)
-    assert weak_pareto_front(p, realizable)
 
 
 # --- grid discretization -------------------------------------------------------------
