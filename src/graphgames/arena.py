@@ -33,7 +33,8 @@ class ArenaIndex:
     successor indices of vertex ``i`` in the graph's successor order,
     ``pred[i]`` its predecessor indices in ascending order, ``owner[i]`` its
     owner label, and ``owned[label]`` the vertices of each label in
-    ``skey`` order.
+    ``skey`` order.  A product graph labels each state with its arena
+    vertex instead of an owner.
     """
 
     __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned")
@@ -149,6 +150,13 @@ def identifier(x, what: str):
     return x
 
 
+def integer(x, what: str) -> int:
+    """Return ``x`` if it is an integer; floats, strings and booleans are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidInputError(f"{what} {x!r} must be an integer")
+    return x
+
+
 def validate_arena(doc: Mapping) -> Arena:
     """Parse and validate the arena JSON document form.
 
@@ -160,6 +168,8 @@ def validate_arena(doc: Mapping) -> Arena:
     if not isinstance(doc, Mapping):
         raise InvalidInputError("arena document must be an object")
     try:
+        if not isinstance(doc["players"], list):
+            raise InvalidInputError("arena players must be a list")
         players = [identifier(p, "player") for p in doc["players"]]
         vertex_docs = list(doc["vertices"])
         edge_docs = list(doc["edges"])
@@ -424,8 +434,7 @@ def closed_strongly_connected_sets(
     n = len(vs)
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds the bound {max_vertices}")
-    adj = [sum(1 << j for j in ws) for ws in view.succ]
-    radj = [sum(1 << j for j in ws) for ws in view.pred]
+    adj, radj = adjacency_masks(view)
     everything = (1 << n) - 1
     reach = everything if source is None else _reach(1 << view.index[source], adj, everything)
     return frozenset(
@@ -438,6 +447,14 @@ def closed_strongly_connected_sets(
 def feasible_inf_sets(arena: Arena, source: Vertex, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> frozenset:
     """All sets of vertices some play from ``source`` visits infinitely often."""
     return closed_strongly_connected_sets(arena, max_vertices, source)
+
+
+def adjacency_masks(view: ArenaIndex) -> tuple:
+    """Successor and predecessor bitmasks of every index of ``view``."""
+    return (
+        [sum(1 << j for j in ws) for ws in view.succ],
+        [sum(1 << j for j in ws) for ws in view.pred],
+    )
 
 
 def _reach(start: int, adj: list, within: int) -> int:
@@ -454,6 +471,11 @@ def _reach(start: int, adj: list, within: int) -> int:
     return seen
 
 
+def component_mask(start: int, adj: list, radj: list, within: int) -> int:
+    """Strongly connected component of the one-bit mask ``start`` inside ``within``."""
+    return _reach(start, adj, within) & _reach(start, radj, within)
+
+
 def _closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
     m = mask
     while m:
@@ -461,9 +483,31 @@ def _closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
         if not adj[b.bit_length() - 1] & mask:
             return False
         m ^= b
-    # the lowest member reaches every member and every member reaches it
-    start = mask & -mask
-    return _reach(start, adj, mask) == mask and _reach(start, radj, mask) == mask
+    return component_mask(mask & -mask, adj, radj, mask) == mask
+
+
+def explore(starts: Iterable, successors: Callable, bound: int, what: str) -> tuple:
+    """Breadth-first closure of ``starts`` under ``successors``.
+
+    Returns the states in discovery order and a map from each state to the
+    successors ``successors`` listed for it.  Discovering a state past ``bound`` raises
+    ``TooLargeError`` at once, before any more work is done.
+    """
+    states: list = []
+    seen: set = set()
+    succ: dict = {}
+    found = tuple(starts)
+    while True:
+        for t in found:
+            if t not in seen:
+                if len(seen) >= bound:
+                    raise TooLargeError(f"{what} exceeds {bound} states")
+                seen.add(t)
+                states.append(t)
+        if len(succ) == len(states):
+            return states, succ
+        s = states[len(succ)]
+        found = succ[s] = successors(s)
 
 
 @dataclass(frozen=True)
@@ -523,30 +567,20 @@ def energy_product(arena: Arena, spec: EnergySpec, max_states: int = DEFAULT_PRO
             clamp_budget(b + weights[p].get(v, 0), *caps[p]) for p, b in zip(players, budgets)
         )
 
-    zero = tuple(0 for _ in players)
-    b0 = charge(zero, arena.start)
-    m0 = tuple(min(0, b) for b in b0)
-    start = (arena.start, b0, m0)
-    vertices = [start]
-    seen = {start}
-    edges = set()
-    i = 0
-    while i < len(vertices):
-        pv = vertices[i]
-        i += 1
+    def step(pv: tuple) -> list:
         v, budgets, minima = pv
+        out = []
         for w in arena.successors(v):
             nb = charge(budgets, w)
-            nm = tuple(min(m, b) for m, b in zip(minima, nb))
-            pw = (w, nb, nm)
-            edges.add((pv, pw))
-            if pw not in seen:
-                if len(seen) >= max_states:
-                    raise TooLargeError(f"energy product exceeds {max_states} states")
-                seen.add(pw)
-                vertices.append(pw)
+            out.append((w, nb, tuple(min(m, b) for m, b in zip(minima, nb))))
+        return out
+
+    b0 = charge(tuple(0 for _ in players), arena.start)
+    start = (arena.start, b0, tuple(min(0, b) for b in b0))
+    vertices, succ = explore([start], step, max_states, "energy product")
+    edges = frozenset((pv, pw) for pv in vertices for pw in succ[pv])
     owner = {pv: arena.owner[pv[0]] for pv in vertices}
-    prod = Arena(tuple(arena.players), tuple(vertices), frozenset(edges), owner, start)
+    prod = Arena(tuple(arena.players), tuple(vertices), edges, owner, start)
     return EnergyProduct(
         arena=prod,
         base_vertex={pv: pv[0] for pv in vertices},

@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 from . import acceptance, jsonio
+from .arena import DEFAULT_PRODUCT_BOUND
 from .equilibria import (
+    antagonistic_pair,
     muller_pareto_ne,
     synthesize_antagonistic_spe,
     synthesize_ne,
@@ -38,7 +40,7 @@ from .extensive import (
     realizable_outcomes,
 )
 from .guarantees import guarantee_table
-from .orders import pareto_front
+from .orders import pareto_front, require_linear_pattern_free
 from .winlose import solve as solve_winlose
 
 
@@ -72,8 +74,12 @@ def _error_payload(exc: GraphGamesError) -> dict:
     return {"errors": [{"code": type(exc).__name__, "detail": str(exc)}]}
 
 
+def _graph_game(args):
+    return jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices, args.max_product_states)
+
+
 def cmd_solve(args) -> int:
-    game = jsonio.winlose_from_json(_read_json(args.game))
+    game = jsonio.winlose_from_json(_read_json(args.game), args.max_product_states)
     result = solve_winlose(game, max_product_states=args.max_product_states)
     _write(jsonio.solve_result_to_json(result), args)
     _write_dot("arena", jsonio.arena_to_dot, game.arena, args)
@@ -83,7 +89,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_guarantee(args) -> int:
-    game = jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices)
+    game = _graph_game(args)
     table = guarantee_table(game, args.max_product_states)
     _write(jsonio.table_to_json(table), args)
     _write_dot("arena", jsonio.arena_to_dot, game.arena, args)
@@ -97,14 +103,15 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_ne(args) -> int:
-    game = jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices)
-    _emit_report(synthesize_ne(game), args)
+    game = _graph_game(args)
+    _emit_report(synthesize_ne(game, guarantee_table(game, args.max_product_states)), args)
     return 0
 
 
 def cmd_spe(args) -> int:
-    game = jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices)
-    profile = synthesize_antagonistic_spe(game)
+    game = _graph_game(args)
+    antagonistic_pair(game)  # refuse unfit preferences before the table is built
+    profile = synthesize_antagonistic_spe(game, guarantee_table(game, args.max_product_states))
     _write(jsonio.profile_to_json(profile), args)
     for p in profile.players():
         _write_dot(f"machine_{p}", jsonio.machine_to_dot, profile.machines[p], args)
@@ -112,16 +119,17 @@ def cmd_spe(args) -> int:
 
 
 def cmd_pareto_ne(args) -> int:
-    game = jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices)
-    _emit_report(muller_pareto_ne(game), args)
+    game = _graph_game(args)
+    require_linear_pattern_free(game.prefs)  # before the table is built
+    _emit_report(muller_pareto_ne(game, guarantee_table(game, args.max_product_states)), args)
     return 0
 
 
 def cmd_verify(args) -> int:
-    game = jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices)
+    game = _graph_game(args)
     profile = jsonio.profile_from_json(_read_json(args.profile))
     if args.subgames:
-        found = verify_spe(game, profile)
+        found = verify_spe(game, profile, args.max_product_states)
         if found is not None:
             vertex, witness = found
             payload = jsonio.witness_to_json(witness)
@@ -129,7 +137,7 @@ def cmd_verify(args) -> int:
             _write(payload, args)
             return 1
     else:
-        witness = verify_ne(game, profile)
+        witness = verify_ne(game, profile, max_product=args.max_product_states)
         if witness is not None:
             _write(jsonio.witness_to_json(witness), args)
             return 1
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit-dot", action="store_true", help="also write DOT graphs")
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
         p.add_argument("--max-vertices", type=int, default=20)
-        p.add_argument("--max-product-states", type=int, default=100_000)
+        p.add_argument("--max-product-states", type=int, default=DEFAULT_PRODUCT_BOUND)
 
     p = sub.add_parser("solve", help="solve a two-player win/lose game")
     common(p)

@@ -14,11 +14,16 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .arena import (
+    DEFAULT_PRODUCT_BOUND,
     Arena,
+    ArenaIndex,
     Lasso,
     StrategyMachine,
     StrategyProfile,
+    adjacency_masks,
     bits_for,
+    component_mask,
+    explore,
     feasible_inf_sets,
     induced_lasso,
     inf_set,
@@ -26,16 +31,9 @@ from .arena import (
     skey,
     walk_configurations,
 )
-from .errors import (
-    GraphGamesError,
-    InvalidInputError,
-    LinearityRequired,
-    NotAntagonisticError,
-    PatternPresentError,
-    TooLargeError,
-)
+from .errors import GraphGamesError, InvalidInputError, NotAntagonisticError
 from .guarantees import GraphGame, GuaranteeTable, guarantee_table
-from .orders import forbidden_pattern, pareto_front
+from .orders import pareto_front, require_linear_pattern_free
 
 
 @dataclass(frozen=True)
@@ -85,127 +83,67 @@ def induced_outcome_from(game: GraphGame, profile: StrategyProfile, vertex=None,
 
 
 # ---------------------------------------------------------------------------
-# products with one player free and everyone else fixed
+# verification: one player free, everyone else fixed
 
 
-def _one_player_product(arena: Arena, fixed: Mapping, free, start_v, start_mems, cap=100_000):
-    order = tuple(sorted(fixed, key=skey))
-    ms = [fixed[p] for p in order]
-    s0 = (start_v, tuple(start_mems[p] for p in order))
-    states = [s0]
-    seen = {s0}
-    succ = {}
-    i = 0
-    while i < len(states):
-        v, mems = states[i]
-        i += 1
+def _product_successors(arena: Arena, free: tuple, machines: list):
+    """Successors of ``(vertex, memories)`` when the players in ``free`` choose.
+
+    ``machines`` lists the tracked machines in player order, and the
+    memories are theirs in the same order.  At a vertex of any other
+    player the token moves as that player's machine says.
+    """
+    slot = {m.player: i for i, m in enumerate(machines)}
+
+    def successors(state):
+        v, mems = state
         own = arena.owner[v]
-        if own == free:
+        if own in free:
             targets = arena.successors(v)
         else:
-            pi = order.index(own)
-            targets = (ms[pi].move(v, mems[pi]),)
-        outs = []
-        for w in targets:
-            nm = tuple(m.next_state(w, q) for m, q in zip(ms, mems))
-            st = (w, nm)
-            outs.append(st)
-            if st not in seen:
-                if len(seen) >= cap:
-                    raise TooLargeError(f"deviation product exceeds {cap} states")
-                seen.add(st)
-                states.append(st)
-        succ[(v, mems)] = tuple(outs)
-    return states, succ, s0
+            i = slot[own]
+            targets = (machines[i].move(v, mems[i]),)
+        return [(w, tuple(m.next_state(w, q) for m, q in zip(machines, mems))) for w in targets]
+
+    return successors
 
 
-def _state_key(s):
-    return str(s)
+def _first_improvement(game: GraphGame, order, induced, view: ArenaIndex):
+    """Best outcome the free player can make the product settle on.
 
-
-def _tarjan_sccs(nodes, succ_fn):
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ_fn(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ_fn(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
-def _achievable_recurrences(arena: Arena, states, succ):
-    """Map each achievable recurrence set of base vertices to a component.
-
-    A set T of arena vertices is achievable when the product restricted to
-    T has a strongly connected component that projects onto all of T and
-    can loop (more than one state, or a self-loop).  All supplied states
-    are reachable, so no extra reachability check is needed.
+    ``view`` indexes the reachable configurations, labelled by vertex.
+    The outcome map's sets beating ``induced`` are tried best class first,
+    then by ``skey``.  A set ``T`` is achieved by a strongly connected
+    component of the configurations over ``T`` that covers ``T`` and can
+    loop.  Returns the outcome and the component with the lowest index of
+    the first achieved set, or ``None``.
     """
-    verts = arena.sorted_vertices()
-    present = {v for (v, _) in states}
-    out = {}
-    for mask in range(1, 1 << len(verts)):
-        T = frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
-        if not T <= present:
+    adj, radj = adjacency_masks(view)
+    over: dict = {}
+    for i, v in enumerate(view.owner):
+        over[v] = over.get(v, 0) | 1 << i
+    better = sorted(
+        ((T, o) for T, o in game.outcome_map.items() if order.lt(induced, o)),
+        key=lambda item: (-order.rank_of(item[1]), sorted(map(skey, item[0]))),
+    )
+    for T, o in better:
+        parts = [over.get(v, 0) for v in T]
+        if not all(parts):
             continue
-        sub = [s for s in states if s[0] in T]
-
-        def sub_succ(s):
-            return tuple(t for t in succ[s] if t[0] in T)
-
-        best = None
-        for comp in _tarjan_sccs(sub, sub_succ):
-            if {s[0] for s in comp} != T:
-                continue
-            if len(comp) == 1 and comp[0] not in sub_succ(comp[0]):
-                continue
-            key = tuple(sorted(map(_state_key, comp)))
-            if best is None or key < best[0]:
-                best = (key, comp)
-        if best is not None:
-            out[T] = best[1]
-    return out
+        rest = sum(parts)
+        # components come out in the order of their lowest configuration
+        while rest:
+            low = rest & -rest
+            comp = component_mask(low, adj, radj, rest)
+            rest &= ~comp
+            loops = comp != low or adj[low.bit_length() - 1] & low
+            if loops and all(comp & part for part in parts):
+                return o, comp
+    return None
 
 
-def _bfs_path(start, goals, succ_fn, allowed=None):
-    """Shortest path ``[start, ..., goal]`` with deterministic tie-breaks."""
+def _bfs_path(start: int, goals, succ, allowed=None) -> list:
+    """Shortest index path ``[start, ..., goal]``; ties break by index."""
     goals = set(goals)
     if start in goals:
         return [start]
@@ -213,8 +151,8 @@ def _bfs_path(start, goals, succ_fn, allowed=None):
     frontier = [start]
     while frontier:
         nxt = []
-        for s in sorted(frontier, key=_state_key):
-            for w in sorted(succ_fn(s), key=_state_key):
+        for s in sorted(frontier):
+            for w in sorted(succ[s]):
                 if allowed is not None and w not in allowed:
                     continue
                 if w in parent:
@@ -230,23 +168,23 @@ def _bfs_path(start, goals, succ_fn, allowed=None):
     raise GraphGamesError("internal: no path to goal")
 
 
-def _cover_cycle(members, succ_fn, entry):
-    """Closed walk from ``entry`` covering ``members``, as a cycle sequence."""
+def _cover_cycle(members, succ, entry: int) -> list:
+    """Closed walk from ``entry`` covering the indices ``members``, as a cycle."""
     members = set(members)
     walk = [entry]
     visited = {entry}
     while visited != members:
-        path = _bfs_path(walk[-1], members - visited, succ_fn, allowed=members)
+        path = _bfs_path(walk[-1], members - visited, succ, allowed=members)
         walk.extend(path[1:])
         visited.update(path[1:])
     # return to the entry with at least one step
-    firsts = sorted((w for w in succ_fn(walk[-1]) if w in members), key=_state_key)
+    firsts = sorted(w for w in succ[walk[-1]] if w in members)
     if not firsts:
         raise GraphGamesError("internal: component is not closed")
     if entry in firsts:
         back = [entry]
     else:
-        back = _bfs_path(firsts[0], {entry}, succ_fn, allowed=members)
+        back = _bfs_path(firsts[0], {entry}, succ, allowed=members)
     walk.extend(back)
     return walk[:-1]
 
@@ -300,14 +238,17 @@ def verify_ne(
     profile: StrategyProfile,
     start=None,
     init_mems=None,
-    max_product: int = 100_000,
+    max_product: int = DEFAULT_PRODUCT_BOUND,
 ) -> DeviationWitness | None:
     """Search for a profitable unilateral deviation.
 
-    For each player the other machines are frozen into a product whose
-    achievable recurrence sets give her best reachable outcome class; a
-    witness machine is extracted from the certifying play when that class
-    beats the induced outcome.
+    For each player the other machines are frozen into a product of
+    vertices and their memories, refused past ``max_product`` states.  The
+    outcome map's sets that beat the induced outcome are searched best
+    class first; a witness machine replays the play that settles on the
+    first set the product can achieve.  Only the sets the map names are
+    searched, so the map must be total on recurrence sets, as
+    ``GraphGame.validate_total`` checks.
     """
     arena = game.arena
     profile.validate(arena)
@@ -317,25 +258,23 @@ def verify_ne(
     cfgs, loop = walk_configurations(arena, profile, v0, mems0)
     induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
     for a in players:
-        order = game.prefs.order_of(a)
-        fixed = {p: profile.machines[p] for p in players if p != a}
-        states, succ, s0 = _one_player_product(arena, fixed, a, v0, mems0, max_product)
-        achievable = _achievable_recurrences(arena, states, succ)
-        best = None
-        for T in sorted(achievable, key=lambda t: tuple(sorted(map(skey, t)))):
-            o = game.outcome_of(T)
-            if best is None or order.lt(best[1], o):
-                best = (T, o)
-        if best is None or not order.lt(induced, best[1]):
+        others = [p for p in players if p != a]
+        fixed = [profile.machines[p] for p in others]
+        s0 = (v0, tuple(mems0[p] for p in others))
+        states, succ = explore(
+            [s0], _product_successors(arena, (a,), fixed), max_product, "deviation product"
+        )
+        view = ArenaIndex(states, succ.__getitem__, lambda s: s[0])
+        found = _first_improvement(game, game.prefs.order_of(a), induced, view)
+        if found is None:
             continue
-        T, improved = best
-        comp = achievable[T]
-        entry = min(comp, key=_state_key)
-        stem_states = _bfs_path(s0, {entry}, lambda s: succ[s])[:-1]
-        cycle_states = _cover_cycle(comp, lambda s: succ[s], entry)
-        seq = [s[0] for s in stem_states + cycle_states]
-        machine = _position_machine(a, seq, len(stem_states), arena)
-        alt = StrategyProfile({**fixed, a: machine})
+        improved, comp = found
+        members = [i for i in range(len(states)) if comp >> i & 1]
+        stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
+        cycle = _cover_cycle(members, view.succ, members[0])
+        seq = [view.owner[i] for i in stem + cycle]
+        machine = _position_machine(a, seq, len(stem), arena)
+        alt = StrategyProfile({**profile.machines, a: machine})
         mems_alt = dict(mems0)
         mems_alt[a] = machine.init
         vertex = _first_divergence((cfgs, loop), walk_configurations(arena, alt, v0, mems_alt))
@@ -343,34 +282,24 @@ def verify_ne(
     return None
 
 
-def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = 100_000):
+def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = DEFAULT_PRODUCT_BOUND):
     """Check the profile is an equilibrium from every reachable configuration.
 
-    The full product moves the token along every edge (deviations included)
-    while all memories update; ``verify_ne`` runs from each configuration
-    and the first failure comes back as ``(vertex, witness)``.
+    The joint product moves the token along every edge (deviations
+    included) while all memories update; ``verify_ne`` runs from each
+    configuration in breadth-first order and the first failure comes back
+    as ``(vertex, witness)``.  ``max_states`` bounds every product built.
     """
     arena = game.arena
     profile.validate(arena)
     players = arena.sorted_players()
     machines = [profile.machines[p] for p in players]
     s0 = (arena.start, tuple(m.init for m in machines))
-    seen = {s0}
-    queue = [s0]
-    i = 0
-    while i < len(queue):
-        v, mems = queue[i]
-        i += 1
-        for w in arena.successors(v):
-            nm = tuple(m.next_state(w, q) for m, q in zip(machines, mems))
-            st = (w, nm)
-            if st not in seen:
-                if len(seen) >= max_states:
-                    raise TooLargeError(f"joint product exceeds {max_states} states")
-                seen.add(st)
-                queue.append(st)
-    for v, mems in queue:
-        witness = verify_ne(game, profile, start=v, init_mems=dict(zip(players, mems)))
+    configs, _ = explore([s0], _product_successors(arena, players, machines), max_states, "joint product")
+    for v, mems in configs:
+        witness = verify_ne(
+            game, profile, start=v, init_mems=dict(zip(players, mems)), max_product=max_states
+        )
         if witness is not None:
             return (v, witness)
     return None
@@ -484,6 +413,22 @@ def synthesize_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Synth
     return _report_from_lasso(game, table, main)
 
 
+def antagonistic_pair(game: GraphGame) -> tuple:
+    """The two players in ``skey`` order, refused unless their preferences are inverse."""
+    arena = game.arena
+    if len(arena.players) != 2:
+        raise NotAntagonisticError(f"need exactly 2 players, got {len(arena.players)}")
+    a, b = arena.sorted_players()
+    oa, ob = game.prefs.order_of(a), game.prefs.order_of(b)
+    for x in oa.outcomes:
+        for y in oa.outcomes:
+            if oa.lt(x, y) != ob.lt(y, x):
+                raise NotAntagonisticError(
+                    f"preferences are not inverse at ({x!r}, {y!r})"
+                )
+    return a, b
+
+
 def synthesize_antagonistic_spe(game: GraphGame, table: GuaranteeTable | None = None) -> StrategyProfile:
     """Subgame-perfect profile for two players with inverse preferences.
 
@@ -494,16 +439,7 @@ def synthesize_antagonistic_spe(game: GraphGame, table: GuaranteeTable | None = 
     from .guarantees import optimal_strategy
 
     arena = game.arena
-    if len(arena.players) != 2:
-        raise NotAntagonisticError(f"need exactly 2 players, got {len(arena.players)}")
-    a, b = sorted(arena.players, key=skey)
-    oa, ob = game.prefs.order_of(a), game.prefs.order_of(b)
-    for x in oa.outcomes:
-        for y in oa.outcomes:
-            if oa.lt(x, y) != ob.lt(y, x):
-                raise NotAntagonisticError(
-                    f"preferences are not inverse at ({x!r}, {y!r})"
-                )
+    a, b = antagonistic_pair(game)
     if table is None:
         table = guarantee_table(game)
     for v in arena.vertices:
@@ -525,12 +461,7 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     are found by scanning lassos over feasible recurrence sets whose every
     vertex lets the owner be held to at most the target outcome.
     """
-    witness = forbidden_pattern(game.prefs)
-    if witness is not None:
-        raise PatternPresentError(witness)
-    for p in game.prefs.players():
-        if not game.prefs.order_of(p).is_linear():
-            raise LinearityRequired(f"player {p!r} has tied outcomes")
+    require_linear_pattern_free(game.prefs)
     if table is None:
         table = guarantee_table(game)
     arena = game.arena
@@ -569,25 +500,14 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     if not candidates:
         raise GraphGamesError("internal: no supportable Pareto-optimal outcome")
     target = candidates[0]
-    cycle_set = supportable[target]
-    entry_candidates = sorted(cycle_set, key=skey)
-    allowed = allowed_for(target)
-    entry = None
-    path = None
-    for cand in entry_candidates:
-        try:
-            path = _bfs_path(arena.start, {cand}, arena.successors, allowed=allowed)
-            entry = cand
-            break
-        except GraphGamesError:
-            continue
-    if entry is None:
-        raise GraphGamesError("internal: supportable set unreachable")
-    stem = tuple(path[:-1])
-    cycle = tuple(
-        _cover_cycle(cycle_set, lambda v: tuple(w for w in arena.successors(v) if w in cycle_set), entry)
-    )
-    lasso = Lasso(stem, cycle)
+    # the set is strongly connected and meets ``reach``, so every member is
+    # reachable inside the allowed vertices; enter at the lowest
+    view = arena.view
+    members = sorted(view.index[v] for v in supportable[target])
+    allowed = {view.index[v] for v in allowed_for(target)}
+    path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, allowed)
+    cycle = _cover_cycle(members, view.succ, members[0])
+    lasso = Lasso(tuple(view.vertices[i] for i in path[:-1]), tuple(view.vertices[i] for i in cycle))
     lasso.validate(arena)
     report = _report_from_lasso(game, table, lasso)
     if report.induced_outcome != target:

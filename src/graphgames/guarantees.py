@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .arena import (
+    DEFAULT_PRODUCT_BOUND,
     Arena,
     StrategyMachine,
     bits_for,
@@ -135,7 +136,7 @@ class GuaranteeTable:
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
 
-def best_guarantee(game: GraphGame, player, max_product_states: int = 100_000) -> GuaranteeRow:
+def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
     Thresholds descend through the player's classes: the guarantee at a
@@ -166,7 +167,7 @@ def best_guarantee(game: GraphGame, player, max_product_states: int = 100_000) -
     return GuaranteeRow(player, order, class_rank, machines, punish, solver_bits)
 
 
-def guarantee_table(game: GraphGame, max_product_states: int = 100_000) -> GuaranteeTable:
+def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
     rows = {p: best_guarantee(game, p, max_product_states) for p in game.arena.players}
     solver_bits = max((r.solver_bits for r in rows.values()), default=0)
     return GuaranteeTable(

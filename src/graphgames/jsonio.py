@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .arena import (
+    DEFAULT_PRODUCT_BOUND,
     Arena,
     EnergySpec,
     Lasso,
@@ -20,6 +21,7 @@ from .arena import (
     closed_strongly_connected_sets,
     energy_product,
     identifier,
+    integer,
     skey,
     validate_arena,
 )
@@ -54,10 +56,14 @@ def arena_to_json(arena: Arena) -> dict:
 
 def energy_from_json(doc: Mapping, arena: Arena) -> EnergySpec:
     try:
-        weights = {p: dict(vw) for p, vw in doc["weights"].items()}
-        caps = {p: (int(lo), int(hi)) for p, (lo, hi) in doc["caps"].items()}
-        priorities = {v: int(i) for v, i in doc["priorities"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        weights = {
+            p: {v: integer(x, "energy weight") for v, x in vw.items()} for p, vw in doc["weights"].items()
+        }
+        caps = {
+            p: (integer(lo, "energy cap"), integer(hi, "energy cap")) for p, (lo, hi) in doc["caps"].items()
+        }
+        priorities = {v: integer(i, "energy priority") for v, i in doc["priorities"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad energy block: {exc}") from exc
     spec = EnergySpec(weights, caps, priorities)
     spec.validate(arena)
@@ -70,7 +76,7 @@ def objective_from_json(doc: Mapping):
     kind, body = next(iter(doc.items()))
     try:
         if kind == "parity":
-            return Parity({v: int(i) for v, i in body.items()})
+            return Parity({v: integer(i, "parity priority") for v, i in body.items()})
         if kind == "muller":
             return Muller(frozenset(frozenset(s) for s in body))
         if kind == "reach":
@@ -135,7 +141,7 @@ def _lift_objective(objective, base: Mapping, arena: Arena, max_subsets: int = 1
     raise InvalidInputError(f"unknown objective {objective!r}")
 
 
-def winlose_from_json(doc: Mapping) -> WinLoseGame:
+def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> WinLoseGame:
     doc = _object(doc, "game document")
     arena = validate_arena(doc.get("arena", {}))
     if len(arena.players) != 2:
@@ -146,7 +152,7 @@ def winlose_from_json(doc: Mapping) -> WinLoseGame:
         raise InvalidInputError(f"protagonist {protagonist!r} is not a player")
     if "energy" in doc.get("arena", {}):
         spec = energy_from_json(doc["arena"]["energy"], arena)
-        arena, base = _rename_product(energy_product(arena, spec))
+        arena, base = _rename_product(energy_product(arena, spec, max_product_states))
         objective = _lift_objective(objective, base, arena)
     return WinLoseGame(arena, objective, protagonist)
 
@@ -174,7 +180,9 @@ def preferences_to_json(prefs: PreferenceProfile) -> dict:
     return out
 
 
-def graph_game_from_json(doc: Mapping, max_vertices: int = 20) -> GraphGame:
+def graph_game_from_json(
+    doc: Mapping, max_vertices: int = 20, max_product_states: int = DEFAULT_PRODUCT_BOUND
+) -> GraphGame:
     doc = _object(doc, "game document")
     arena = validate_arena(doc.get("arena", {}))
     prefs = preferences_from_json(doc.get("preferences", {}))
@@ -193,7 +201,7 @@ def graph_game_from_json(doc: Mapping, max_vertices: int = 20) -> GraphGame:
         # unfold budgets first; outcomes then apply through the projection
         # back to the original vertices, which recurrence sets respect
         spec = energy_from_json(doc["arena"]["energy"], arena)
-        arena, base = _rename_product(energy_product(arena, spec))
+        arena, base = _rename_product(energy_product(arena, spec, max_product_states))
         lifted = {}
         for s in closed_strongly_connected_sets(arena, max_vertices):
             projected = frozenset(base[v] for v in s)
@@ -238,10 +246,13 @@ def machine_to_json(machine: StrategyMachine) -> dict:
 
 def machine_from_json(doc: Mapping, player=None) -> StrategyMachine:
     try:
-        bits = int(doc["memory_bits"])
-        update = {(v, int(q)): int(nq) for v, q, nq in doc.get("update", [])}
-        choice = {(v, int(q)): w for v, q, w in doc.get("choice", [])}
-        init = int(doc.get("init", 0))
+        bits = integer(doc["memory_bits"], "memory_bits")
+        update = {
+            (v, integer(q, "machine state")): integer(nq, "machine state")
+            for v, q, nq in doc.get("update", [])
+        }
+        choice = {(v, integer(q, "machine state")): w for v, q, w in doc.get("choice", [])}
+        init = integer(doc.get("init", 0), "machine state")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad machine document: {exc}") from exc
     return StrategyMachine(player if player is not None else doc.get("player"), bits, update, choice, init)

@@ -188,6 +188,16 @@ class SlicePartition:
     reference: object
 
 
+def require_linear_pattern_free(profile: PreferenceProfile) -> None:
+    """Refuse a profile with the blocking pattern, then one with tied outcomes."""
+    witness = forbidden_pattern(profile)
+    if witness is not None:
+        raise PatternPresentError(witness)
+    for p in profile.players():
+        if not profile.order_of(p).is_linear():
+            raise LinearityRequired(f"player {p!r} has tied outcomes")
+
+
 def slice_partition(profile: PreferenceProfile) -> SlicePartition:
     """Partition the outcomes into ordered consensus slices.
 
@@ -196,13 +206,8 @@ def slice_partition(profile: PreferenceProfile) -> SlicePartition:
     are merged further until the between-slice order is unanimous, yielding
     the finest compatible partition.
     """
-    witness = forbidden_pattern(profile)
-    if witness is not None:
-        raise PatternPresentError(witness)
+    require_linear_pattern_free(profile)
     players = profile.players()
-    for p in players:
-        if not profile.order_of(p).is_linear():
-            raise LinearityRequired(f"player {p!r} has tied outcomes")
     outcomes = sorted(profile.outcomes, key=skey)
     parent = {o: o for o in outcomes}
 

@@ -16,17 +16,18 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping
 
 from .arena import (
+    DEFAULT_PRODUCT_BOUND,
     Arena,
     ArenaIndex,
     StrategyMachine,
     bits_for,
+    explore,
     fallback_machine,
     memoryless_machine,
     minimize_machine,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
 
-DEFAULT_MULLER_BOUND = 100_000
 DEFAULT_BRUTE_CAP = 1_000_000
 
 
@@ -297,20 +298,15 @@ class LarContext:
             return r
         return (v,) + tuple(x for x in r if x != v)
 
-    def reachable_records(self, arena: Arena) -> tuple:
-        seeds = sorted({self.process(self.r_init, v) for v in self.vertices})
-        seen = set(seeds)
-        queue = list(seeds)
-        i = 0
-        while i < len(queue):
-            r = queue[i]
-            i += 1
-            for w in arena.successors(r[0]):
-                nr = self.process(r, w)
-                if nr not in seen:
-                    seen.add(nr)
-                    queue.append(nr)
-        return tuple(sorted(seen))
+    def reachable_records(self, arena: Arena, bound: int = DEFAULT_PRODUCT_BOUND) -> tuple:
+        """Every record reachable from a first visit, refused past ``bound``."""
+        records, _ = explore(
+            [self.process(self.r_init, v) for v in self.vertices],
+            lambda r: [self.process(r, w) for w in arena.successors(r[0])],
+            bound,
+            "record product",
+        )
+        return tuple(sorted(records))
 
 
 def _lar_machine(arena, ctx, records, node_strategy, player, owned) -> StrategyMachine:
@@ -336,7 +332,7 @@ def _lar_machine(arena, ctx, records, node_strategy, player, owned) -> StrategyM
     return minimize_machine(machine, ctx.vertices, owned)
 
 
-def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_MULLER_BOUND) -> SolveResult:
+def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
     """Solve a Muller game via records and a parity product.
 
     The product tracks the appearance record; each move is routed through a
@@ -351,7 +347,7 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_MULLER_BOU
     p0, p1 = game.sides()
     ctx = LarContext(arena)
     n = ctx.n
-    records = ctx.reachable_records(arena)
+    records = ctx.reachable_records(arena, max_product_states)
     total = sum(1 + len(arena.successors(r[0])) for r in records)
     if total > max_product_states:
         raise TooLargeError(f"record product needs {total} states, bound is {max_product_states}")
@@ -391,7 +387,7 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_MULLER_BOU
     )
 
 
-def solve(game: WinLoseGame, max_product_states: int = DEFAULT_MULLER_BOUND) -> SolveResult:
+def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
     """Dispatch on the objective kind."""
     obj = game.objective
     if isinstance(obj, Parity):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from graphgames.arena import (
+    StrategyMachine,
     StrategyProfile,
     induced_lasso,
     inf_set,
@@ -193,29 +194,28 @@ def test_verify_finds_improvement_and_witness_replays():
     assert game.outcome_map[inf_set(lasso)] == "o2"
 
 
+def random_machine(rng, arena, player, bits):
+    update, choice = {}, {}
+    for v in arena.vertices:
+        for q in range(2 ** bits):
+            update[(v, q)] = rng.randrange(2 ** bits)
+    for v in arena.owned_by(player):
+        for q in range(2 ** bits):
+            choice[(v, q)] = rng.choice(arena.successors(v))
+    return StrategyMachine(player, bits, update, choice)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_agrees_with_machine_enumeration(seed):
     # if any one-bit machine improves a player, verification must notice,
     # and every witness it produces must replay to the claimed improvement
-    from graphgames.arena import StrategyMachine
-
     from oracles import all_machines
 
     rng = random.Random(seed)
     players = ["A", "B"][: rng.randint(1, 2)]
     outcomes = [f"o{i}" for i in range(rng.randint(1, 3))]
     game = random_graph_game(rng, rng.randint(1, 3), players, outcomes)
-    machines = {}
-    for p in players:
-        bits = rng.randint(0, 1)
-        update, choice = {}, {}
-        for v in game.arena.vertices:
-            for q in range(2 ** bits):
-                update[(v, q)] = rng.randrange(2 ** bits)
-        for v in game.arena.owned_by(p):
-            for q in range(2 ** bits):
-                choice[(v, q)] = rng.choice(game.arena.successors(v))
-        machines[p] = StrategyMachine(p, bits, update, choice)
+    machines = {p: random_machine(rng, game.arena, p, rng.randint(0, 1)) for p in players}
     profile = StrategyProfile(machines)
     induced = game.outcome_map[inf_set(induced_lasso(game.arena, profile))]
     witness = verify_ne(game, profile)
@@ -237,6 +237,36 @@ def test_verify_agrees_with_machine_enumeration(seed):
         realized = game.outcome_map[inf_set(induced_lasso(game.arena, alt))]
         order = game.prefs.order_of(witness.player)
         assert order.lt(induced, realized)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_verify_search_agrees_with_product_oracle(seed):
+    # the outcome-ordered search finds an improvement exactly when the
+    # independent product oracle shows one, for the first such player, and
+    # claims that player's best achievable class
+    from oracles import outcomes_against_machine
+
+    rng = random.Random(seed)
+    outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+    game = random_graph_game(rng, rng.randint(3, 5), ["A", "B"], outcomes)
+    arena = game.arena
+    machines = {p: random_machine(rng, arena, p, rng.randint(1, 2)) for p in ("A", "B")}
+    profile = StrategyProfile(machines)
+    induced = game.outcome_map[inf_set(induced_lasso(arena, profile))]
+    expected = None
+    for a, b in (("A", "B"), ("B", "A")):
+        order = game.prefs.order_of(a)
+        sets = outcomes_against_machine(arena, machines[b], arena.start)
+        best = max(order.rank_of(game.outcome_map[T]) for T in sets)
+        if best > order.rank_of(induced):
+            expected = (a, best)
+            break
+    witness = verify_ne(game, profile)
+    if expected is None:
+        assert witness is None
+    else:
+        assert witness is not None and witness.player == expected[0]
+        assert game.prefs.order_of(witness.player).rank_of(witness.improved_outcome) == expected[1]
 
 
 def test_verify_spe_flags_non_credible_threat():

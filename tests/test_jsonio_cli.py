@@ -159,6 +159,15 @@ def with_changes(doc, path, value):
     return doc
 
 
+# players P and Q, so the string "PQ" would spell both of them
+PQ_DOC = with_changes(
+    with_changes(with_changes(PARITY_DOC, ["arena", "players"], ["P", "Q"]),
+                 ["arena", "vertices", 0, "owner"], "P"),
+    ["arena", "vertices", 1, "owner"], "Q",
+)
+
+ENERGY_PARITY_DOC = {"arena": ENERGY_ARENA, "objective": {"parity": {"u": 0, "w": 1}}}
+
 # one-character outcomes, so a string of rank groups spells outcome names
 SHORT_OUTCOMES_DOC = {
     "arena": GAME_DOC["arena"],
@@ -176,9 +185,16 @@ SHORT_OUTCOMES_DOC = {
         ("guarantee", with_changes(GAME_DOC, ["arena", "vertices", 0, "id"], ["u"])),
         ("solve", with_changes(PARITY_DOC, ["objective", "parity", "v0"], "x")),
         ("guarantee", with_changes(SHORT_OUTCOMES_DOC, ["preferences", "A"], "ox")),
+        ("solve", with_changes(PQ_DOC, ["arena", "players"], "PQ")),
+        ("solve", with_changes(PARITY_DOC, ["objective", "parity", "v0"], 1.5)),
+        ("solve", with_changes(PARITY_DOC, ["objective", "parity", "v0"], "1")),
+        ("solve", with_changes(PARITY_DOC, ["objective", "parity", "v0"], True)),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "caps", "P0"], [-1, 1.5])),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "priorities", "u"], "0")),
     ],
     ids=["list-document-solve", "list-document", "map-not-list", "list-vertex-id",
-         "priority-not-int", "string-rank-groups"],
+         "priority-not-int", "string-rank-groups", "players-string", "priority-float",
+         "priority-string", "priority-bool", "energy-cap-float", "energy-priority-string"],
 )
 def test_cli_rejects_malformed_documents(tmp_path, capsys, command, doc):
     path = write(tmp_path, "bad.json", doc)
@@ -186,6 +202,57 @@ def test_cli_rejects_malformed_documents(tmp_path, capsys, command, doc):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["errors"]
     assert captured.err == ""
+
+
+# memoryless: A stays at u, B stays at w
+STAY_PROFILE = {
+    "machines": {
+        "A": {"memory_bits": 0, "choice": [["u", 0, "u"]]},
+        "B": {"memory_bits": 0, "choice": [["w", 0, "w"]]},
+    }
+}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["A", "memory_bits"], "0"),
+        (["A", "memory_bits"], 0.0),
+        (["A", "choice"], [["u", 0.0, "u"]]),
+        (["B", "update"], [["u", 0, 0.0]]),
+        (["B", "init"], "0"),
+    ],
+    ids=["bits-string", "bits-float", "choice-state-float", "update-state-float", "init-string"],
+)
+def test_cli_rejects_non_integer_machine_fields(tmp_path, capsys, path, value):
+    game_path = write(tmp_path, "game.json", GAME_DOC)
+    profile_path = write(tmp_path, "profile.json", with_changes(STAY_PROFILE, ["machines", *path], value))
+    assert main(["verify", game_path, profile_path]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["guarantee"], GAME_DOC),
+        (["ne"], GAME_DOC),
+        (["spe"], GAME_DOC),
+        (["pareto-ne"], GAME_DOC),
+        (["verify", "profile"], GAME_DOC),
+        (["verify", "profile", "--subgames"], GAME_DOC),
+        (["solve"], ENERGY_PARITY_DOC),
+    ],
+    ids=["guarantee", "ne", "spe", "pareto-ne", "verify", "verify-subgames", "solve-energy"],
+)
+def test_cli_max_product_states_bounds_every_product(tmp_path, capsys, argv, doc):
+    game_path = write(tmp_path, "game.json", doc)
+    profile_path = write(tmp_path, "profile.json", STAY_PROFILE)
+    argv = [argv[0], game_path] + [profile_path if a == "profile" else a for a in argv[1:]]
+    assert main(argv + ["--max-product-states", "1"]) == 2
+    errors = json.loads(capsys.readouterr().out)["errors"]
+    assert [e["code"] for e in errors] == ["TooLargeError"]
 
 
 def test_cli_renders_dot_only_when_asked(tmp_path, capsys, monkeypatch):

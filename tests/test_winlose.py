@@ -4,7 +4,7 @@ import random
 import pytest
 
 from graphgames.arena import make_arena
-from graphgames.errors import CapExceededError
+from graphgames.errors import CapExceededError, TooLargeError
 from graphgames.gen import random_arena, random_muller_game, random_parity_game
 from graphgames.winlose import (
     Muller,
@@ -183,6 +183,29 @@ def test_product_regions_are_record_independent(seed):
     for r in records:
         verdicts.setdefault(r[0], set()).add(("m", r) in W0)
     assert all(len(vs) == 1 for vs in verdicts.values())
+
+
+def test_muller_refuses_over_bound_records_while_enumerating(monkeypatch):
+    # an 8-vertex complete arena has 8! appearance records; with a bound of
+    # 1000 the refusal must come while they are enumerated, not after
+    import graphgames.winlose as wl
+
+    n, bound = 8, 1000
+    vs = [f"v{i}" for i in range(n)]
+    arena = two_sided(vs, [(u, w) for u in vs for w in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
+    game = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
+    calls = 0
+    process = wl.LarContext.process
+
+    def counting(self, r, v):
+        nonlocal calls
+        calls += 1
+        return process(self, r, v)
+
+    monkeypatch.setattr(wl.LarContext, "process", counting)
+    with pytest.raises(TooLargeError):
+        solve_muller(game, bound)
+    assert calls <= bound * n
 
 
 def test_muller_memory_within_record_bound():
