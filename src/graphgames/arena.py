@@ -291,64 +291,66 @@ def bits_for(n_states: int) -> int:
 def minimize_machine(machine: StrategyMachine, vertices: Iterable, owned: Iterable) -> StrategyMachine:
     """Behavioural minimisation with canonical state numbering.
 
-    States reachable from the initial state are merged when they prescribe
-    the same moves at every owned vertex and their successors under every
-    arrival are merged as well.  The result is renumbered by breadth-first
-    discovery so equal behaviours serialise identically.
+    Tabulates the states reachable from the initial state and hands the
+    table to ``minimize_table``.
     """
     vs = tuple(sorted(vertices, key=skey))
     ow = tuple(sorted(owned, key=skey))
-    reachable = [machine.init]
-    seen = {machine.init}
-    i = 0
-    while i < len(reachable):
-        q = reachable[i]
-        i += 1
-        for v in vs:
-            nq = machine.next_state(v, q)
-            if nq not in seen:
-                seen.add(nq)
-                reachable.append(nq)
-    sig = {q: tuple(machine.choice.get((v, q)) for v in ow) for q in reachable}
-    blocks = {}
-    for q in reachable:
-        blocks.setdefault(sig[q], []).append(q)
-    part = {q: idx for idx, (_, qs) in enumerate(sorted(blocks.items(), key=lambda kv: str(kv[0]))) for q in qs}
+    states, succ = explore(
+        [machine.init], lambda q: [machine.next_state(v, q) for v in vs], math.inf, "machine"
+    )
+    sid = {q: i for i, q in enumerate(states)}
+    return minimize_table(
+        machine.player,
+        vs,
+        ow,
+        [[sid[t] for t in succ[q]] for q in states],
+        [tuple(machine.choice.get((v, q)) for v in ow) for q in states],
+    )
+
+
+def minimize_table(player: Player, vertices: tuple, owned: tuple, nxt: list, choice: list) -> StrategyMachine:
+    """Minimal machine of a tabulated one, numbered canonically.
+
+    States are ``0 .. len(nxt) - 1`` and 0 is initial; ``nxt[q][i]`` is the
+    state after arriving at ``vertices[i]`` in state ``q`` and ``choice[q][j]``
+    the move at ``owned[j]`` (``None`` for no move).  States are merged when
+    they prescribe the same moves and their successors under every arrival
+    are merged as well.  The result is numbered by breadth-first discovery
+    from the initial block over ``vertices``, so equal behaviours serialise
+    identically whatever the table's numbering.
+    """
+    ids: dict = {}
+    part = [ids.setdefault(row, len(ids)) for row in choice]
+    count = len(ids)
     while True:
-        refined = {}
-        for q in reachable:
-            key = (part[q], tuple(part[machine.next_state(v, q)] for v in vs))
-            refined.setdefault(key, []).append(q)
-        if len(refined) == len(set(part.values())):
+        ids = {}
+        block = part.__getitem__
+        refined = [ids.setdefault((b, *map(block, row)), len(ids)) for b, row in zip(part, nxt)]
+        if len(ids) == count:
             break
-        part = {q: idx for idx, (_, qs) in enumerate(sorted(refined.items(), key=lambda kv: str(kv[0]))) for q in qs}
-    # canonical numbering by BFS from the initial block
-    order = {}
-    queue = [part[machine.init]]
-    order[part[machine.init]] = 0
-    rep = {}
-    for q in reachable:
-        rep.setdefault(part[q], q)
-    while queue:
-        b = queue.pop(0)
+        part, count = refined, len(ids)
+    rep: dict = {}
+    for q, b in enumerate(part):
+        rep.setdefault(b, q)
+    order = {part[0]: 0}
+    queue = [part[0]]
+    update = {}
+    moves = {}
+    for b in queue:
         q = rep[b]
-        for v in vs:
-            nb = part[machine.next_state(v, q)]
+        s = order[b]
+        for v, t in zip(vertices, nxt[q]):
+            nb = part[t]
             if nb not in order:
                 order[nb] = len(order)
                 queue.append(nb)
-    update = {}
-    choice = {}
-    for b, q in sorted(rep.items(), key=lambda kv: order[kv[0]]):
-        for v in vs:
-            nb = order[part[machine.next_state(v, q)]]
-            if nb != order[b]:
-                update[(v, order[b])] = nb
-        for v in ow:
-            w = machine.choice.get((v, q))
+            if order[nb] != s:
+                update[(v, s)] = order[nb]
+        for v, w in zip(owned, choice[q]):
             if w is not None:
-                choice[(v, order[b])] = w
-    return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)
+                moves[(v, s)] = w
+    return StrategyMachine(player, bits_for(len(order)), update, moves, 0)
 
 
 @dataclass(frozen=True)
@@ -369,6 +371,9 @@ class StrategyProfile:
         for p, m in self.machines.items():
             if m.player != p:
                 raise InvalidInputError(f"machine under key {p!r} claims player {m.player!r}")
+            for (v, q), w in m.choice.items():
+                if (v, w) not in arena.edges:
+                    raise InvalidInputError(f"machine for {p!r} chooses non-edge ({v!r}, {w!r}) in state {q}")
 
 
 def walk_configurations(

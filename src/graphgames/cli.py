@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification found a profitable deviation,
-2 invalid input, 3 the Pareto-blocking preference pattern is present.
+2 invalid input (or any other failure, reported as a structured error
+payload), 3 the Pareto-blocking preference pattern is present.
 Outputs are canonical JSON so identical inputs give byte-identical files.
 """
 
@@ -23,7 +24,6 @@ from .equilibria import (
     verify_spe,
 )
 from .errors import (
-    GraphGamesError,
     InvalidArenaError,
     NotAntagonisticError,
     PatternPresentError,
@@ -68,7 +68,7 @@ def _write_dot(name: str, render, subject, args) -> None:
     Path(f"{base}.{name}.dot").write_text(render(subject))
 
 
-def _error_payload(exc: GraphGamesError) -> dict:
+def _error_payload(exc: Exception) -> dict:
     if isinstance(exc, InvalidArenaError):
         return {"errors": [{"code": c, "detail": d} for c, d in exc.errors]}
     return {"errors": [{"code": type(exc).__name__, "detail": str(exc)}]}
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
         payload["witness"] = [str(x) for x in exc.witness]
         sys.stdout.write(jsonio.dumps(payload))
         return 3
-    except GraphGamesError as exc:
+    except Exception as exc:  # a failure no check names is still a refusal, not a traceback
         sys.stdout.write(jsonio.dumps(_error_payload(exc)))
         return 2
 

@@ -250,8 +250,13 @@ def verify_ne(
     searched, so the map must be total on recurrence sets, as
     ``GraphGame.validate_total`` checks.
     """
+    profile.validate(game.arena)
+    return _deviation_from(game, profile, start, init_mems, max_product)
+
+
+def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems, max_product: int):
+    """``verify_ne`` on a profile already validated against the arena."""
     arena = game.arena
-    profile.validate(arena)
     players = arena.sorted_players()
     v0 = arena.start if start is None else start
     mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in players}
@@ -286,9 +291,10 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = DEFA
     """Check the profile is an equilibrium from every reachable configuration.
 
     The joint product moves the token along every edge (deviations
-    included) while all memories update; ``verify_ne`` runs from each
-    configuration in breadth-first order and the first failure comes back
-    as ``(vertex, witness)``.  ``max_states`` bounds every product built.
+    included) while all memories update; the ``verify_ne`` search runs
+    from each configuration in breadth-first order and the first failure
+    comes back as ``(vertex, witness)``.  ``max_states`` bounds every
+    product built.
     """
     arena = game.arena
     profile.validate(arena)
@@ -297,9 +303,7 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = DEFA
     s0 = (arena.start, tuple(m.init for m in machines))
     configs, _ = explore([s0], _product_successors(arena, players, machines), max_states, "joint product")
     for v, mems in configs:
-        witness = verify_ne(
-            game, profile, start=v, init_mems=dict(zip(players, mems)), max_product=max_states
-        )
+        witness = _deviation_from(game, profile, v, dict(zip(players, mems)), max_states)
         if witness is not None:
             return (v, witness)
     return None

@@ -27,7 +27,7 @@ from .arena import (
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import Muller, SolveResult, WinLoseGame, solve_muller
+from .winlose import Muller, RecordProduct, SolveResult, WinLoseGame
 
 COALITION = "coalition-vs"
 
@@ -94,10 +94,12 @@ def threshold_game(game: GraphGame, player, outcome) -> WinLoseGame:
         owner=owner,
         start=arena.start,
     )
-    family = frozenset(
-        s for s, o in game.outcome_map.items() if order.lt(outcome, o)
-    )
-    return WinLoseGame(two_sided, Muller(family), protagonist=player)
+    return WinLoseGame(two_sided, Muller(_threshold_family(game, order, outcome)), protagonist=player)
+
+
+def _threshold_family(game: GraphGame, order: StrictWeakOrder, outcome) -> frozenset:
+    """Recurrence sets whose outcome ``order`` ranks strictly above ``outcome``."""
+    return frozenset(s for s, o in game.outcome_map.items() if order.lt(outcome, o))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,20 +138,29 @@ class GuaranteeTable:
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
 
-def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeRow:
+def best_guarantee(
+    game: GraphGame,
+    player,
+    max_product_states: int = DEFAULT_PRODUCT_BOUND,
+    product: RecordProduct | None = None,
+) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
     Thresholds descend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
-    class immediately below it (the bottom class needs no witness).
+    class immediately below it (the bottom class needs no witness).  Every
+    threshold game is solved on ``product``, the record product of the
+    game's arena, which is built here when not given.
     """
     order = game.prefs.order_of(player)
     k = order.num_classes()
     arena = game.arena
+    if product is None:
+        product = RecordProduct(arena, max_product_states)
+    sides = (player, coalition_tag(player))
     solves: dict[int, SolveResult] = {}
     for j in range(k):
-        tg = threshold_game(game, player, order.representative(j))
-        solves[j] = solve_muller(tg, max_product_states)
+        solves[j] = product.solve(_threshold_family(game, order, order.representative(j)), sides)
     class_rank = {}
     for v in arena.vertices:
         rank = 0
@@ -168,7 +179,8 @@ def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PR
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
-    rows = {p: best_guarantee(game, p, max_product_states) for p in game.arena.players}
+    product = RecordProduct(game.arena, max_product_states)
+    rows = {p: best_guarantee(game, p, max_product_states, product) for p in game.arena.players}
     solver_bits = max((r.solver_bits for r in rows.values()), default=0)
     return GuaranteeTable(
         rows=rows,

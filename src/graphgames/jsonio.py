@@ -251,7 +251,9 @@ def machine_from_json(doc: Mapping, player=None) -> StrategyMachine:
             (v, integer(q, "machine state")): integer(nq, "machine state")
             for v, q, nq in doc.get("update", [])
         }
-        choice = {(v, integer(q, "machine state")): w for v, q, w in doc.get("choice", [])}
+        choice = {
+            (v, integer(q, "machine state")): identifier(w, "machine move") for v, q, w in doc.get("choice", [])
+        }
         init = integer(doc.get("init", 0), "machine state")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad machine document: {exc}") from exc
@@ -322,19 +324,33 @@ def table_to_json(table: GuaranteeTable) -> dict:
     }
 
 
+def _payoff(x) -> Fraction:
+    """A payoff given as a number or a fraction string such as ``"3/5"``."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise InvalidInputError(f"payoff {x!r} must be a number or a fraction string")
+    try:
+        return Fraction(x)
+    except (ArithmeticError, ValueError) as exc:
+        raise InvalidInputError(f"payoff {x!r} is not a number: {exc}") from None
+
+
 def tree_from_json(doc: Mapping) -> TreeGame:
     players = set()
 
     def parse(node):
+        node = _object(node, "tree node")
         if "outcome" in node:
-            return Leaf(outcome=node["outcome"])
+            return Leaf(outcome=identifier(node["outcome"], "outcome"))
         if "payoffs" in node:
-            payoffs = {p: Fraction(s) for p, s in node["payoffs"].items()}
+            payoffs = {p: _payoff(x) for p, x in _object(node["payoffs"], "payoffs").items()}
             players.update(payoffs)
             return Leaf(payoffs=payoffs)
         if "owner" in node and "children" in node:
-            players.add(node["owner"])
-            return Decision(node["owner"], tuple(parse(c) for c in node["children"]))
+            if not isinstance(node["children"], list):
+                raise InvalidInputError(f"children of {node['owner']!r} must be a list of tree nodes")
+            owner = identifier(node["owner"], "owner")
+            players.add(owner)
+            return Decision(owner, tuple(parse(c) for c in node["children"]))
         raise InvalidInputError(f"bad tree node {node!r}")
 
     root = parse(_object(doc, "tree document").get("tree", doc))

@@ -13,18 +13,17 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .arena import (
     DEFAULT_PRODUCT_BOUND,
     Arena,
     ArenaIndex,
     StrategyMachine,
-    bits_for,
     explore,
     fallback_machine,
     memoryless_machine,
-    minimize_machine,
+    minimize_table,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
 
@@ -181,14 +180,6 @@ def _to_vertices(view: ArenaIndex, strategy: Mapping) -> dict:
     return {vs[v]: vs[w] for v, w in strategy.items()}
 
 
-def _zielonka_regions(vertices: Iterable, succ: Callable, side_of: Callable, prio: Mapping):
-    """Solve the min-parity game on an explicit graph, keyed by vertex."""
-    view = ArenaIndex(vertices, succ, side_of)
-    W0, W1, s0, s1 = _solve_view(view, view.owner, [prio[v] for v in view.vertices])
-    vs = view.vertices
-    return {vs[v] for v in W0}, {vs[v] for v in W1}, _to_vertices(view, s0), _to_vertices(view, s1)
-
-
 def _sides(game: WinLoseGame) -> list:
     """Side (0 or 1) of every vertex of the game's arena, by index."""
     p0, _ = game.sides()
@@ -309,31 +300,118 @@ class LarContext:
         return tuple(sorted(records))
 
 
-def _lar_machine(arena, ctx, records, node_strategy, player, owned) -> StrategyMachine:
-    """Pull a positional product strategy back to a record-memory machine."""
-    all_records = [ctx.r_init] + [r for r in records if r != ctx.r_init]
-    rid = {r: i for i, r in enumerate(all_records)}
-    update = {}
-    choice = {}
-    for r in all_records:
-        q = rid[r]
-        for w in ctx.vertices:
-            nr = ctx.process(r, w)
-            if nr in rid and rid[nr] != q:
-                update[(w, q)] = rid[nr]
-        for v in owned:
-            pr = ctx.process(r, v)
-            target = node_strategy.get(("m", pr))
-            if target is not None:
-                choice[(v, q)] = target[2]
+class RecordProduct:
+    """The appearance-record parity product of one arena, built once.
+
+    Every record ``r`` is a move node ``("m", r)`` at vertex ``r[0]``; each
+    move to a successor ``w`` passes through a transition node
+    ``("d", r, w)`` whose priority comes from the position ``h`` at which
+    ``w`` is hit: ``2(n - h)``, plus one when the hit prefix ``r[:h]`` is
+    not in the Muller family.  All of this depends only on the graph, so
+    one product serves every family and every split into two sides; only
+    the priority bits and the sides of the move nodes differ per ``solve``.
+    The nodes are indexed in ``skey`` order and labelled with the arena
+    vertex they stand at (move nodes) or move to (transition nodes).
+    """
+
+    def __init__(self, arena: Arena, max_product_states: int = DEFAULT_PRODUCT_BOUND):
+        ctx = LarContext(arena)
+        records = ctx.reachable_records(arena, max_product_states)
+        total = sum(1 + len(arena.successors(r[0])) for r in records)
+        if total > max_product_states:
+            raise TooLargeError(f"record product needs {total} states, bound is {max_product_states}")
+        succ: dict = {}
+        for r in records:
+            outs = []
+            for w in arena.successors(r[0]):
+                d = ("d", r, w)
+                succ[d] = (("m", ctx.process(r, w)),)
+                outs.append(d)
+            succ[("m", r)] = tuple(outs)
+        index = arena.view.index
+        view = ArenaIndex(succ, succ.__getitem__, lambda x: index[x[1][0] if x[0] == "m" else x[2]])
+        n = ctx.n
+        prefixes: dict = {}
+        self.base = []  # priority of each node when its hit prefix is in the family
+        self.hit = []  # id of each transition node's hit prefix, -1 for move nodes
+        for x in view.vertices:
+            if x[0] == "m":
+                self.base.append(2 * n)
+                self.hit.append(-1)
             else:
-                choice[(v, q)] = arena.successors(v)[0]
-    machine = StrategyMachine(player, bits_for(len(all_records)), update, choice, 0)
-    return minimize_machine(machine, ctx.vertices, owned)
+                _, r, w = x
+                h = r.index(w) + 1
+                self.base.append(2 * (n - h))
+                self.hit.append(prefixes.setdefault(frozenset(r[:h]), len(prefixes)))
+        self.prefixes = tuple(prefixes)
+        self.arena = arena
+        self.view = view
+        self.entry = [view.index[("m", ctx.process(ctx.r_init, v))] for v in ctx.vertices]
+        # record memory: state 0 is the fresh record; arriving at vertex i in
+        # state q leads to state nxt[q][i] and enters move node enter[q][i]
+        # (-1 when that record is not reachable in the product)
+        states = [ctx.r_init] + [r for r in records if r != ctx.r_init]
+        rid = {r: q for q, r in enumerate(states)}
+        self.nxt = []
+        self.enter = []
+        for q, r in enumerate(states):
+            arrivals = [ctx.process(r, v) for v in ctx.vertices]
+            self.nxt.append([rid.get(t, q) for t in arrivals])
+            self.enter.append([view.index.get(("m", t), -1) for t in arrivals])
+
+    def parity_game(self, family: frozenset, p0) -> tuple:
+        """Side and priority of every node when ``p0`` plays for ``family``."""
+        side_of = [0 if o == p0 else 1 for o in self.arena.view.owner]
+        good = [s in family for s in self.prefixes]
+        side = [side_of[v] if h < 0 else 1 for v, h in zip(self.view.owner, self.hit)]
+        prio = [b if h < 0 or good[h] else b + 1 for b, h in zip(self.base, self.hit)]
+        return side, prio
+
+    def solve(self, family: frozenset, sides: tuple) -> SolveResult:
+        """Solve the Muller game ``family`` with side 0 played by ``sides[0]``.
+
+        Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
+        Strategies come back as record-memory machines, minimised and
+        canonically numbered.
+        """
+        p0, p1 = sides
+        side, prio = self.parity_game(family, p0)
+        W0, _, s0, s1 = _solve_view(self.view, side, prio)
+        vs = self.arena.view.vertices
+        win0 = frozenset(vs[i] for i, k in enumerate(self.entry) if k in W0)
+        owners = self.arena.view.owner
+        m0 = self._machine(p0, s0, [i for i, o in enumerate(owners) if o == p0])
+        m1 = self._machine(p1, s1, [i for i, o in enumerate(owners) if o != p0])
+        return SolveResult(
+            win0=win0,
+            win1=frozenset(vs) - win0,
+            strategy0=m0,
+            strategy1=m1,
+            memory_bits_used=max(m0.memory_bits, m1.memory_bits),
+        )
+
+    def _machine(self, player, strategy: Mapping, owned: list) -> StrategyMachine:
+        """Pull a positional product strategy back to a record-memory machine.
+
+        At an owned vertex the machine moves where the strategy leaves the
+        move node entered on arrival, and to the first successor where the
+        strategy is silent.
+        """
+        vs = self.arena.view.vertices
+        succ = self.arena.view.succ
+        label = self.view.owner
+        choice = []
+        for row in self.enter:
+            moves = []
+            for i in owned:
+                d = strategy.get(row[i]) if row[i] >= 0 else None
+                moves.append(vs[label[d] if d is not None else succ[i][0]])
+            choice.append(tuple(moves))
+        return minimize_table(player, vs, tuple(vs[i] for i in owned), self.nxt, choice)
 
 
 def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
-    """Solve a Muller game via records and a parity product.
+    """Solve a Muller game through its arena's record product.
 
     The product tracks the appearance record; each move is routed through a
     transition node carrying the priority derived from the hit position, so
@@ -342,49 +420,9 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BO
     """
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
-    arena = game.arena
+    sides = game.sides()
     family = frozenset(frozenset(s) for s in game.objective.family)
-    p0, p1 = game.sides()
-    ctx = LarContext(arena)
-    n = ctx.n
-    records = ctx.reachable_records(arena, max_product_states)
-    total = sum(1 + len(arena.successors(r[0])) for r in records)
-    if total > max_product_states:
-        raise TooLargeError(f"record product needs {total} states, bound is {max_product_states}")
-    succ: dict = {}
-    prio: dict = {}
-    side: dict = {}
-    for r in records:
-        m = ("m", r)
-        prio[m] = 2 * n
-        side[m] = 0 if arena.owner[r[0]] == p0 else 1
-        outs = []
-        for w in arena.successors(r[0]):
-            d = ("d", r, w)
-            h = r.index(w) + 1
-            bit = 0 if frozenset(r[:h]) in family else 1
-            prio[d] = 2 * (n - h) + bit
-            side[d] = 1
-            succ[d] = (("m", ctx.process(r, w)),)
-            outs.append(d)
-        succ[m] = tuple(outs)
-    nodes = tuple(succ)
-    W0, W1, s0, s1 = _zielonka_regions(nodes, lambda x: succ[x], lambda x: side[x], prio)
-    strat0 = {k: v for k, v in s0.items() if k[0] == "m"}
-    strat1 = {k: v for k, v in s1.items() if k[0] == "m"}
-    win0 = frozenset(
-        v for v in arena.vertices if ("m", ctx.process(ctx.r_init, v)) in W0
-    )
-    win1 = frozenset(set(arena.vertices) - win0)
-    m0 = _lar_machine(arena, ctx, records, strat0, p0, arena.owned_by(p0))
-    m1 = _lar_machine(arena, ctx, records, strat1, p1, arena.owned_by(p1))
-    return SolveResult(
-        win0=win0,
-        win1=win1,
-        strategy0=m0,
-        strategy1=m1,
-        memory_bits_used=max(m0.memory_bits, m1.memory_bits),
-    )
+    return RecordProduct(game.arena, max_product_states).solve(family, sides)
 
 
 def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:

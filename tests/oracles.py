@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from graphgames.arena import Arena, StrategyMachine
+from graphgames.arena import Arena, StrategyMachine, bits_for, skey
 
 
 def bfs_reachable(arena: Arena, source) -> set:
@@ -198,3 +198,63 @@ def all_machines(arena: Arena, player, bits: int):
         for ch in iproduct(*[arena.successors(v) for (v, _) in choice_keys]) if choice_keys else [()]:
             choice = {k: w for k, w in zip(choice_keys, ch)}
             yield StrategyMachine(player, bits, update, choice, 0)
+
+
+def minimize_machine_by_dicts(machine: StrategyMachine, vertices, owned) -> StrategyMachine:
+    """Behavioural minimisation over dicts keyed by the machine's own states.
+
+    The slow reference for the package's table minimiser: blocks are
+    numbered by sorting their keys as strings at every refinement, and the
+    result is renumbered breadth-first from the initial block.
+    """
+    vs = tuple(sorted(vertices, key=skey))
+    ow = tuple(sorted(owned, key=skey))
+    reachable = [machine.init]
+    seen = {machine.init}
+    i = 0
+    while i < len(reachable):
+        q = reachable[i]
+        i += 1
+        for v in vs:
+            nq = machine.next_state(v, q)
+            if nq not in seen:
+                seen.add(nq)
+                reachable.append(nq)
+    sig = {q: tuple(machine.choice.get((v, q)) for v in ow) for q in reachable}
+    blocks = {}
+    for q in reachable:
+        blocks.setdefault(sig[q], []).append(q)
+    part = {q: idx for idx, (_, qs) in enumerate(sorted(blocks.items(), key=lambda kv: str(kv[0]))) for q in qs}
+    while True:
+        refined = {}
+        for q in reachable:
+            key = (part[q], tuple(part[machine.next_state(v, q)] for v in vs))
+            refined.setdefault(key, []).append(q)
+        if len(refined) == len(set(part.values())):
+            break
+        part = {q: idx for idx, (_, qs) in enumerate(sorted(refined.items(), key=lambda kv: str(kv[0]))) for q in qs}
+    order = {part[machine.init]: 0}
+    queue = [part[machine.init]]
+    rep = {}
+    for q in reachable:
+        rep.setdefault(part[q], q)
+    while queue:
+        b = queue.pop(0)
+        q = rep[b]
+        for v in vs:
+            nb = part[machine.next_state(v, q)]
+            if nb not in order:
+                order[nb] = len(order)
+                queue.append(nb)
+    update = {}
+    choice = {}
+    for b, q in sorted(rep.items(), key=lambda kv: order[kv[0]]):
+        for v in vs:
+            nb = order[part[machine.next_state(v, q)]]
+            if nb != order[b]:
+                update[(v, order[b])] = nb
+        for v in ow:
+            w = machine.choice.get((v, q))
+            if w is not None:
+                choice[(v, order[b])] = w
+    return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)

@@ -22,8 +22,9 @@ from graphgames.arena import (
 )
 from graphgames.errors import InvalidArenaError, TooLargeError
 from graphgames.gen import random_arena
+from graphgames.jsonio import machine_to_json
 
-from oracles import feasible_sets_by_walk_search
+from oracles import feasible_sets_by_walk_search, minimize_machine_by_dicts
 
 
 def two_vertex_arena():
@@ -205,6 +206,56 @@ def test_minimization_preserves_behavior(seed):
             assert machine.choice.get((v, q1)) == small.choice.get((v, q2))
             q1 = machine.next_state(v, q1)
             q2 = small.next_state(v, q2)
+
+
+def random_table_machine(rng, vertices, owned):
+    """A machine with sparse state numbers, unreachable states and missing moves."""
+    states = rng.sample(range(50), rng.randint(1, 7))
+    update = {}
+    choice = {}
+    for q in states:
+        for v in vertices:
+            if rng.random() < 0.7:
+                update[(v, q)] = rng.choice(states)
+        for v in owned:
+            if rng.random() < 0.8:
+                choice[(v, q)] = rng.choice(vertices)
+    return StrategyMachine("A", 6, update, choice, rng.choice(states))
+
+
+def renamed(machine, rng):
+    """The machine with its states renamed by a random permutation."""
+    states = machine.states()
+    name = dict(zip(states, rng.sample(states, len(states))))
+    return StrategyMachine(
+        machine.player,
+        machine.memory_bits,
+        {(v, name[q]): name[t] for (v, q), t in machine.update.items()},
+        {(v, name[q]): w for (v, q), w in machine.choice.items()},
+        name[machine.init],
+    )
+
+
+def test_minimization_agrees_with_dict_minimiser():
+    rng = random.Random(2024)
+    for _ in range(200):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 4))]
+        owned = rng.sample(vertices, rng.randint(0, len(vertices)))
+        machine = random_table_machine(rng, vertices, owned)
+        expected = machine_to_json(minimize_machine_by_dicts(machine, vertices, owned))
+        assert machine_to_json(minimize_machine(machine, vertices, owned)) == expected
+
+
+def test_minimization_ignores_state_names():
+    rng = random.Random(7)
+    for _ in range(100):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 4))]
+        owned = rng.sample(vertices, rng.randint(0, len(vertices)))
+        machine = random_table_machine(rng, vertices, owned)
+        other = renamed(machine, rng)
+        assert machine_to_json(minimize_machine(other, vertices, owned)) == machine_to_json(
+            minimize_machine(machine, vertices, owned)
+        )
 
 
 # --- energy product ---------------------------------------------------------

@@ -244,3 +244,29 @@ def test_threshold_games_are_determined(seed):
             res = solve_muller(threshold_game(game, a, o))
             assert res.win0 | res.win1 == frozenset(game.arena.vertices)
             assert not res.win0 & res.win1
+
+
+def test_shared_product_rows_match_fresh_threshold_solves():
+    # every threshold of every player is solved on one record product; each
+    # row must equal the row built from a fresh solve per threshold game, so
+    # nothing one solve leaves behind reaches the next
+    rng = random.Random(4040)
+    for _ in range(60):
+        players = ["A", "B", "C"][: rng.randint(2, 3)]
+        outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+        game = random_graph_game(rng, rng.randint(3, 5), players, outcomes)
+        table = guarantee_table(game)
+        for p in players:
+            order = game.prefs.order_of(p)
+            k = order.num_classes()
+            solves = [solve_muller(threshold_game(game, p, order.representative(j))) for j in range(k)]
+            rank = {v: max([j + 1 for j in range(k) if v in solves[j].win0], default=0) for v in game.arena.vertices}
+            row = table.rows[p]
+            assert row.class_rank == rank
+            used = sorted(set(rank.values()))
+            assert sorted(row.machines) == sorted(row.punish) == used
+            for c in used:
+                if c >= 1:
+                    assert jsonio.machine_to_json(row.machines[c]) == jsonio.machine_to_json(solves[c - 1].strategy0)
+                assert jsonio.machine_to_json(row.punish[c]) == jsonio.machine_to_json(solves[min(c, k - 1)].strategy1)
+            assert row.solver_bits == max(r.memory_bits_used for r in solves)

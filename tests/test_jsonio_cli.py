@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgames import jsonio
 from graphgames.arena import make_arena, validate_arena
@@ -233,6 +237,60 @@ def test_cli_rejects_non_integer_machine_fields(tmp_path, capsys, path, value):
     assert captured.err == ""
 
 
+# no edge from w back to u, so B moving there from w leaves the arena's edges
+ONE_WAY_DOC = with_changes(GAME_DOC, ["arena", "edges"], [["u", "u"], ["u", "w"], ["w", "w"]])
+
+
+@pytest.mark.parametrize("subgames", [[], ["--subgames"]], ids=["verify", "verify-subgames"])
+@pytest.mark.parametrize(
+    "doc, move",
+    [(GAME_DOC, "zzz"), (ONE_WAY_DOC, "u")],
+    ids=["unknown-vertex", "non-successor"],
+)
+def test_cli_verify_rejects_machine_moves_off_the_edges(tmp_path, capsys, doc, move, subgames):
+    # B's move at w is off the induced play (A stays at u), so only the
+    # profile check can see it
+    game_path = write(tmp_path, "game.json", doc)
+    profile = with_changes(STAY_PROFILE, ["machines", "B", "choice"], [["w", 0, move]])
+    profile_path = write(tmp_path, "profile.json", profile)
+    assert main(["verify", game_path, profile_path, *subgames]) == 2
+    captured = capsys.readouterr()
+    assert [e["code"] for e in json.loads(captured.out)["errors"]] == ["InvalidInputError"]
+    assert captured.err == ""
+
+
+PAYOFF_TREE = {
+    "tree": {
+        "owner": "a",
+        "children": [{"payoffs": {"a": "3/5", "b": "3/10"}}, {"payoffs": {"a": "1/5", "b": "1"}}],
+    }
+}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["tree", "children", 0, "payoffs", "a"], "abc"),
+        (["tree", "children", 0, "payoffs", "a"], [1]),
+        (["tree", "children", 0, "payoffs", "a"], None),
+        (["tree", "children", 0, "payoffs", "a"], True),
+        (["tree", "children", 0, "payoffs", "a"], "1/0"),
+        (["tree", "children", 0, "payoffs"], ["a", "1"]),
+        (["tree", "children", 1], "leaf"),
+        (["tree", "children", 1], 5),
+        (["tree", "children"], {"payoffs": {"a": "1"}}),
+    ],
+    ids=["payoff-text", "payoff-list", "payoff-null", "payoff-bool", "payoff-zero-denominator",
+         "payoffs-list", "node-string", "node-number", "children-object"],
+)
+def test_cli_discretize_rejects_malformed_trees(tmp_path, capsys, path, value):
+    tree_path = write(tmp_path, "tree.json", with_changes(PAYOFF_TREE, path, value))
+    assert main(["discretize", tree_path]) == 2
+    captured = capsys.readouterr()
+    assert [e["code"] for e in json.loads(captured.out)["errors"]] == ["InvalidInputError"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -427,3 +485,59 @@ def test_cli_guarantee_table(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"A", "B"}
     assert set(out["A"]) == {"u", "w"}
+
+
+# --- fuzzing: no document makes the CLI fail without a structured refusal ---
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["u", "w", "A", "B", "o1", "1/2", "zzz", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_paths(doc, prefix=()):
+    """Every key path into a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one subtree replaced by an arbitrary JSON value."""
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    value = draw(JSON_VALUES)
+    return with_changes(doc, list(path), value) if path else value
+
+
+FUZZ_COMMANDS = [
+    (["solve"], PARITY_DOC),
+    (["guarantee"], GAME_DOC),
+    (["ne"], GAME_DOC),
+    (["spe"], GAME_DOC),
+    (["pareto-ne"], GAME_DOC),
+    (["verify"], GAME_DOC),
+    (["verify", "--subgames"], GAME_DOC),
+    (["discretize"], PAYOFF_TREE),
+]
+
+
+@pytest.mark.parametrize("argv, doc", FUZZ_COMMANDS, ids=[" ".join(a) for a, _ in FUZZ_COMMANDS])
+def test_cli_fuzzed_documents_exit_cleanly(tmp_path, argv, doc):
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(game=mutated(doc), profile=mutated(STAY_PROFILE))
+    def run(game, profile):
+        files = [write(tmp_path, "game.json", game)]
+        if argv[0] == "verify":
+            files.append(write(tmp_path, "profile.json", profile))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], *files, *argv[1:]])
+        assert code in ({0, 2, 3} | ({1} if argv[0] == "verify" else set()))
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())
+
+    run()

@@ -6,6 +6,7 @@ import pytest
 from graphgames.arena import make_arena
 from graphgames.errors import CapExceededError, TooLargeError
 from graphgames.gen import random_arena, random_muller_game, random_parity_game
+from graphgames.jsonio import machine_to_json
 from graphgames.winlose import (
     Muller,
     Parity,
@@ -19,7 +20,7 @@ from graphgames.winlose import (
     solve_parity,
 )
 
-from oracles import outcomes_against_machine
+from oracles import minimize_machine_by_dicts, outcomes_against_machine
 
 
 def two_sided(vertices, edges, owner, start="v0"):
@@ -158,31 +159,26 @@ def test_product_regions_are_record_independent(seed):
 
     rng = random.Random(seed)
     game = random_muller_game(rng, rng.randint(2, 4))
-    arena = game.arena
-    family = game.objective.family
     p0, _ = game.sides()
-    ctx = wl.LarContext(arena)
-    n = ctx.n
-    records = ctx.reachable_records(arena)
-    succ, prio, side = {}, {}, {}
-    for r in records:
-        m = ("m", r)
-        prio[m] = 2 * n
-        side[m] = 0 if arena.owner[r[0]] == p0 else 1
-        outs = []
-        for w in arena.successors(r[0]):
-            d = ("d", r, w)
-            h = r.index(w) + 1
-            prio[d] = 2 * (n - h) + (0 if frozenset(r[:h]) in family else 1)
-            side[d] = 1
-            succ[d] = (("m", ctx.process(r, w)),)
-            outs.append(d)
-        succ[m] = tuple(outs)
-    W0, _, _, _ = wl._zielonka_regions(tuple(succ), lambda x: succ[x], lambda x: side[x], prio)
+    product = wl.RecordProduct(game.arena)
+    W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(game.objective.family, p0))
     verdicts = {}
-    for r in records:
-        verdicts.setdefault(r[0], set()).add(("m", r) in W0)
+    for k, x in enumerate(product.view.vertices):
+        if x[0] == "m":
+            verdicts.setdefault(x[1][0], set()).add(k in W0)
     assert all(len(vs) == 1 for vs in verdicts.values())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_muller_machines_are_minimal_and_canonical(seed):
+    # the record machines come out of the table minimiser merged and
+    # numbered breadth-first, so the reference minimiser leaves them as they are
+    rng = random.Random(seed + 900)
+    game = random_muller_game(rng, rng.randint(2, 5))
+    res = solve_muller(game)
+    for m in (res.strategy0, res.strategy1):
+        again = minimize_machine_by_dicts(m, game.arena.vertices, game.arena.owned_by(m.player))
+        assert machine_to_json(again) == machine_to_json(m)
 
 
 def test_muller_refuses_over_bound_records_while_enumerating(monkeypatch):
