@@ -257,9 +257,6 @@ class StrategyMachine:
                 f"machine for {self.player!r} has no choice at vertex {v!r}, state {q}"
             ) from None
 
-    def has_choice(self, v: Vertex, q: int) -> bool:
-        return (v, q) in self.choice
-
     def states(self) -> tuple:
         """Every memory state the machine mentions, ascending."""
         used = {self.init}
@@ -423,6 +420,15 @@ def induced_lasso(arena: Arena, profile: StrategyProfile, start: Vertex | None =
     return Lasso(stem, cycle)
 
 
+def _recurrence_test(arena: Arena, source: Vertex | None):
+    """The arena's index and a test of index masks for ``closed_strongly_connected_sets``."""
+    view = arena.view
+    adj, radj = adjacency_masks(view)
+    everything = (1 << len(view.vertices)) - 1
+    reach = everything if source is None else _reach(1 << view.index[source], adj, everything)
+    return view, lambda mask: mask & reach and _closed_and_strongly_connected(mask, adj, radj)
+
+
 def closed_strongly_connected_sets(
     arena: Arena, max_vertices: int = DEFAULT_FEASIBLE_BOUND, source: Vertex | None = None
 ) -> frozenset:
@@ -434,24 +440,33 @@ def closed_strongly_connected_sets(
     play from ``source`` visits infinitely often; without one the result is
     the union of those families over all sources.
     """
-    view = arena.view
-    vs = view.vertices
-    n = len(vs)
+    n = len(arena.vertices)
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds the bound {max_vertices}")
-    adj, radj = adjacency_masks(view)
-    everything = (1 << n) - 1
-    reach = everything if source is None else _reach(1 << view.index[source], adj, everything)
+    view, qualifies = _recurrence_test(arena, source)
+    vs = view.vertices
     return frozenset(
-        frozenset(vs[i] for i in range(n) if mask >> i & 1)
-        for mask in range(1, 1 << n)
-        if mask & reach and _closed_and_strongly_connected(mask, adj, radj)
+        frozenset(vs[i] for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n) if qualifies(mask)
     )
 
 
 def feasible_inf_sets(arena: Arena, source: Vertex, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> frozenset:
     """All sets of vertices some play from ``source`` visits infinitely often."""
     return closed_strongly_connected_sets(arena, max_vertices, source)
+
+
+def feasible_among(arena: Arena, candidates: Iterable, source: Vertex) -> frozenset:
+    """The ``candidates`` some play from ``source`` visits infinitely often.
+
+    Tests only the given vertex sets, so no vertex bound applies; sets
+    naming an unknown vertex are skipped.  Fed the keys of an outcome map
+    that is total on recurrence sets, it returns ``feasible_inf_sets``.
+    """
+    view, qualifies = _recurrence_test(arena, source)
+    return frozenset(
+        s for s in candidates
+        if all(v in view.index for v in s) and qualifies(sum(1 << view.index[v] for v in s))
+    )
 
 
 def adjacency_masks(view: ArenaIndex) -> tuple:
@@ -556,7 +571,9 @@ class EnergyProduct:
     priority: Mapping
 
 
-def energy_product(arena: Arena, spec: EnergySpec, max_states: int = DEFAULT_PRODUCT_BOUND) -> EnergyProduct:
+def energy_product(
+    arena: Arena, spec: EnergySpec, max_product_states: int = DEFAULT_PRODUCT_BOUND
+) -> EnergyProduct:
     """Unfold budgets into the arena, clamping into each player's caps.
 
     Visiting a vertex charges its weight:  ``b' = clamp(b + weight, lo, hi)``
@@ -582,7 +599,7 @@ def energy_product(arena: Arena, spec: EnergySpec, max_states: int = DEFAULT_PRO
 
     b0 = charge(tuple(0 for _ in players), arena.start)
     start = (arena.start, b0, tuple(min(0, b) for b in b0))
-    vertices, succ = explore([start], step, max_states, "energy product")
+    vertices, succ = explore([start], step, max_product_states, "energy product")
     edges = frozenset((pv, pw) for pv in vertices for pw in succ[pv])
     owner = {pv: arena.owner[pv[0]] for pv in vertices}
     prod = Arena(tuple(arena.players), tuple(vertices), edges, owner, start)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, jsonio
-from .arena import DEFAULT_PRODUCT_BOUND
+from .arena import DEFAULT_FEASIBLE_BOUND, DEFAULT_PRODUCT_BOUND
 from .equilibria import (
     antagonistic_pair,
     muller_pareto_ne,
@@ -23,11 +23,7 @@ from .equilibria import (
     verify_ne,
     verify_spe,
 )
-from .errors import (
-    InvalidArenaError,
-    NotAntagonisticError,
-    PatternPresentError,
-)
+from .errors import InvalidArenaError, PatternPresentError
 from .extensive import (
     backward_induction,
     build_escape_truncation,
@@ -129,20 +125,17 @@ def cmd_verify(args) -> int:
     game = _graph_game(args)
     profile = jsonio.profile_from_json(_read_json(args.profile))
     if args.subgames:
-        found = verify_spe(game, profile, args.max_product_states)
-        if found is not None:
-            vertex, witness = found
-            payload = jsonio.witness_to_json(witness)
-            payload["at_vertex"] = str(vertex)
-            _write(payload, args)
-            return 1
+        vertex, witness = verify_spe(game, profile, args.max_product_states) or (None, None)
     else:
-        witness = verify_ne(game, profile, max_product=args.max_product_states)
-        if witness is not None:
-            _write(jsonio.witness_to_json(witness), args)
-            return 1
-    _write({"deviation": None}, args)
-    return 0
+        witness = verify_ne(game, profile, max_product_states=args.max_product_states)
+    if witness is None:
+        _write({"deviation": None}, args)
+        return 0
+    payload = jsonio.witness_to_json(witness)
+    if args.subgames:
+        payload["at_vertex"] = str(vertex)
+    _write(payload, args)
+    return 1
 
 
 def cmd_discretize(args) -> int:
@@ -213,53 +206,48 @@ def cmd_acceptance(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# Every argument a command may take; each command lists the ones it reads.
+ARGUMENTS = {
+    "game": dict(help="input JSON document"),
+    "profile": dict(help="profile JSON document"),
+    "--out": dict(help="write the result JSON here instead of stdout"),
+    "--emit-dot": dict(action="store_true", help="also write DOT graphs"),
+    "--max-vertices": dict(type=int, default=DEFAULT_FEASIBLE_BOUND, help="recurrence-set enumeration bound"),
+    "--max-product-states": dict(type=int, default=DEFAULT_PRODUCT_BOUND, help="bound on every product"),
+    "--subgames": dict(action="store_true", help="check every reachable configuration"),
+    "--k": dict(type=int, default=2, help="grid resolution"),
+    "--depth": dict(type=int, default=10, help="deepest truncation reported"),
+    "--seed": dict(type=int, default=acceptance.DEFAULT_SEED, help="seed of the random instances"),
+}
+_SYNTHESIS = ("game", "--out", "--emit-dot", "--max-vertices", "--max-product-states")
+
+# (name, handler, help, arguments the handler reads)
+COMMANDS = (
+    ("solve", cmd_solve, "solve a two-player win/lose game",
+     ("game", "--out", "--emit-dot", "--max-product-states")),
+    ("guarantee", cmd_guarantee, "best guarantee of every player at every vertex", _SYNTHESIS),
+    ("ne", cmd_ne, "synthesize a Nash equilibrium", _SYNTHESIS),
+    ("spe", cmd_spe, "synthesize an antagonistic subgame-perfect profile", _SYNTHESIS),
+    ("pareto-ne", cmd_pareto_ne, "synthesize a Pareto-optimal Nash equilibrium", _SYNTHESIS),
+    ("verify", cmd_verify, "check a profile for profitable deviations",
+     ("game", "profile", "--out", "--subgames", "--max-vertices", "--max-product-states")),
+    ("discretize", cmd_discretize, "grid-discretize a payoff tree", ("game", "--out", "--k")),
+    ("gallery", cmd_gallery, "counterexample gallery report", ("--out", "--depth")),
+    ("acceptance", cmd_acceptance, "run the acceptance criteria", ("--out", "--seed")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphgames",
         description="Solve, synthesize and verify multi-player games on finite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, game=True):
-        if game:
-            p.add_argument("game", help="input JSON document")
-        p.add_argument("--out", help="write the result JSON here instead of stdout")
-        p.add_argument("--emit-dot", action="store_true", help="also write DOT graphs")
-        p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-        p.add_argument("--max-vertices", type=int, default=20)
-        p.add_argument("--max-product-states", type=int, default=DEFAULT_PRODUCT_BOUND)
-
-    p = sub.add_parser("solve", help="solve a two-player win/lose game")
-    common(p)
-    p.set_defaults(fn=cmd_solve)
-    p = sub.add_parser("guarantee", help="best guarantee of every player at every vertex")
-    common(p)
-    p.set_defaults(fn=cmd_guarantee)
-    p = sub.add_parser("ne", help="synthesize a Nash equilibrium")
-    common(p)
-    p.set_defaults(fn=cmd_ne)
-    p = sub.add_parser("spe", help="synthesize an antagonistic subgame-perfect profile")
-    common(p)
-    p.set_defaults(fn=cmd_spe)
-    p = sub.add_parser("pareto-ne", help="synthesize a Pareto-optimal Nash equilibrium")
-    common(p)
-    p.set_defaults(fn=cmd_pareto_ne)
-    p = sub.add_parser("verify", help="check a profile for profitable deviations")
-    common(p)
-    p.add_argument("profile", help="profile JSON document")
-    p.add_argument("--subgames", action="store_true", help="check every reachable configuration")
-    p.set_defaults(fn=cmd_verify)
-    p = sub.add_parser("discretize", help="grid-discretize a payoff tree")
-    common(p)
-    p.add_argument("--k", type=int, default=2, help="grid resolution")
-    p.set_defaults(fn=cmd_discretize)
-    p = sub.add_parser("gallery", help="counterexample gallery report")
-    common(p, game=False)
-    p.add_argument("--depth", type=int, default=10)
-    p.set_defaults(fn=cmd_gallery)
-    p = sub.add_parser("acceptance", help="run the acceptance criteria")
-    common(p, game=False)
-    p.set_defaults(fn=cmd_acceptance)
+    for name, fn, help_text, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            p.add_argument(arg, **ARGUMENTS[arg])
+        p.set_defaults(fn=fn)
     return parser
 
 

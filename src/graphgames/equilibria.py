@@ -24,7 +24,7 @@ from .arena import (
     bits_for,
     component_mask,
     explore,
-    feasible_inf_sets,
+    feasible_among,
     induced_lasso,
     inf_set,
     minimize_machine,
@@ -238,12 +238,12 @@ def verify_ne(
     profile: StrategyProfile,
     start=None,
     init_mems=None,
-    max_product: int = DEFAULT_PRODUCT_BOUND,
+    max_product_states: int = DEFAULT_PRODUCT_BOUND,
 ) -> DeviationWitness | None:
     """Search for a profitable unilateral deviation.
 
     For each player the other machines are frozen into a product of
-    vertices and their memories, refused past ``max_product`` states.  The
+    vertices and their memories, refused past ``max_product_states`` states.  The
     outcome map's sets that beat the induced outcome are searched best
     class first; a witness machine replays the play that settles on the
     first set the product can achieve.  Only the sets the map names are
@@ -251,10 +251,10 @@ def verify_ne(
     ``GraphGame.validate_total`` checks.
     """
     profile.validate(game.arena)
-    return _deviation_from(game, profile, start, init_mems, max_product)
+    return _deviation_from(game, profile, start, init_mems, max_product_states)
 
 
-def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems, max_product: int):
+def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems, max_product_states: int):
     """``verify_ne`` on a profile already validated against the arena."""
     arena = game.arena
     players = arena.sorted_players()
@@ -267,7 +267,7 @@ def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems,
         fixed = [profile.machines[p] for p in others]
         s0 = (v0, tuple(mems0[p] for p in others))
         states, succ = explore(
-            [s0], _product_successors(arena, (a,), fixed), max_product, "deviation product"
+            [s0], _product_successors(arena, (a,), fixed), max_product_states, "deviation product"
         )
         view = ArenaIndex(states, succ.__getitem__, lambda s: s[0])
         found = _first_improvement(game, game.prefs.order_of(a), induced, view)
@@ -287,13 +287,13 @@ def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems,
     return None
 
 
-def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = DEFAULT_PRODUCT_BOUND):
+def verify_spe(game: GraphGame, profile: StrategyProfile, max_product_states: int = DEFAULT_PRODUCT_BOUND):
     """Check the profile is an equilibrium from every reachable configuration.
 
     The joint product moves the token along every edge (deviations
     included) while all memories update; the ``verify_ne`` search runs
     from each configuration in breadth-first order and the first failure
-    comes back as ``(vertex, witness)``.  ``max_states`` bounds every
+    comes back as ``(vertex, witness)``.  ``max_product_states`` bounds every
     product built.
     """
     arena = game.arena
@@ -301,9 +301,10 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_states: int = DEFA
     players = arena.sorted_players()
     machines = [profile.machines[p] for p in players]
     s0 = (arena.start, tuple(m.init for m in machines))
-    configs, _ = explore([s0], _product_successors(arena, players, machines), max_states, "joint product")
+    step = _product_successors(arena, players, machines)
+    configs, _ = explore([s0], step, max_product_states, "joint product")
     for v, mems in configs:
-        witness = _deviation_from(game, profile, v, dict(zip(players, mems)), max_states)
+        witness = _deviation_from(game, profile, v, dict(zip(players, mems)), max_product_states)
         if witness is not None:
             return (v, witness)
     return None
@@ -462,14 +463,15 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     Requires linear preferences without the blocking pattern (z < y < x
     for one player with x < z < y for another); the pattern is reported
     as an error with its witness, no claim attached.  Supportable outcomes
-    are found by scanning lassos over feasible recurrence sets whose every
+    are found by scanning lassos over the feasible sets among the outcome
+    map's keys (so the map must be total on recurrence sets) whose every
     vertex lets the owner be held to at most the target outcome.
     """
     require_linear_pattern_free(game.prefs)
     if table is None:
         table = guarantee_table(game)
     arena = game.arena
-    feas = feasible_inf_sets(arena, arena.start)
+    feas = feasible_among(arena, game.outcome_map, arena.start)
     realizable = {game.outcome_map[s] for s in feas}
     front = pareto_front(game.prefs, realizable)
 

@@ -102,13 +102,6 @@ def _decision_paths(root):
     return paths
 
 
-def _node_at(root, path):
-    node = root
-    for i in path:
-        node = node.children[i]
-    return node
-
-
 def _leaf_value(leaf: Leaf):
     return leaf.outcome if leaf.outcome is not None else dict(leaf.payoffs)
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .arena import (
+    DEFAULT_FEASIBLE_BOUND,
     DEFAULT_PRODUCT_BOUND,
     Arena,
     StrategyMachine,
     bits_for,
     closed_strongly_connected_sets,
     fallback_machine,
-    feasible_inf_sets,
+    feasible_among,
     minimize_machine,
     skey,
 )
@@ -47,7 +48,7 @@ class GraphGame:
             if o not in set(self.prefs.outcomes):
                 raise InvalidInputError(f"outcome {o!r} for {sorted(map(str, s))} not declared")
 
-    def validate_total(self, max_vertices: int = 20) -> None:
+    def validate_total(self, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> None:
         """Check the outcome map covers every possible recurrence set."""
         for s in closed_strongly_connected_sets(self.arena, max_vertices):
             if s not in self.outcome_map:
@@ -56,10 +57,9 @@ class GraphGame:
                 )
 
     def realizable_outcomes(self) -> frozenset:
-        """Outcomes some play from the start vertex realizes."""
-        return frozenset(
-            self.outcome_map[s] for s in feasible_inf_sets(self.arena, self.arena.start)
-        )
+        """Outcomes some play from the start vertex realizes; needs a total map."""
+        feasible = feasible_among(self.arena, self.outcome_map, self.arena.start)
+        return frozenset(self.outcome_map[s] for s in feasible)
 
     def outcome_of(self, recurrence: frozenset):
         try:

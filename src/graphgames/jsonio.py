@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .arena import (
+    DEFAULT_FEASIBLE_BOUND,
     DEFAULT_PRODUCT_BOUND,
     Arena,
     EnergySpec,
@@ -31,6 +32,8 @@ from .extensive import Decision, Leaf, TreeGame
 from .guarantees import GraphGame, GuaranteeTable
 from .orders import PreferenceProfile, order_from_groups
 from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseGame
+
+MAX_LIFTED_SUBSETS = 1 << 16  # vertex subsets scanned to lift a Muller family onto an energy product
 
 
 def dumps(obj) -> str:
@@ -88,18 +91,6 @@ def objective_from_json(doc: Mapping):
     raise InvalidInputError(f"unknown objective kind {kind!r}")
 
 
-def objective_to_json(obj) -> dict:
-    if isinstance(obj, Parity):
-        return {"parity": {str(v): i for v, i in obj.priority.items()}}
-    if isinstance(obj, Muller):
-        return {"muller": sorted(sorted(str(v) for v in s) for s in obj.family)}
-    if isinstance(obj, Reachability):
-        return {"reach": sorted(map(str, obj.targets))}
-    if isinstance(obj, Safety):
-        return {"safe": sorted(map(str, obj.safe))}
-    raise InvalidInputError(f"unknown objective {obj!r}")
-
-
 def _rename_product(product):
     """Give product vertices printable string names, preserving structure."""
     def name(pv):
@@ -121,7 +112,7 @@ def _rename_product(product):
     return arena, base
 
 
-def _lift_objective(objective, base: Mapping, arena: Arena, max_subsets: int = 1 << 16):
+def _lift_objective(objective, base: Mapping, arena: Arena):
     vs = arena.sorted_vertices()
     if isinstance(objective, Parity):
         return Parity({v: objective.priority[base[v]] for v in vs})
@@ -130,7 +121,7 @@ def _lift_objective(objective, base: Mapping, arena: Arena, max_subsets: int = 1
     if isinstance(objective, Safety):
         return Safety(frozenset(v for v in vs if base[v] in objective.safe))
     if isinstance(objective, Muller):
-        if 1 << len(vs) > max_subsets:
+        if 1 << len(vs) > MAX_LIFTED_SUBSETS:
             raise TooLargeError("energy product too large to lift a Muller family")
         lifted = []
         for mask in range(1, 1 << len(vs)):
@@ -181,7 +172,9 @@ def preferences_to_json(prefs: PreferenceProfile) -> dict:
 
 
 def graph_game_from_json(
-    doc: Mapping, max_vertices: int = 20, max_product_states: int = DEFAULT_PRODUCT_BOUND
+    doc: Mapping,
+    max_vertices: int = DEFAULT_FEASIBLE_BOUND,
+    max_product_states: int = DEFAULT_PRODUCT_BOUND,
 ) -> GraphGame:
     doc = _object(doc, "game document")
     arena = validate_arena(doc.get("arena", {}))
@@ -335,16 +328,20 @@ def _payoff(x) -> Fraction:
 
 
 def tree_from_json(doc: Mapping) -> TreeGame:
+    """A tree whose leaves are all outcomes, or all payoffs for every player."""
     players = set()
+    leaves = []
 
     def parse(node):
         node = _object(node, "tree node")
         if "outcome" in node:
-            return Leaf(outcome=identifier(node["outcome"], "outcome"))
+            leaves.append(Leaf(outcome=identifier(node["outcome"], "outcome")))
+            return leaves[-1]
         if "payoffs" in node:
             payoffs = {p: _payoff(x) for p, x in _object(node["payoffs"], "payoffs").items()}
             players.update(payoffs)
-            return Leaf(payoffs=payoffs)
+            leaves.append(Leaf(payoffs=payoffs))
+            return leaves[-1]
         if "owner" in node and "children" in node:
             if not isinstance(node["children"], list):
                 raise InvalidInputError(f"children of {node['owner']!r} must be a list of tree nodes")
@@ -359,6 +356,12 @@ def tree_from_json(doc: Mapping) -> TreeGame:
         profile = preferences_from_json(doc["preferences"])
         players.update(profile.players())
         prefs = dict(profile.orders)
+    payoff_leaves = [leaf.payoffs for leaf in leaves if leaf.payoffs is not None]
+    if payoff_leaves and len(payoff_leaves) < len(leaves):
+        raise InvalidInputError("tree mixes outcome leaves with payoff leaves")
+    for payoffs in payoff_leaves:
+        if not players <= payoffs.keys():
+            raise InvalidInputError(f"payoff leaf lacks players {sorted(map(str, players - payoffs.keys()))}")
     return TreeGame(root, tuple(sorted(players, key=skey)), prefs=prefs)
 
 

@@ -289,12 +289,12 @@ class LarContext:
             return r
         return (v,) + tuple(x for x in r if x != v)
 
-    def reachable_records(self, arena: Arena, bound: int = DEFAULT_PRODUCT_BOUND) -> tuple:
-        """Every record reachable from a first visit, refused past ``bound``."""
+    def reachable_records(self, arena: Arena, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> tuple:
+        """Every record reachable from a first visit, refused past ``max_product_states``."""
         records, _ = explore(
             [self.process(self.r_init, v) for v in self.vertices],
             lambda r: [self.process(r, w) for w in arena.successors(r[0])],
-            bound,
+            max_product_states,
             "record product",
         )
         return tuple(sorted(records))

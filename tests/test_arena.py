@@ -304,7 +304,7 @@ def test_energy_product_bound_guard():
     arena = two_vertex_arena()
     spec = EnergySpec({"A": {"u": 1, "w": -1}}, {"A": (-5, 5)}, {"u": 0, "w": 0})
     with pytest.raises(TooLargeError):
-        energy_product(arena, spec, max_states=2)
+        energy_product(arena, spec, max_product_states=2)
 
 
 # --- property-based checks ---------------------------------------------------

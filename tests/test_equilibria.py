@@ -20,7 +20,7 @@ from graphgames.equilibria import (
     verify_ne,
     verify_spe,
 )
-from graphgames.errors import NotAntagonisticError, PatternPresentError
+from graphgames.errors import NotAntagonisticError, PatternPresentError, TooLargeError
 from graphgames.gen import inverse_pair_profile, pattern_free_profile, random_graph_game
 from graphgames.guarantees import GraphGame, guarantee_table
 from graphgames.orders import PreferenceProfile, linear_order, pareto_front
@@ -450,3 +450,37 @@ def test_pareto_ne_output_is_front_and_stable(seed):
     report = muller_pareto_ne(game)
     assert report.induced_outcome in pareto_front(game.prefs, game.realizable_outcomes())
     assert verify_ne(game, report.profile) is None
+
+
+def ring_game(n):
+    """Ring of ``n`` self-looping vertices; staying put and going round differ."""
+    vs = [f"r{i:02d}" for i in range(n)]
+    edges = [(v, v) for v in vs] + [(v, vs[(i + 1) % n]) for i, v in enumerate(vs)]
+    owner = {v: "A" if i % 2 == 0 else "B" for i, v in enumerate(vs)}
+    arena = make_arena(["A", "B"], vs, edges, owner, vs[0])
+    omap = {frozenset({v}): ("a" if owner[v] == "A" else "b") for v in vs}
+    omap[frozenset(vs)] = "c"
+    prefs = PreferenceProfile(
+        ("a", "b", "c"), {"A": linear_order(["a", "b", "c"]), "B": linear_order(["c", "b", "a"])}
+    )
+    return GraphGame(arena, omap, prefs)
+
+
+def test_pareto_ne_takes_recurrence_sets_from_the_outcome_map():
+    # 21 vertices is past the recurrence-set enumeration bound of 20; the
+    # game is built directly, so no 2^21 totality scan runs either
+    game = ring_game(21)
+    report = muller_pareto_ne(game)
+    assert report.induced_outcome in pareto_front(game.prefs, game.realizable_outcomes())
+    assert verify_ne(game, report.profile) is None
+
+
+def test_verifiers_take_the_product_bound_by_name():
+    game = parity_outcome_game()
+    profile = synthesize_ne(game).profile
+    assert verify_ne(game, profile, max_product_states=100) is None
+    assert verify_spe(game, synthesize_antagonistic_spe(game), max_product_states=100) is None
+    with pytest.raises(TooLargeError):
+        verify_ne(game, profile, max_product_states=1)
+    with pytest.raises(TooLargeError):
+        verify_spe(game, profile, max_product_states=1)

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from graphgames import jsonio
-from graphgames.arena import StrategyProfile, bits_for, induced_lasso, inf_set, make_arena
+from graphgames.arena import (
+    StrategyProfile,
+    bits_for,
+    feasible_among,
+    induced_lasso,
+    inf_set,
+    make_arena,
+)
 from graphgames.gen import random_graph_game, random_profile
 from graphgames.guarantees import (
     GraphGame,
@@ -17,7 +24,12 @@ from graphgames.guarantees import (
 from graphgames.orders import PreferenceProfile, linear_order
 from graphgames.winlose import solve_muller
 
-from oracles import all_machines, machine_product_arena, outcomes_against_machine
+from oracles import (
+    all_machines,
+    feasible_sets_by_walk_search,
+    machine_product_arena,
+    outcomes_against_machine,
+)
 
 
 def single_player_game():
@@ -270,3 +282,19 @@ def test_shared_product_rows_match_fresh_threshold_solves():
                     assert jsonio.machine_to_json(row.machines[c]) == jsonio.machine_to_json(solves[c - 1].strategy0)
                 assert jsonio.machine_to_json(row.punish[c]) == jsonio.machine_to_json(solves[min(c, k - 1)].strategy1)
             assert row.solver_bits == max(r.memory_bits_used for r in solves)
+
+
+def test_feasible_sets_among_map_keys_agree_with_walk_search():
+    rng = random.Random(5)
+    for _ in range(300):
+        game = random_graph_game(rng, rng.randint(1, 6), ["A", "B"], ["o1", "o2", "o3"])
+        vertices = sorted(game.arena.vertices)
+        # keys that name an unknown vertex or are no recurrence set are skipped
+        keys = set(game.outcome_map) | {frozenset({"ghost"}), frozenset(vertices + ["ghost"])}
+        keys.update(frozenset(rng.sample(vertices, rng.randint(1, len(vertices)))) for _ in range(3))
+        source = rng.choice(vertices)
+        expected = feasible_sets_by_walk_search(game.arena, source)
+        assert feasible_among(game.arena, game.outcome_map, source) == expected
+        assert feasible_among(game.arena, keys, source) == expected
+        from_start = feasible_sets_by_walk_search(game.arena, game.arena.start)
+        assert game.realizable_outcomes() == {game.outcome_map[s] for s in from_start}

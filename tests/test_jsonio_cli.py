@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from graphgames import jsonio
 from graphgames.arena import make_arena, validate_arena
-from graphgames.cli import main
+from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
 from graphgames.guarantees import GraphGame
 from graphgames.orders import PreferenceProfile, linear_order
@@ -279,9 +280,12 @@ PAYOFF_TREE = {
         (["tree", "children", 1], "leaf"),
         (["tree", "children", 1], 5),
         (["tree", "children"], {"payoffs": {"a": "1"}}),
+        (["tree", "children", 0, "payoffs"], {"b": "1/2"}),
+        (["tree", "children", 1], {"outcome": "x"}),
     ],
     ids=["payoff-text", "payoff-list", "payoff-null", "payoff-bool", "payoff-zero-denominator",
-         "payoffs-list", "node-string", "node-number", "children-object"],
+         "payoffs-list", "node-string", "node-number", "children-object", "payoff-missing-player",
+         "outcome-and-payoff-leaves"],
 )
 def test_cli_discretize_rejects_malformed_trees(tmp_path, capsys, path, value):
     tree_path = write(tmp_path, "tree.json", with_changes(PAYOFF_TREE, path, value))
@@ -311,6 +315,37 @@ def test_cli_max_product_states_bounds_every_product(tmp_path, capsys, argv, doc
     assert main(argv + ["--max-product-states", "1"]) == 2
     errors = json.loads(capsys.readouterr().out)["errors"]
     assert [e["code"] for e in errors] == ["TooLargeError"]
+
+
+SYNTHESIS_FLAGS = {"--out", "--emit-dot", "--max-vertices", "--max-product-states"}
+
+
+@pytest.mark.parametrize(
+    "command, positionals, flags, unread",
+    [
+        ("solve", ["game"], {"--out", "--emit-dot", "--max-product-states"}, ["--seed", "1"]),
+        ("guarantee", ["game"], SYNTHESIS_FLAGS, ["--seed", "1"]),
+        ("ne", ["game"], SYNTHESIS_FLAGS, ["--seed", "1"]),
+        ("spe", ["game"], SYNTHESIS_FLAGS, ["--subgames"]),
+        ("pareto-ne", ["game"], SYNTHESIS_FLAGS, ["--k", "2"]),
+        ("verify", ["game", "profile"], {"--out", "--subgames", "--max-vertices", "--max-product-states"},
+         ["--emit-dot"]),
+        ("discretize", ["game"], {"--out", "--k"}, ["--max-product-states", "5"]),
+        ("gallery", [], {"--out", "--depth"}, ["--max-vertices", "3"]),
+        ("acceptance", [], {"--out", "--seed"}, ["--emit-dot"]),
+    ],
+    ids=["solve", "guarantee", "ne", "spe", "pareto-ne", "verify", "discretize", "gallery", "acceptance"],
+)
+def test_cli_commands_register_only_the_options_they_read(capsys, command, positionals, flags, unread):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    registered = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+    assert registered == flags
+    assert [a.dest for a in actions if not a.option_strings] == positionals
+    # an unread flag is refused by argparse before any file is opened
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(f"{p}.json" for p in positionals), *unread])
+    assert exc.value.code == 2
 
 
 def test_cli_renders_dot_only_when_asked(tmp_path, capsys, monkeypatch):
