@@ -408,16 +408,27 @@ def walk_configurations(
         v = w
 
 
-def induced_lasso(arena: Arena, profile: StrategyProfile, start: Vertex | None = None) -> Lasso:
-    """Deterministic play of a profile, folded into a lasso.
+def canonical_lasso(stem: Iterable, cycle: Iterable) -> Lasso:
+    """The lasso of the play ``stem . cycle^omega`` with the shortest stem.
 
-    The cycle closes at the first repeated (vertex, joint memory) pair and
-    is reduced to its primitive period after projecting to vertices.
+    The cycle is reduced to its primitive period and rolled back over the
+    stem while the stem ends with the cycle's last vertex, so every play
+    has exactly one lasso and its first vertex stays the same.
+    """
+    stem, cycle = tuple(stem), primitive_cycle(tuple(cycle))
+    while stem and stem[-1] == cycle[-1]:
+        stem, cycle = stem[:-1], cycle[-1:] + cycle[:-1]
+    return Lasso(stem, cycle)
+
+
+def induced_lasso(arena: Arena, profile: StrategyProfile, start: Vertex | None = None) -> Lasso:
+    """Deterministic play of a profile, folded into its canonical lasso.
+
+    The walk stops at the first repeated (vertex, joint memory) pair; the
+    vertices it visited give the stem and the cycle.
     """
     configs, loop = walk_configurations(arena, profile, start)
-    stem = tuple(v for v, _ in configs[:loop])
-    cycle = primitive_cycle(tuple(v for v, _ in configs[loop:]))
-    return Lasso(stem, cycle)
+    return canonical_lasso((v for v, _ in configs[:loop]), (v for v, _ in configs[loop:]))
 
 
 def _recurrence_test(arena: Arena, source: Vertex | None):
@@ -455,18 +466,33 @@ def feasible_inf_sets(arena: Arena, source: Vertex, max_vertices: int = DEFAULT_
     return closed_strongly_connected_sets(arena, max_vertices, source)
 
 
-def feasible_among(arena: Arena, candidates: Iterable, source: Vertex) -> frozenset:
+def feasible_among(arena: Arena, candidates: Iterable, source: Vertex | None) -> frozenset:
     """The ``candidates`` some play from ``source`` visits infinitely often.
 
     Tests only the given vertex sets, so no vertex bound applies; sets
     naming an unknown vertex are skipped.  Fed the keys of an outcome map
     that is total on recurrence sets, it returns ``feasible_inf_sets``.
+    With no ``source`` it keeps every candidate that is a recurrence set.
     """
     view, qualifies = _recurrence_test(arena, source)
     return frozenset(
         s for s in candidates
         if all(v in view.index for v in s) and qualifies(sum(1 << view.index[v] for v in s))
     )
+
+
+def looping_components(within: int, adj: list, radj: list):
+    """Strongly connected components inside ``within`` that hold a cycle.
+
+    Yields index masks in the order of their lowest member.
+    """
+    rest = within
+    while rest:
+        low = rest & -rest
+        comp = component_mask(low, adj, radj, rest)
+        rest &= ~comp
+        if comp != low or adj[low.bit_length() - 1] & low:
+            yield comp
 
 
 def adjacency_masks(view: ArenaIndex) -> tuple:

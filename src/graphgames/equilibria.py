@@ -22,11 +22,12 @@ from .arena import (
     StrategyProfile,
     adjacency_masks,
     bits_for,
-    component_mask,
+    canonical_lasso,
     explore,
     feasible_among,
     induced_lasso,
     inf_set,
+    looping_components,
     minimize_machine,
     skey,
     walk_configurations,
@@ -130,14 +131,8 @@ def _first_improvement(game: GraphGame, order, induced, view: ArenaIndex):
         parts = [over.get(v, 0) for v in T]
         if not all(parts):
             continue
-        rest = sum(parts)
-        # components come out in the order of their lowest configuration
-        while rest:
-            low = rest & -rest
-            comp = component_mask(low, adj, radj, rest)
-            rest &= ~comp
-            loops = comp != low or adj[low.bit_length() - 1] & low
-            if loops and all(comp & part for part in parts):
+        for comp in looping_components(sum(parts), adj, radj):
+            if all(comp & part for part in parts):
                 return o, comp
     return None
 
@@ -513,7 +508,7 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     allowed = {view.index[v] for v in allowed_for(target)}
     path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, allowed)
     cycle = _cover_cycle(members, view.succ, members[0])
-    lasso = Lasso(tuple(view.vertices[i] for i in path[:-1]), tuple(view.vertices[i] for i in cycle))
+    lasso = canonical_lasso((view.vertices[i] for i in path[:-1]), (view.vertices[i] for i in cycle))
     lasso.validate(arena)
     report = _report_from_lasso(game, table, lasso)
     if report.induced_outcome != target:

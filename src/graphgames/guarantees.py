@@ -28,7 +28,7 @@ from .arena import (
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import Muller, RecordProduct, SolveResult, WinLoseGame
+from .winlose import Muller, SolveResult, TreeProduct, WinLoseGame
 
 COALITION = "coalition-vs"
 
@@ -138,29 +138,23 @@ class GuaranteeTable:
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
 
-def best_guarantee(
-    game: GraphGame,
-    player,
-    max_product_states: int = DEFAULT_PRODUCT_BOUND,
-    product: RecordProduct | None = None,
-) -> GuaranteeRow:
+def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
     Thresholds descend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
     class immediately below it (the bottom class needs no witness).  Every
-    threshold game is solved on ``product``, the record product of the
-    game's arena, which is built here when not given.
+    threshold game is solved on the Zielonka-tree product of its family
+    over the game's arena.
     """
     order = game.prefs.order_of(player)
     k = order.num_classes()
     arena = game.arena
-    if product is None:
-        product = RecordProduct(arena, max_product_states)
     sides = (player, coalition_tag(player))
     solves: dict[int, SolveResult] = {}
     for j in range(k):
-        solves[j] = product.solve(_threshold_family(game, order, order.representative(j)), sides)
+        family = _threshold_family(game, order, order.representative(j))
+        solves[j] = TreeProduct(arena, family, max_product_states).solve(sides)
     class_rank = {}
     for v in arena.vertices:
         rank = 0
@@ -179,8 +173,7 @@ def best_guarantee(
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
-    product = RecordProduct(game.arena, max_product_states)
-    rows = {p: best_guarantee(game, p, max_product_states, product) for p in game.arena.players}
+    rows = {p: best_guarantee(game, p, max_product_states) for p in game.arena.players}
     solver_bits = max((r.solver_bits for r in rows.values()), default=0)
     return GuaranteeTable(
         rows=rows,

@@ -192,7 +192,9 @@ def graph_game_from_json(
         outcome_map[vertices] = identifier(entry[1], "outcome")
     if "energy" in doc.get("arena", {}):
         # unfold budgets first; outcomes then apply through the projection
-        # back to the original vertices, which recurrence sets respect
+        # back to the original vertices, which recurrence sets respect.  The
+        # lifted map names every recurrence set of the product, so it is
+        # total without a second scan.
         spec = energy_from_json(doc["arena"]["energy"], arena)
         arena, base = _rename_product(energy_product(arena, spec, max_product_states))
         lifted = {}
@@ -203,7 +205,7 @@ def graph_game_from_json(
                     f"outcome map undefined on projected recurrence set {sorted(map(str, projected))}"
                 )
             lifted[s] = outcome_map[projected]
-        outcome_map = lifted
+        return GraphGame(arena, lifted, prefs)
     game = GraphGame(arena, outcome_map, prefs)
     game.validate_total(max_vertices)
     return game

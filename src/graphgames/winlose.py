@@ -2,7 +2,7 @@
 
 Provides the reachability attractor, a recursive parity solver (min-parity:
 the protagonist wins iff the least priority seen infinitely often is even),
-a Muller solver through a latest-appearance-record reduction to parity, and
+a Muller solver through a Zielonka-tree reduction to parity, and
 an exhaustive machine-enumeration oracle that never asserts determinacy
 beyond the memory bound it was given.
 """
@@ -20,8 +20,11 @@ from .arena import (
     Arena,
     ArenaIndex,
     StrategyMachine,
+    adjacency_masks,
     explore,
     fallback_machine,
+    feasible_among,
+    looping_components,
     memoryless_machine,
     minimize_table,
 )
@@ -275,8 +278,9 @@ class LarContext:
     """Latest-appearance records over an arena's vertex set.
 
     A record is a permutation of the vertices; visiting ``v`` moves it to
-    the front.  The fresh record (sorted vertices, nothing visited) doubles
-    as the all-zero machine state so machines can start at any vertex.
+    the front.  The fresh record is the sorted vertex tuple.  The solvers
+    do not use records; the tests build their independent region oracle,
+    the appearance-record product, on this enumerator.
     """
 
     def __init__(self, arena: Arena):
@@ -300,88 +304,194 @@ class LarContext:
         return tuple(sorted(records))
 
 
-class RecordProduct:
-    """The appearance-record parity product of one arena, built once.
+class _SetSearch:
+    """Children of Zielonka-tree nodes, with every set met counted.
 
-    Every record ``r`` is a move node ``("m", r)`` at vertex ``r[0]``; each
-    move to a successor ``w`` passes through a transition node
-    ``("d", r, w)`` whose priority comes from the position ``h`` at which
-    ``w`` is hit: ``2(n - h)``, plus one when the hit prefix ``r[:h]`` is
-    not in the Muller family.  All of this depends only on the graph, so
-    one product serves every family and every split into two sides; only
-    the priority bits and the sides of the move nodes differ per ``solve``.
-    The nodes are indexed in ``skey`` order and labelled with the arena
-    vertex they stand at (move nodes) or move to (transition nodes).
+    Sets are index masks over one arena.  Below a node outside the family
+    the children are the family's maximal recurrence sets inside it.  Below
+    a node in the family they are the maximal recurrence sets outside it:
+    each such set misses some member ``v`` of the node, so it lies in a
+    looping component of the node minus ``v``, and the descent expands
+    only the components that are in the family.  Counting every set found
+    and every tree node against ``bound`` refuses a tree while it grows.
     """
 
-    def __init__(self, arena: Arena, max_product_states: int = DEFAULT_PRODUCT_BOUND):
-        ctx = LarContext(arena)
-        records = ctx.reachable_records(arena, max_product_states)
-        total = sum(1 + len(arena.successors(r[0])) for r in records)
-        if total > max_product_states:
-            raise TooLargeError(f"record product needs {total} states, bound is {max_product_states}")
-        succ: dict = {}
-        for r in records:
-            outs = []
-            for w in arena.successors(r[0]):
-                d = ("d", r, w)
-                succ[d] = (("m", ctx.process(r, w)),)
-                outs.append(d)
-            succ[("m", r)] = tuple(outs)
-        index = arena.view.index
-        view = ArenaIndex(succ, succ.__getitem__, lambda x: index[x[1][0] if x[0] == "m" else x[2]])
-        n = ctx.n
-        prefixes: dict = {}
-        self.base = []  # priority of each node when its hit prefix is in the family
-        self.hit = []  # id of each transition node's hit prefix, -1 for move nodes
-        for x in view.vertices:
-            if x[0] == "m":
-                self.base.append(2 * n)
-                self.hit.append(-1)
+    def __init__(self, arena: Arena, family: frozenset, bound: int):
+        view = arena.view
+        self.adj, self.radj = adjacency_masks(view)
+        self.good = {
+            sum(1 << view.index[v] for v in s) for s in feasible_among(arena, family, None)
+        }
+        self.bound = bound
+        self.count = 0
+        self.split: dict = {}  # mask -> looping components of mask - v, over all v
+        self.kids: dict = {}
+
+    def tick(self) -> None:
+        self.count += 1
+        if self.count > self.bound:
+            raise TooLargeError(f"Zielonka tree exceeds {self.bound} sets")
+
+    def children(self, node: int) -> list:
+        """Maximal recurrence sets strictly inside ``node`` on the other side of the family, by mask."""
+        kids = self.kids.get(node)
+        if kids is None:
+            if node in self.good:
+                found, seen, stack = set(), {node}, [node]
+                while stack:
+                    for c in self._split(stack.pop()):
+                        if c in seen:
+                            continue
+                        seen.add(c)
+                        if c in self.good:
+                            stack.append(c)
+                        else:
+                            found.add(c)
             else:
-                _, r, w = x
-                h = r.index(w) + 1
-                self.base.append(2 * (n - h))
-                self.hit.append(prefixes.setdefault(frozenset(r[:h]), len(prefixes)))
-        self.prefixes = tuple(prefixes)
+                found = set()
+                for m in self.good:
+                    if m & node == m and m != node:
+                        self.tick()
+                        found.add(m)
+            kids = self.kids[node] = sorted(c for c in found if not any(c & d == c and c != d for d in found))
+        return kids
+
+    def _split(self, x: int) -> set:
+        parts = self.split.get(x)
+        if parts is None:
+            parts = self.split[x] = set()
+            m = x
+            while m:
+                low = m & -m
+                m ^= low
+                for c in looping_components(x ^ low, self.adj, self.radj):
+                    if c not in parts:
+                        self.tick()
+                        parts.add(c)
+        return parts
+
+
+class ZielonkaTree:
+    """The Zielonka tree of a Muller family over one component's recurrence sets.
+
+    The root is the looping component ``root``; the children of a node are
+    the maximal recurrence sets strictly inside it whose membership in the
+    family differs from the node's, ordered by mask.  A node is named by
+    its path of child positions from the root, and leaves are numbered
+    left to right, so leaf 0 is the leftmost.  A node at depth ``d`` has
+    priority ``d`` when the root is in the family and ``d + 1`` otherwise,
+    which is even exactly for the nodes in the family.
+    """
+
+    def __init__(self, root: int, search: _SetSearch):
+        self.offset = 0 if root in search.good else 1
+        self.nodes: dict = {}  # path -> (mask, number of children)
+        self.leaves: list = []  # leaf paths, left to right
+        stack = [((), root)]
+        while stack:
+            path, mask = stack.pop()
+            search.tick()
+            kids = search.children(mask)
+            self.nodes[path] = (mask, len(kids))
+            if not kids:
+                self.leaves.append(path)
+            stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
+        self.number = {path: i for i, path in enumerate(self.leaves)}
+        self.steps: dict = {}
+
+    def step(self, leaf: int, w: int) -> tuple:
+        """Leaf and priority after reading the vertex of index ``w`` at ``leaf``.
+
+        The read climbs from the leaf to the deepest node holding ``w``; its
+        priority is that node's, and the new leaf is the leftmost one below
+        the node's next child, taken cyclically (the leaf itself when the
+        node is the leaf).
+        """
+        hit = self.steps.get((leaf, w))
+        if hit is None:
+            path = self.leaves[leaf]
+            d = len(path)
+            while not self.nodes[path[:d]][0] >> w & 1:
+                d -= 1
+            if d < len(path):
+                path = path[:d] + ((path[d] + 1) % self.nodes[path[:d]][1],)
+                while self.nodes[path][1]:
+                    path += (0,)
+            hit = self.steps[(leaf, w)] = (self.number[path], d + self.offset)
+        return hit
+
+
+class TreeProduct:
+    """The parity product of an arena with the Zielonka trees of one Muller family.
+
+    Every looping component of the arena has its own tree.  A move node
+    ``("m", v, l)`` pairs the vertex of index ``v`` with a leaf ``l`` of its
+    component's tree (leaf 0 for vertices on no cycle), and every such pair
+    is in the product.  A move to ``w`` in the same component passes
+    through the transition node ``("t", l, w)``, which carries the
+    priority of reading ``w`` at ``l`` and leads to the move node of the
+    new leaf.  A move into another component enters that component's
+    leftmost leaf.  Move nodes carry a priority above every transition.
+    The search for the trees and the product's nodes are both refused
+    past ``max_product_states``.
+    """
+
+    def __init__(self, arena: Arena, family: frozenset, max_product_states: int = DEFAULT_PRODUCT_BOUND):
+        search = _SetSearch(arena, family, max_product_states)
+        n = len(arena.vertices)
+        tree: list = [None] * n
+        for comp in looping_components((1 << n) - 1, search.adj, search.radj):
+            t = ZielonkaTree(comp, search)
+            for i in range(n):
+                if comp >> i & 1:
+                    tree[i] = t
+        succ = arena.view.succ
+
+        def successors(x: tuple) -> tuple:
+            if x[0] == "t":
+                return (("m", x[2], tree[x[2]].step(x[1], x[2])[0]),)
+            _, v, leaf = x
+            t = tree[v]
+            return tuple(("t", leaf, w) if t is not None and tree[w] is t else ("m", w, 0) for w in succ[v])
+
+        self.width = [len(t.leaves) if t is not None else 1 for t in tree]
+        starts = [("m", v, leaf) for v in range(n) for leaf in range(self.width[v])]
+        states, edges = explore(starts, successors, max_product_states, "tree product")
+        self.view = ArenaIndex(states, edges.__getitem__, lambda x: x[1] if x[0] == "m" else x[2])
+        self.prio = [n + 1 if x[0] == "m" else tree[x[2]].step(x[1], x[2])[1] for x in self.view.vertices]
         self.arena = arena
-        self.view = view
-        self.entry = [view.index[("m", ctx.process(ctx.r_init, v))] for v in ctx.vertices]
-        # record memory: state 0 is the fresh record; arriving at vertex i in
-        # state q leads to state nxt[q][i] and enters move node enter[q][i]
-        # (-1 when that record is not reachable in the product)
-        states = [ctx.r_init] + [r for r in records if r != ctx.r_init]
-        rid = {r: q for q, r in enumerate(states)}
-        self.nxt = []
-        self.enter = []
-        for q, r in enumerate(states):
-            arrivals = [ctx.process(r, v) for v in ctx.vertices]
-            self.nxt.append([rid.get(t, q) for t in arrivals])
-            self.enter.append([view.index.get(("m", t), -1) for t in arrivals])
+        self.tree = tree
 
-    def parity_game(self, family: frozenset, p0) -> tuple:
-        """Side and priority of every node when ``p0`` plays for ``family``."""
-        side_of = [0 if o == p0 else 1 for o in self.arena.view.owner]
-        good = [s in family for s in self.prefixes]
-        side = [side_of[v] if h < 0 else 1 for v, h in zip(self.view.owner, self.hit)]
-        prio = [b if h < 0 or good[h] else b + 1 for b, h in zip(self.base, self.hit)]
-        return side, prio
+    def parity_game(self, p0) -> tuple:
+        """Side and priority of every node when ``p0`` plays for the family."""
+        owners = self.arena.view.owner
+        side = [(0 if owners[x[1]] == p0 else 1) if x[0] == "m" else 1 for x in self.view.vertices]
+        return side, self.prio
 
-    def solve(self, family: frozenset, sides: tuple) -> SolveResult:
-        """Solve the Muller game ``family`` with side 0 played by ``sides[0]``.
+    def solve(self, sides: tuple) -> SolveResult:
+        """Solve the family's game with side 0 played by ``sides[0]``.
 
         Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
-        Strategies come back as record-memory machines, minimised and
+        Strategies come back as leaf-memory machines, minimised and
         canonically numbered.
         """
         p0, p1 = sides
-        side, prio = self.parity_game(family, p0)
-        W0, _, s0, s1 = _solve_view(self.view, side, prio)
-        vs = self.arena.view.vertices
-        win0 = frozenset(vs[i] for i, k in enumerate(self.entry) if k in W0)
         owners = self.arena.view.owner
-        m0 = self._machine(p0, s0, [i for i, o in enumerate(owners) if o == p0])
-        m1 = self._machine(p1, s1, [i for i, o in enumerate(owners) if o != p0])
+        W0, _, s0, s1 = _solve_view(self.view, *self.parity_game(p0))
+        index = self.view.index
+        vs = self.arena.view.vertices
+        win0 = frozenset(v for i, v in enumerate(vs) if index[("m", i, 0)] in W0)
+        # memory q is a leaf of the current vertex's tree; arriving at a
+        # vertex reads it there, and a leaf number past the tree's width,
+        # which no play produces, stands for leaf 0
+        states = range(max(self.width))
+        at = [[q if q < width else 0 for width in self.width] for q in states]
+        nxt = [
+            [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(self.tree)]
+            for row in at
+        ]
+        m0 = self._machine(p0, s0, [i for i, o in enumerate(owners) if o == p0], at, nxt)
+        m1 = self._machine(p1, s1, [i for i, o in enumerate(owners) if o != p0], at, nxt)
         return SolveResult(
             win0=win0,
             win1=frozenset(vs) - win0,
@@ -390,39 +500,38 @@ class RecordProduct:
             memory_bits_used=max(m0.memory_bits, m1.memory_bits),
         )
 
-    def _machine(self, player, strategy: Mapping, owned: list) -> StrategyMachine:
-        """Pull a positional product strategy back to a record-memory machine.
+    def _machine(self, player, strategy: Mapping, owned: list, at: list, nxt: list) -> StrategyMachine:
+        """Pull a positional product strategy back to a leaf-memory machine.
 
-        At an owned vertex the machine moves where the strategy leaves the
-        move node entered on arrival, and to the first successor where the
-        strategy is silent.
+        At an owned vertex in memory ``q`` the machine moves where the
+        strategy leaves the move node of that vertex and leaf, and to the
+        first successor where the strategy is silent.
         """
         vs = self.arena.view.vertices
         succ = self.arena.view.succ
-        label = self.view.owner
+        index, label = self.view.index, self.view.owner
         choice = []
-        for row in self.enter:
+        for row in at:
             moves = []
             for i in owned:
-                d = strategy.get(row[i]) if row[i] >= 0 else None
+                d = strategy.get(index[("m", i, row[i])])
                 moves.append(vs[label[d] if d is not None else succ[i][0]])
             choice.append(tuple(moves))
-        return minimize_table(player, vs, tuple(vs[i] for i in owned), self.nxt, choice)
+        return minimize_table(player, vs, tuple(vs[i] for i in owned), nxt, choice)
 
 
 def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
-    """Solve a Muller game through its arena's record product.
+    """Solve a Muller game through the Zielonka-tree product of its family.
 
-    The product tracks the appearance record; each move is routed through a
-    transition node carrying the priority derived from the hit position, so
-    the parity solver sees a plain vertex-priority game.  Strategies come
-    back as record-memory machines, minimised and canonically numbered.
+    Each move is routed through a transition node carrying the priority of
+    the tree node it climbs to, so the parity solver sees a plain
+    vertex-priority game.  Strategies come back as leaf-memory machines,
+    minimised and canonically numbered.
     """
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
-    sides = game.sides()
     family = frozenset(frozenset(s) for s in game.objective.family)
-    return RecordProduct(game.arena, max_product_states).solve(family, sides)
+    return TreeProduct(game.arena, family, max_product_states).solve(game.sides())
 
 
 def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:

@@ -2,14 +2,17 @@
 
 These deliberately avoid the package's solver code paths: recurrence sets
 come from explicit closed-walk searches, values from plain recursion, and
-strategy quality from products built right here.
+strategy quality from products built right here.  The Muller solver's
+regions are checked against the appearance-record product, which tracks
+the whole latest-appearance record instead of a Zielonka tree.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from graphgames.arena import Arena, StrategyMachine, bits_for, skey
+from graphgames.arena import Arena, ArenaIndex, StrategyMachine, bits_for, skey
+from graphgames.winlose import LarContext, _solve_view
 
 
 def bfs_reachable(arena: Arena, source) -> set:
@@ -258,3 +261,47 @@ def minimize_machine_by_dicts(machine: StrategyMachine, vertices, owned) -> Stra
             if w is not None:
                 choice[(v, order[b])] = w
     return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)
+
+
+class RecordProduct:
+    """The appearance-record parity product of one arena.
+
+    Every reachable record ``r`` is a move node ``("m", r)`` at vertex
+    ``r[0]``; each move to a successor ``w`` passes through a transition
+    node ``("d", r, w)`` whose priority comes from the position ``h`` at
+    which ``w`` is hit: ``2(n - h)``, plus one when the hit prefix
+    ``r[:h]`` is not in the Muller family.  The graph part is built once
+    and serves every family and every split into two sides.
+    """
+
+    def __init__(self, arena: Arena, max_product_states: int = 10**6):
+        ctx = LarContext(arena)
+        records = ctx.reachable_records(arena, max_product_states)
+        succ: dict = {}
+        for r in records:
+            outs = []
+            for w in arena.successors(r[0]):
+                d = ("d", r, w)
+                succ[d] = (("m", ctx.process(r, w)),)
+                outs.append(d)
+            succ[("m", r)] = tuple(outs)
+        index = arena.view.index
+        self.view = ArenaIndex(succ, succ.__getitem__, lambda x: index[x[1][0] if x[0] == "m" else x[2]])
+        self.arena = arena
+        self.n = ctx.n
+
+    def win0(self, family: frozenset, p0) -> frozenset:
+        """Vertices from which ``p0``'s side wins the Muller game ``family``."""
+        side_of = [0 if o == p0 else 1 for o in self.arena.view.owner]
+        side, prio = [], []
+        for x, v in zip(self.view.vertices, self.view.owner):
+            if x[0] == "m":
+                side.append(side_of[v])
+                prio.append(2 * self.n)
+            else:
+                _, r, w = x
+                h = r.index(w) + 1
+                side.append(1)
+                prio.append(2 * (self.n - h) + (frozenset(r[:h]) not in family))
+        W0 = _solve_view(self.view, side, prio)[0]
+        return frozenset(self.view.vertices[k][1][0] for k in W0 if self.view.vertices[k][0] == "m")

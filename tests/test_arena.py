@@ -8,6 +8,7 @@ from graphgames.arena import (
     Lasso,
     StrategyMachine,
     StrategyProfile,
+    canonical_lasso,
     clamp_budget,
     energy_product,
     feasible_inf_sets,
@@ -93,6 +94,13 @@ def test_primitive_cycle_reduction():
     assert primitive_cycle(("v", "v")) == ("v",)
     assert primitive_cycle(("u", "w", "u", "w")) == ("u", "w")
     assert primitive_cycle(("u", "w", "w")) == ("u", "w", "w")
+
+
+def test_canonical_lasso_rolls_the_stem_into_the_cycle():
+    assert canonical_lasso(("v3", "v3"), ("v3",)) == Lasso((), ("v3",))
+    assert canonical_lasso(("s", "u", "w"), ("u", "w", "u", "w")) == Lasso(("s",), ("u", "w"))
+    assert canonical_lasso(("s", "w"), ("u", "w")) == Lasso(("s",), ("w", "u"))
+    assert canonical_lasso(("u",), ("w",)) == Lasso(("u",), ("w",))
 
 
 # --- feasible recurrence sets ---------------------------------------------

@@ -9,6 +9,7 @@ from graphgames.arena import (
     inf_set,
     make_arena,
     memoryless_machine,
+    primitive_cycle,
     walk_configurations,
 )
 from graphgames.equilibria import (
@@ -122,6 +123,23 @@ def test_main_lasso_is_the_profile_play():
     report = synthesize_ne(game)
     replay = induced_lasso(game.arena, report.profile)
     assert replay == report.main_lasso
+
+
+def test_main_lassos_are_canonical_and_replay_the_profile():
+    # a play has one lasso: the shortest stem and a primitive cycle, so the
+    # emitted main lasso does not depend on the machines' memory
+    rng = random.Random(7070)
+    for _ in range(300):
+        players = [f"P{i}" for i in range(rng.randint(1, 3))]
+        outcomes = [f"o{i}" for i in range(rng.randint(1, 4))]
+        profile = pattern_free_profile(rng, players, outcomes)
+        game = random_graph_game(rng, rng.randint(1, 5), players, outcomes, profile=profile)
+        table = guarantee_table(game)
+        for report in (synthesize_ne(game, table), muller_pareto_ne(game, table)):
+            lasso = report.main_lasso
+            assert primitive_cycle(lasso.cycle) == lasso.cycle
+            assert not lasso.stem or lasso.stem[-1] != lasso.cycle[-1]
+            assert induced_lasso(game.arena, report.profile) == lasso
 
 
 # --- punishments ----------------------------------------------------------------

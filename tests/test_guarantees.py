@@ -25,6 +25,7 @@ from graphgames.orders import PreferenceProfile, linear_order
 from graphgames.winlose import solve_muller
 
 from oracles import (
+    RecordProduct,
     all_machines,
     feasible_sets_by_walk_search,
     machine_product_arena,
@@ -282,6 +283,42 @@ def test_shared_product_rows_match_fresh_threshold_solves():
                     assert jsonio.machine_to_json(row.machines[c]) == jsonio.machine_to_json(solves[c - 1].strategy0)
                 assert jsonio.machine_to_json(row.punish[c]) == jsonio.machine_to_json(solves[min(c, k - 1)].strategy1)
             assert row.solver_bits == max(r.memory_bits_used for r in solves)
+
+
+def test_threshold_regions_match_the_record_product_oracle():
+    # every threshold of every player: the guarantee class is above the
+    # threshold exactly where the record product says the player wins
+    rng = random.Random(6060)
+    for _ in range(200):
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        outcomes = [f"o{i}" for i in range(rng.randint(1, 4))]
+        game = random_graph_game(rng, rng.randint(1, 7), players, outcomes)
+        table = guarantee_table(game)
+        oracle = RecordProduct(game.arena)
+        for p in players:
+            order = game.prefs.order_of(p)
+            for j in range(order.num_classes()):
+                family = frozenset(s for s, o in game.outcome_map.items() if order.lt(order.representative(j), o))
+                above = {v for v in game.arena.vertices if table.rows[p].class_rank[v] > j}
+                assert oracle.win0(family, p) == above
+
+
+def test_complete_eight_vertex_arena_solves_within_the_default_bound():
+    # the complete arena with self-loops has 8! appearance records, which
+    # the record product cannot fit in the default bound; every nonempty
+    # vertex set is a recurrence set here
+    rng = random.Random(8)
+    vs = [f"v{i}" for i in range(8)]
+    players = ["A", "B", "C"]
+    arena = make_arena(players, vs, [(u, w) for u in vs for w in vs], {v: players[i % 3] for i, v in enumerate(vs)}, "v0")
+    outcomes = ["o1", "o2", "o3", "o4"]
+    omap = {
+        frozenset(v for i, v in enumerate(vs) if mask >> i & 1): rng.choice(outcomes) for mask in range(1, 1 << 8)
+    }
+    game = GraphGame(arena, omap, random_profile(rng, players, outcomes))
+    table = guarantee_table(game)
+    assert local_consistency_violations(game, table) == []
+    assert sorted(table.rows) == players
 
 
 def test_feasible_sets_among_map_keys_agree_with_walk_search():

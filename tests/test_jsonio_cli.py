@@ -134,6 +134,34 @@ def test_energy_block_expands_graph_games():
     assert verify_ne(game, report.profile) is None
 
 
+def test_energy_graph_game_scans_recurrence_sets_once(monkeypatch):
+    import graphgames.guarantees as guarantees
+
+    doc = {
+        "arena": ENERGY_ARENA,
+        "preferences": {"P0": [["lo"], ["hi"]], "P1": [["hi"], ["lo"]]},
+        "outcomes": {"map": [[["u"], "hi"], [["w"], "lo"], [["u", "w"], "lo"]]},
+    }
+    scans = []
+    enumerate_sets = jsonio.closed_strongly_connected_sets
+
+    def counting(*args, **kwargs):
+        scans.append(args[0])
+        return enumerate_sets(*args, **kwargs)
+
+    monkeypatch.setattr(jsonio, "closed_strongly_connected_sets", counting)
+    monkeypatch.setattr(guarantees, "closed_strongly_connected_sets", counting)
+    game = jsonio.graph_game_from_json(doc)
+    assert len(scans) == 1
+    monkeypatch.undo()
+    # the lifted map is exactly the projected outcome of every recurrence set
+    sets = jsonio.closed_strongly_connected_sets(game.arena)
+    projected = {s: frozenset(v.split("|")[0] for v in s) for s in sets}
+    outcome = {frozenset({"u"}): "hi", frozenset({"w"}): "lo", frozenset({"u", "w"}): "lo"}
+    assert game.outcome_map == {s: outcome[p] for s, p in projected.items()}
+    game.validate_total()
+
+
 # --- CLI ------------------------------------------------------------------------
 
 

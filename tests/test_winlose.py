@@ -20,7 +20,7 @@ from graphgames.winlose import (
     solve_parity,
 )
 
-from oracles import minimize_machine_by_dicts, outcomes_against_machine
+from oracles import RecordProduct, minimize_machine_by_dicts, outcomes_against_machine
 
 
 def two_sided(vertices, edges, owner, start="v0"):
@@ -152,21 +152,31 @@ def test_muller_agrees_with_parity_on_encoded_conditions(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_product_regions_are_record_independent(seed):
-    # whether a record-product state is winning depends only on its vertex;
-    # machines built from these regions therefore stay winning from any
-    # memory content, which the composite strategies rely on
+    # whether a product state is winning depends only on its vertex, not on
+    # the memory it pairs with (a tree leaf); machines built from these
+    # regions therefore stay winning from any memory content, which the
+    # composite strategies rely on
     import graphgames.winlose as wl
 
     rng = random.Random(seed)
     game = random_muller_game(rng, rng.randint(2, 4))
     p0, _ = game.sides()
-    product = wl.RecordProduct(game.arena)
-    W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(game.objective.family, p0))
+    product = wl.TreeProduct(game.arena, game.objective.family)
+    W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(p0))
     verdicts = {}
     for k, x in enumerate(product.view.vertices):
         if x[0] == "m":
-            verdicts.setdefault(x[1][0], set()).add(k in W0)
+            verdicts.setdefault(x[1], set()).add(k in W0)
+    assert len(verdicts) == len(game.arena.vertices)
     assert all(len(vs) == 1 for vs in verdicts.values())
+
+
+def test_muller_regions_match_the_record_product_oracle():
+    rng = random.Random(606)
+    for _ in range(200):
+        game = random_muller_game(rng, rng.randint(1, 7))
+        oracle = RecordProduct(game.arena).win0(game.objective.family, "P0")
+        assert solve_muller(game).win0 == oracle
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -189,7 +199,6 @@ def test_muller_refuses_over_bound_records_while_enumerating(monkeypatch):
     n, bound = 8, 1000
     vs = [f"v{i}" for i in range(n)]
     arena = two_sided(vs, [(u, w) for u in vs for w in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
-    game = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
     calls = 0
     process = wl.LarContext.process
 
@@ -200,8 +209,43 @@ def test_muller_refuses_over_bound_records_while_enumerating(monkeypatch):
 
     monkeypatch.setattr(wl.LarContext, "process", counting)
     with pytest.raises(TooLargeError):
+        wl.LarContext(arena).reachable_records(arena, bound)
+    assert calls <= bound * n
+
+
+def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
+    # on the complete 7-vertex arena the family of even-sized sets has a
+    # Zielonka tree with 7! leaves; the refusal must come while the tree
+    # is searched, after few component passes, and name the layer.  A
+    # bound the tree fits but the product does not refuses the product.
+    import graphgames.winlose as wl
+
+    n, bound = 7, 500
+    vs = [f"v{i}" for i in range(n)]
+    arena = two_sided(vs, [(u, w) for u in vs for w in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
+    family = frozenset(
+        frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+        for mask in range(1, 1 << n)
+        if bin(mask).count("1") % 2 == 0
+    )
+    game = WinLoseGame(arena, Muller(family), protagonist="P0")
+    calls = 0
+    components = wl.looping_components
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return components(*args)
+
+    monkeypatch.setattr(wl, "looping_components", counting)
+    with pytest.raises(TooLargeError, match="Zielonka tree exceeds 500 sets"):
         solve_muller(game, bound)
     assert calls <= bound * n
+    # the family {V} has one leaf per 6-vertex set: 7 * 7 move and 7 * 7 transition nodes
+    small = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
+    assert len(wl.TreeProduct(arena, small.objective.family, 2 * n * n).view.vertices) == 2 * n * n
+    with pytest.raises(TooLargeError, match="tree product exceeds 97 states"):
+        solve_muller(small, 2 * n * n - 1)
 
 
 def test_muller_memory_within_record_bound():
