@@ -393,7 +393,7 @@ def _energy_outcome_game(product) -> GraphGame:
     ties upward.
     """
     arena = product.arena
-    sets = closed_strongly_connected_sets(arena, max_vertices=14)
+    sets = closed_strongly_connected_sets(arena)
     omap = {}
     keys = {}
     for s in sets:

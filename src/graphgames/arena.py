@@ -17,7 +17,6 @@ from .errors import InvalidArenaError, InvalidInputError, TooLargeError
 Vertex = Hashable
 Player = Hashable
 
-DEFAULT_FEASIBLE_BOUND = 20
 DEFAULT_PRODUCT_BOUND = 100_000
 
 
@@ -131,11 +130,11 @@ def make_arena(players, vertices, edges, owner, start) -> Arena:
     """Build an arena, raising ``InvalidArenaError`` with all violations."""
     players = tuple(players)
     vertices = tuple(vertices)
-    edges = frozenset((u, w) for (u, w) in edges)
+    edges = tuple(dict.fromkeys((u, w) for (u, w) in edges))  # document order, for the error list
     errors = check_arena_parts(players, vertices, edges, owner, start)
     if errors:
         raise InvalidArenaError(errors)
-    return Arena(players, vertices, edges, dict(owner), start)
+    return Arena(players, vertices, frozenset(edges), dict(owner), start)
 
 
 def identifier(x, what: str):
@@ -431,17 +430,17 @@ def induced_lasso(arena: Arena, profile: StrategyProfile, start: Vertex | None =
     return canonical_lasso((v for v, _ in configs[:loop]), (v for v, _ in configs[loop:]))
 
 
-def _recurrence_test(arena: Arena, source: Vertex | None):
-    """The arena's index and a test of index masks for ``closed_strongly_connected_sets``."""
+def _reachable_part(arena: Arena, source: Vertex | None) -> tuple:
+    """The arena's index, adjacency masks and the mask reachable from ``source`` (everything without one)."""
     view = arena.view
     adj, radj = adjacency_masks(view)
     everything = (1 << len(view.vertices)) - 1
     reach = everything if source is None else _reach(1 << view.index[source], adj, everything)
-    return view, lambda mask: mask & reach and _closed_and_strongly_connected(mask, adj, radj)
+    return view, adj, radj, reach
 
 
 def closed_strongly_connected_sets(
-    arena: Arena, max_vertices: int = DEFAULT_FEASIBLE_BOUND, source: Vertex | None = None
+    arena: Arena, source: Vertex | None = None, max_product_states: int = DEFAULT_PRODUCT_BOUND
 ) -> frozenset:
     """All non-empty vertex sets a play can eventually stay in while covering.
 
@@ -450,34 +449,43 @@ def closed_strongly_connected_sets(
     also be reachable from there, which makes these exactly the sets some
     play from ``source`` visits infinitely often; without one the result is
     the union of those families over all sources.
+
+    The largest sets are the looping components of the reachable part, and
+    each set is expanded once through ``split_components``.  Finding more
+    than ``max_product_states`` sets raises ``TooLargeError`` at once.
     """
-    n = len(arena.vertices)
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceeds the bound {max_vertices}")
-    view, qualifies = _recurrence_test(arena, source)
-    vs = view.vertices
-    return frozenset(
-        frozenset(vs[i] for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n) if qualifies(mask)
-    )
+    view, adj, radj, reach = _reachable_part(arena, source)
+    found: set = set()
+    stack = [looping_components(reach, adj, radj)]  # iterables of sets to meet, each opened lazily
+    while stack:
+        for x in stack.pop():
+            if x not in found:
+                found.add(x)
+                if len(found) > max_product_states:
+                    raise TooLargeError(f"{len(found)} recurrence sets exceed the bound {max_product_states}")
+                stack.append(split_components(x, adj, radj))
+    return frozenset(frozenset(v for i, v in enumerate(view.vertices) if x >> i & 1) for x in found)
 
 
-def feasible_inf_sets(arena: Arena, source: Vertex, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> frozenset:
+def feasible_inf_sets(
+    arena: Arena, source: Vertex, max_product_states: int = DEFAULT_PRODUCT_BOUND
+) -> frozenset:
     """All sets of vertices some play from ``source`` visits infinitely often."""
-    return closed_strongly_connected_sets(arena, max_vertices, source)
+    return closed_strongly_connected_sets(arena, source, max_product_states)
 
 
 def feasible_among(arena: Arena, candidates: Iterable, source: Vertex | None) -> frozenset:
     """The ``candidates`` some play from ``source`` visits infinitely often.
 
-    Tests only the given vertex sets, so no vertex bound applies; sets
-    naming an unknown vertex are skipped.  Fed the keys of an outcome map
-    that is total on recurrence sets, it returns ``feasible_inf_sets``.
-    With no ``source`` it keeps every candidate that is a recurrence set.
+    Tests only the given vertex sets and enumerates none; sets naming an
+    unknown vertex are skipped.  Fed the keys of an outcome map that is
+    total on recurrence sets, it returns ``feasible_inf_sets``.  With no
+    ``source`` it keeps every candidate that is a recurrence set.
     """
-    view, qualifies = _recurrence_test(arena, source)
+    view, adj, radj, reach = _reachable_part(arena, source)
+    masks = {s: sum(1 << view.index[v] for v in s) for s in candidates if all(v in view.index for v in s)}
     return frozenset(
-        s for s in candidates
-        if all(v in view.index for v in s) and qualifies(sum(1 << view.index[v] for v in s))
+        s for s, m in masks.items() if m & reach and _closed_and_strongly_connected(m, adj, radj)
     )
 
 
@@ -493,6 +501,18 @@ def looping_components(within: int, adj: list, radj: list):
         rest &= ~comp
         if comp != low or adj[low.bit_length() - 1] & low:
             yield comp
+
+
+def split_components(x: int, adj: list, radj: list):
+    """Looping components of ``x`` minus one member, for every member, maybe repeated.
+
+    Every recurrence set strictly inside ``x`` lies in one of them.
+    """
+    m = x
+    while m:
+        low = m & -m
+        m ^= low
+        yield from looping_components(x ^ low, adj, radj)
 
 
 def adjacency_masks(view: ArenaIndex) -> tuple:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, jsonio
-from .arena import DEFAULT_FEASIBLE_BOUND, DEFAULT_PRODUCT_BOUND
+from .arena import DEFAULT_PRODUCT_BOUND
 from .equilibria import (
     antagonistic_pair,
     muller_pareto_ne,
@@ -71,7 +71,7 @@ def _error_payload(exc: Exception) -> dict:
 
 
 def _graph_game(args):
-    return jsonio.graph_game_from_json(_read_json(args.game), args.max_vertices, args.max_product_states)
+    return jsonio.graph_game_from_json(_read_json(args.game), args.max_product_states)
 
 
 def cmd_solve(args) -> int:
@@ -212,14 +212,15 @@ ARGUMENTS = {
     "profile": dict(help="profile JSON document"),
     "--out": dict(help="write the result JSON here instead of stdout"),
     "--emit-dot": dict(action="store_true", help="also write DOT graphs"),
-    "--max-vertices": dict(type=int, default=DEFAULT_FEASIBLE_BOUND, help="recurrence-set enumeration bound"),
-    "--max-product-states": dict(type=int, default=DEFAULT_PRODUCT_BOUND, help="bound on every product"),
+    "--max-product-states": dict(
+        type=int, default=DEFAULT_PRODUCT_BOUND, help="bound on every product and on recurrence sets"
+    ),
     "--subgames": dict(action="store_true", help="check every reachable configuration"),
     "--k": dict(type=int, default=2, help="grid resolution"),
     "--depth": dict(type=int, default=10, help="deepest truncation reported"),
     "--seed": dict(type=int, default=acceptance.DEFAULT_SEED, help="seed of the random instances"),
 }
-_SYNTHESIS = ("game", "--out", "--emit-dot", "--max-vertices", "--max-product-states")
+_SYNTHESIS = ("game", "--out", "--emit-dot", "--max-product-states")
 
 # (name, handler, help, arguments the handler reads)
 COMMANDS = (
@@ -230,7 +231,7 @@ COMMANDS = (
     ("spe", cmd_spe, "synthesize an antagonistic subgame-perfect profile", _SYNTHESIS),
     ("pareto-ne", cmd_pareto_ne, "synthesize a Pareto-optimal Nash equilibrium", _SYNTHESIS),
     ("verify", cmd_verify, "check a profile for profitable deviations",
-     ("game", "profile", "--out", "--subgames", "--max-vertices", "--max-product-states")),
+     ("game", "profile", "--out", "--subgames", "--max-product-states")),
     ("discretize", cmd_discretize, "grid-discretize a payoff tree", ("game", "--out", "--k")),
     ("gallery", cmd_gallery, "counterexample gallery report", ("--out", "--depth")),
     ("acceptance", cmd_acceptance, "run the acceptance criteria", ("--out", "--seed")),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .arena import (
-    DEFAULT_FEASIBLE_BOUND,
     DEFAULT_PRODUCT_BOUND,
     Arena,
     StrategyMachine,
@@ -48,13 +47,10 @@ class GraphGame:
             if o not in set(self.prefs.outcomes):
                 raise InvalidInputError(f"outcome {o!r} for {sorted(map(str, s))} not declared")
 
-    def validate_total(self, max_vertices: int = DEFAULT_FEASIBLE_BOUND) -> None:
+    def validate_total(self, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> None:
         """Check the outcome map covers every possible recurrence set."""
-        for s in closed_strongly_connected_sets(self.arena, max_vertices):
-            if s not in self.outcome_map:
-                raise InvalidInputError(
-                    f"outcome map undefined on recurrence set {sorted(map(str, s))}"
-                )
+        sets = closed_strongly_connected_sets(self.arena, None, max_product_states)
+        require_covered(sets, self.outcome_map, "recurrence set")
 
     def realizable_outcomes(self) -> frozenset:
         """Outcomes some play from the start vertex realizes; needs a total map."""
@@ -68,6 +64,13 @@ class GraphGame:
             raise InvalidInputError(
                 f"outcome map undefined on {sorted(map(str, recurrence))}"
             ) from None
+
+
+def require_covered(sets, outcome_map: Mapping, what: str) -> None:
+    """Refuse an outcome map missing one of ``sets``, naming the first missing one in sorted order."""
+    first = min((sorted(map(str, s)) for s in sets if s not in outcome_map), default=None)
+    if first is not None:
+        raise InvalidInputError(f"outcome map undefined on {what} {first}")
 
 
 def coalition_tag(player):

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .arena import (
-    DEFAULT_FEASIBLE_BOUND,
     DEFAULT_PRODUCT_BOUND,
     Arena,
     EnergySpec,
@@ -27,13 +26,11 @@ from .arena import (
     validate_arena,
 )
 from .equilibria import DeviationWitness, SynthesisReport
-from .errors import InvalidInputError, TooLargeError
+from .errors import InvalidInputError
 from .extensive import Decision, Leaf, TreeGame
-from .guarantees import GraphGame, GuaranteeTable
+from .guarantees import GraphGame, GuaranteeTable, require_covered
 from .orders import PreferenceProfile, order_from_groups
 from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseGame
-
-MAX_LIFTED_SUBSETS = 1 << 16  # vertex subsets scanned to lift a Muller family onto an energy product
 
 
 def dumps(obj) -> str:
@@ -112,7 +109,7 @@ def _rename_product(product):
     return arena, base
 
 
-def _lift_objective(objective, base: Mapping, arena: Arena):
+def _lift_objective(objective, base: Mapping, arena: Arena, max_product_states: int):
     vs = arena.sorted_vertices()
     if isinstance(objective, Parity):
         return Parity({v: objective.priority[base[v]] for v in vs})
@@ -121,14 +118,9 @@ def _lift_objective(objective, base: Mapping, arena: Arena):
     if isinstance(objective, Safety):
         return Safety(frozenset(v for v in vs if base[v] in objective.safe))
     if isinstance(objective, Muller):
-        if 1 << len(vs) > MAX_LIFTED_SUBSETS:
-            raise TooLargeError("energy product too large to lift a Muller family")
-        lifted = []
-        for mask in range(1, 1 << len(vs)):
-            subset = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
-            if frozenset(base[v] for v in subset) in objective.family:
-                lifted.append(subset)
-        return Muller(frozenset(lifted))
+        # only recurrence sets decide a Muller game, so the lift needs no others
+        sets = closed_strongly_connected_sets(arena, None, max_product_states)
+        return Muller(frozenset(s for s in sets if frozenset(base[v] for v in s) in objective.family))
     raise InvalidInputError(f"unknown objective {objective!r}")
 
 
@@ -144,7 +136,7 @@ def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BO
     if "energy" in doc.get("arena", {}):
         spec = energy_from_json(doc["arena"]["energy"], arena)
         arena, base = _rename_product(energy_product(arena, spec, max_product_states))
-        objective = _lift_objective(objective, base, arena)
+        objective = _lift_objective(objective, base, arena, max_product_states)
     return WinLoseGame(arena, objective, protagonist)
 
 
@@ -171,11 +163,7 @@ def preferences_to_json(prefs: PreferenceProfile) -> dict:
     return out
 
 
-def graph_game_from_json(
-    doc: Mapping,
-    max_vertices: int = DEFAULT_FEASIBLE_BOUND,
-    max_product_states: int = DEFAULT_PRODUCT_BOUND,
-) -> GraphGame:
+def graph_game_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GraphGame:
     doc = _object(doc, "game document")
     arena = validate_arena(doc.get("arena", {}))
     prefs = preferences_from_json(doc.get("preferences", {}))
@@ -197,17 +185,12 @@ def graph_game_from_json(
         # total without a second scan.
         spec = energy_from_json(doc["arena"]["energy"], arena)
         arena, base = _rename_product(energy_product(arena, spec, max_product_states))
-        lifted = {}
-        for s in closed_strongly_connected_sets(arena, max_vertices):
-            projected = frozenset(base[v] for v in s)
-            if projected not in outcome_map:
-                raise InvalidInputError(
-                    f"outcome map undefined on projected recurrence set {sorted(map(str, projected))}"
-                )
-            lifted[s] = outcome_map[projected]
-        return GraphGame(arena, lifted, prefs)
+        sets = closed_strongly_connected_sets(arena, None, max_product_states)
+        projected = {s: frozenset(base[v] for v in s) for s in sets}
+        require_covered(projected.values(), outcome_map, "projected recurrence set")
+        return GraphGame(arena, {s: outcome_map[p] for s, p in projected.items()}, prefs)
     game = GraphGame(arena, outcome_map, prefs)
-    game.validate_total(max_vertices)
+    game.validate_total(max_product_states)
     return game
 
 

@@ -27,6 +27,7 @@ from .arena import (
     looping_components,
     memoryless_machine,
     minimize_table,
+    split_components,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
 
@@ -360,14 +361,10 @@ class _SetSearch:
         parts = self.split.get(x)
         if parts is None:
             parts = self.split[x] = set()
-            m = x
-            while m:
-                low = m & -m
-                m ^= low
-                for c in looping_components(x ^ low, self.adj, self.radj):
-                    if c not in parts:
-                        self.tick()
-                        parts.add(c)
+            for c in split_components(x, self.adj, self.radj):
+                if c not in parts:
+                    self.tick()
+                    parts.add(c)
         return parts
 
 

@@ -61,6 +61,43 @@ def feasible_sets_by_walk_search(arena: Arena, source) -> frozenset:
     return frozenset(found)
 
 
+def recurrence_sets_by_mask_scan(arena: Arena) -> frozenset:
+    """Every recurrence set, by testing each vertex subset as a bitmask.
+
+    The reference for the package's descent through components.  A subset
+    qualifies when every member has a successor inside it and its lowest
+    member reaches, and is reached from, every member inside it.
+    """
+    vs = arena.sorted_vertices()
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    adj = [sum(bit[w] for w in arena.successors(v)) for v in vs]
+    radj = [sum(bit[u] for u in vs if v in arena.successors(u)) for v in vs]
+
+    def reach(start: int, edges: list, within: int) -> int:
+        seen = frontier = start
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= edges[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & within & ~seen
+            seen |= frontier
+        return seen
+
+    found = []
+    for mask in range(1, 1 << len(vs)):
+        members = [i for i in range(len(vs)) if mask >> i & 1]
+        low = mask & -mask
+        if (
+            all(adj[i] & mask for i in members)
+            and reach(low, adj, mask) == mask
+            and reach(low, radj, mask) == mask
+        ):
+            found.append(frozenset(vs[i] for i in members))
+    return frozenset(found)
+
+
 def machine_product_arena(arena: Arena, machine: StrategyMachine, start) -> tuple:
     """One-player product: the machine's owner is forced, everyone else free.
 
@@ -165,7 +202,7 @@ def outcomes_against_machine(arena: Arena, machine: StrategyMachine, start) -> f
     if len(product.vertices) <= 14:
         from graphgames.arena import feasible_inf_sets
 
-        sets = feasible_inf_sets(product, product.start, max_vertices=len(product.vertices))
+        sets = feasible_inf_sets(product, product.start)
         assert found == {frozenset(proj[pv] for pv in s) for s in sets}
     return frozenset(found)
 

@@ -10,6 +10,7 @@ from graphgames.arena import (
     StrategyProfile,
     canonical_lasso,
     clamp_budget,
+    closed_strongly_connected_sets,
     energy_product,
     feasible_inf_sets,
     induced_lasso,
@@ -25,7 +26,12 @@ from graphgames.errors import InvalidArenaError, TooLargeError
 from graphgames.gen import random_arena
 from graphgames.jsonio import machine_to_json
 
-from oracles import feasible_sets_by_walk_search, minimize_machine_by_dicts
+from oracles import (
+    bfs_reachable,
+    feasible_sets_by_walk_search,
+    minimize_machine_by_dicts,
+    recurrence_sets_by_mask_scan,
+)
 
 
 def two_vertex_arena():
@@ -122,10 +128,36 @@ def test_feasible_two_cycle():
     assert feasible_inf_sets(arena, "u") == {frozenset({"u", "w"})}
 
 
-def test_feasible_bound_guard():
-    arena = two_vertex_arena()
-    with pytest.raises(TooLargeError):
-        feasible_inf_sets(arena, "u", max_vertices=1)
+def test_feasible_bound_guard(monkeypatch):
+    # a complete 12-vertex arena has 4095 recurrence sets; the bound stops
+    # the descent after expanding as many sets as it allows
+    import graphgames.arena as ar
+
+    vs = [f"v{i}" for i in range(12)]
+    arena = make_arena(["A"], vs, [(u, w) for u in vs for w in vs], {v: "A" for v in vs}, "v0")
+    expanded = []
+    split = ar.split_components
+
+    def counting(x, *args):
+        expanded.append(x)
+        return split(x, *args)
+
+    monkeypatch.setattr(ar, "split_components", counting)
+    with pytest.raises(TooLargeError, match="11 recurrence sets exceed the bound 10"):
+        feasible_inf_sets(arena, "v0", max_product_states=10)
+    assert len(expanded) == 10
+    assert len(feasible_inf_sets(arena, "v0", max_product_states=4095)) == 4095
+
+
+def test_descent_agrees_with_mask_scan():
+    for seed in range(300):
+        rng = random.Random(seed)
+        arena = random_arena(rng, rng.randint(1, 14), ["A", "B"])
+        everything = recurrence_sets_by_mask_scan(arena)
+        assert closed_strongly_connected_sets(arena) == everything, seed
+        source = rng.choice(arena.sorted_vertices())
+        reach = bfs_reachable(arena, source)
+        assert closed_strongly_connected_sets(arena, source) == {s for s in everything if s <= reach}, seed
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -188,7 +188,7 @@ def test_optimal_certifies_guarantee_at_every_reachable_configuration(seed):
         machine = optimal_strategy(game, a, row)
         product, proj = machine_product_arena(game.arena, machine, game.arena.start)
         for pv in product.vertices:
-            sets = feasible_inf_sets(product, pv, max_vertices=len(product.vertices))
+            sets = feasible_inf_sets(product, pv)
             worst = min(
                 order.rank_of(game.outcome_map[frozenset(proj[s] for s in t)]) for t in sets
             )

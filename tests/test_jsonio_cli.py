@@ -38,6 +38,27 @@ PARITY_DOC = {
 }
 
 
+def self_loop_ring(n, outcome_map=None):
+    """Graph game on ``n`` self-looping vertices in a ring, owned by A and B in turn.
+
+    Its recurrence sets are the singletons and the whole ring; by default
+    the map gives odd singletons o1, even ones o2, and the ring o1.
+    """
+    vs = [f"v{i}" for i in range(n)]
+    if outcome_map is None:
+        outcome_map = [[[v], "o1" if i % 2 else "o2"] for i, v in enumerate(vs)] + [[vs, "o1"]]
+    return {
+        "arena": {
+            "players": ["A", "B"],
+            "vertices": [{"id": v, "owner": "AB"[i % 2]} for i, v in enumerate(vs)],
+            "edges": [[v, v] for v in vs] + [[v, vs[(i + 1) % n]] for i, v in enumerate(vs)],
+            "start": "v0",
+        },
+        "preferences": {"A": [["o1"], ["o2"]], "B": [["o2"], ["o1"]]},
+        "outcomes": {"map": outcome_map},
+    }
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -119,6 +140,26 @@ def test_energy_block_expands_muller_objectives():
     assert game.objective.family
     for s in game.objective.family:
         assert {v.split("|")[0] for v in s} == {"u", "w"}
+
+
+def test_energy_muller_lift_past_sixteen_product_vertices():
+    # the lift ranges over the product's recurrence sets, so a product past
+    # 2^16 subsets still lifts; {u} and {u, w} are the sets of even least priority
+    arena = dict(
+        ENERGY_ARENA,
+        energy={
+            "weights": {"P0": {"u": 1, "w": -1}, "P1": {"u": -1, "w": 1}},
+            "caps": {"P0": [-3, 3], "P1": [-3, 3]},
+            "priorities": {"u": 0, "w": 1},
+        },
+    )
+    from graphgames.winlose import solve
+
+    muller = jsonio.winlose_from_json({"arena": arena, "objective": {"muller": [["u"], ["u", "w"]]}})
+    parity = jsonio.winlose_from_json({"arena": arena, "objective": {"parity": {"u": 0, "w": 1}}})
+    assert len(muller.arena.vertices) > 16
+    assert muller.arena.vertices == parity.arena.vertices
+    assert solve(muller).win0 == solve(parity).win0
 
 
 def test_energy_block_expands_graph_games():
@@ -345,7 +386,7 @@ def test_cli_max_product_states_bounds_every_product(tmp_path, capsys, argv, doc
     assert [e["code"] for e in errors] == ["TooLargeError"]
 
 
-SYNTHESIS_FLAGS = {"--out", "--emit-dot", "--max-vertices", "--max-product-states"}
+SYNTHESIS_FLAGS = {"--out", "--emit-dot", "--max-product-states"}
 
 
 @pytest.mark.parametrize(
@@ -356,10 +397,10 @@ SYNTHESIS_FLAGS = {"--out", "--emit-dot", "--max-vertices", "--max-product-state
         ("ne", ["game"], SYNTHESIS_FLAGS, ["--seed", "1"]),
         ("spe", ["game"], SYNTHESIS_FLAGS, ["--subgames"]),
         ("pareto-ne", ["game"], SYNTHESIS_FLAGS, ["--k", "2"]),
-        ("verify", ["game", "profile"], {"--out", "--subgames", "--max-vertices", "--max-product-states"},
+        ("verify", ["game", "profile"], {"--out", "--subgames", "--max-product-states"},
          ["--emit-dot"]),
         ("discretize", ["game"], {"--out", "--k"}, ["--max-product-states", "5"]),
-        ("gallery", [], {"--out", "--depth"}, ["--max-vertices", "3"]),
+        ("gallery", [], {"--out", "--depth"}, ["--max-product-states", "3"]),
         ("acceptance", [], {"--out", "--seed"}, ["--emit-dot"]),
     ],
     ids=["solve", "guarantee", "ne", "spe", "pareto-ne", "verify", "discretize", "gallery", "acceptance"],
@@ -528,18 +569,34 @@ def test_cli_deterministic_across_processes(tmp_path):
     # the child imports the same sources as this process
     source = str(Path(graphgames.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    game_path = write(tmp_path, "game.json", GAME_DOC)
-    outputs = []
-    for hash_seed in ("1", "271828"):
-        out = tmp_path / f"run{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-        subprocess.run(
-            [sys.executable, "-m", "graphgames.cli", "ne", game_path, "--out", str(out)],
-            check=True,
-            env=env,
-        )
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    # refusals list every violation, and name a missing recurrence set, in a fixed order
+    dangling = json.loads(json.dumps(GAME_DOC))
+    dangling["arena"]["edges"] += [["u", "x"], ["y", "w"], ["z", "z"]]
+    ring = self_loop_ring(6, [[[f"v{i}" for i in range(6)], "o1"]])
+    cases = [("ne", GAME_DOC, 0), ("guarantee", dangling, 2), ("guarantee", ring, 2)]
+    for i, (command, doc, code) in enumerate(cases):
+        game_path = write(tmp_path, f"game{i}.json", doc)
+        outputs = []
+        for hash_seed in ("1", "271828"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-m", "graphgames.cli", command, game_path], capture_output=True, env=env
+            )
+            assert run.returncode == code
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
+
+def test_cli_guarantee_on_a_sixty_vertex_ring(tmp_path, capsys):
+    # 61 recurrence sets found by descent, where a subset scan would test 2^60
+    import time
+
+    path = write(tmp_path, "ring.json", self_loop_ring(60))
+    began = time.perf_counter()
+    assert main(["guarantee", path]) == 0
+    assert time.perf_counter() - began < 2.0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["A"]) == 60
 
 
 def test_cli_guarantee_table(tmp_path, capsys):

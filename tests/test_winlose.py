@@ -218,6 +218,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
     # Zielonka tree with 7! leaves; the refusal must come while the tree
     # is searched, after few component passes, and name the layer.  A
     # bound the tree fits but the product does not refuses the product.
+    import graphgames.arena as ar
     import graphgames.winlose as wl
 
     n, bound = 7, 500
@@ -238,6 +239,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
         return components(*args)
 
     monkeypatch.setattr(wl, "looping_components", counting)
+    monkeypatch.setattr(ar, "looping_components", counting)  # the splits call it from arena
     with pytest.raises(TooLargeError, match="Zielonka tree exceeds 500 sets"):
         solve_muller(game, bound)
     assert calls <= bound * n
