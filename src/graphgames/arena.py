@@ -9,8 +9,9 @@ lassos (stem + repeated cycle).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any
 
 from .errors import InvalidArenaError, InvalidInputError, TooLargeError
 
@@ -28,20 +29,21 @@ def skey(x: Any) -> str:
 class ArenaIndex:
     """Integer view of a game graph, built once and shared by every solver.
 
-    Vertices are numbered in ``skey`` order.  ``succ[i]`` lists the
-    successor indices of vertex ``i`` in the graph's successor order,
-    ``pred[i]`` its predecessor indices in ascending order, ``owner[i]`` its
-    owner label, and ``owned[label]`` the vertices of each label in
-    ``skey`` order.  A product graph labels each state with its arena
-    vertex instead of an owner.
+    Vertices are numbered in the order given, which is ``skey`` order for
+    an arena and for every product.  ``succ[i]`` lists the successor indices
+    of vertex ``i`` in the graph's successor order, ``pred[i]`` its
+    predecessor indices in ascending order, ``owner[i]`` its owner label,
+    and ``owned[label]`` the vertices of each label in index order.  A
+    product graph labels each state with its arena vertex instead of an
+    owner.
     """
 
     __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned")
 
     def __init__(self, vertices: Iterable, successors: Callable, owner: Callable):
-        self.vertices = tuple(sorted(vertices, key=skey))
+        self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.succ = tuple(tuple(self.index[w] for w in successors(v)) for v in self.vertices)
+        self.succ = tuple(tuple(map(self.index.__getitem__, successors(v))) for v in self.vertices)
         pred: list = [[] for _ in self.vertices]
         for i, ws in enumerate(self.succ):
             for j in ws:
@@ -71,13 +73,15 @@ class Arena:
     _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        out: dict = {v: [] for v in self.vertices}
+        # the one skey sort of an arena; successors follow it by index
+        vs = sorted(self.vertices, key=skey)
+        rank = {v: i for i, v in enumerate(vs)}.__getitem__
+        out: dict = {v: [] for v in vs}
         for (u, w) in self.edges:
             out[u].append(w)
-        view = ArenaIndex(self.vertices, lambda v: sorted(out[v], key=skey), self.owner.__getitem__)
-        vs = view.vertices
-        object.__setattr__(self, "view", view)
-        object.__setattr__(self, "_succ", {v: tuple(vs[j] for j in ws) for v, ws in zip(vs, view.succ)})
+        succ = {v: tuple(sorted(ws, key=rank)) for v, ws in out.items()}
+        object.__setattr__(self, "view", ArenaIndex(vs, succ.__getitem__, self.owner.__getitem__))
+        object.__setattr__(self, "_succ", succ)
 
     def successors(self, v: Vertex) -> tuple:
         return self._succ[v]
@@ -105,24 +109,22 @@ def check_arena_parts(players, vertices, edges, owner, start) -> list:
         if p in pseen:
             errors.append(("DuplicatePlayer", f"player {p!r} declared twice"))
         pseen.add(p)
-    vset = set(vertices)
+    out = dict.fromkeys(vertices, 0)
     for (u, w) in edges:
-        if u not in vset or w not in vset:
+        if u not in out or w not in out:
             errors.append(("DanglingEdge", f"edge ({u!r}, {w!r}) references undeclared vertex"))
+        else:
+            out[u] += 1
     for v in vertices:
         if v not in owner:
             errors.append(("UnknownOwner", f"vertex {v!r} has no owner"))
         elif owner[v] not in pseen:
             errors.append(("UnknownOwner", f"vertex {v!r} owned by undeclared player {owner[v]!r}"))
-    if start not in vset:
+    if start not in out:
         errors.append(("MissingStart", f"start vertex {start!r} is not declared"))
-    out = {v: 0 for v in vertices}
-    for (u, w) in edges:
-        if u in out and w in vset:
-            out[u] += 1
-    for v in sorted(vertices, key=skey):
-        if out.get(v, 0) == 0:
-            errors.append(("DeadEndVertex", f"vertex {v!r} has no outgoing edge"))
+    # only dead ends are sorted, so a valid arena is sorted once, by Arena
+    for v in sorted((v for v in vertices if not out[v]), key=skey):
+        errors.append(("DeadEndVertex", f"vertex {v!r} has no outgoing edge"))
     return errors
 
 

@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification found a profitable deviation,
-2 invalid input (or any other failure, reported as a structured error
-payload), 3 the Pareto-blocking preference pattern is present.
+2 invalid input or any other failure (reported as a structured error
+payload, or for ``acceptance`` in its verdicts), 3 the Pareto-blocking
+preference pattern is present.
 Outputs are canonical JSON so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -203,7 +205,14 @@ def cmd_acceptance(args) -> int:
             for r in results
         }
         Path(args.out).write_text(jsonio.dumps(payload))
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in results) else 2
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # Every argument a command may take; each command lists the ones it reads.
@@ -213,7 +222,8 @@ ARGUMENTS = {
     "--out": dict(help="write the result JSON here instead of stdout"),
     "--emit-dot": dict(action="store_true", help="also write DOT graphs"),
     "--max-product-states": dict(
-        type=int, default=DEFAULT_PRODUCT_BOUND, help="bound on every product and on recurrence sets"
+        type=positive_int, default=DEFAULT_PRODUCT_BOUND,
+        help="bound on every product and on recurrence sets",
     ),
     "--subgames": dict(action="store_true", help="check every reachable configuration"),
     "--k": dict(type=int, default=2, help="grid resolution"),
@@ -238,7 +248,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="graphgames",
         description="Solve, synthesize and verify multi-player games on finite graphs",
@@ -253,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except PatternPresentError as exc:

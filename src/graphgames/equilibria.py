@@ -264,7 +264,7 @@ def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems,
         states, succ = explore(
             [s0], _product_successors(arena, (a,), fixed), max_product_states, "deviation product"
         )
-        view = ArenaIndex(states, succ.__getitem__, lambda s: s[0])
+        view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
         found = _first_improvement(game, game.prefs.order_of(a), induced, view)
         if found is None:
             continue

@@ -27,6 +27,7 @@ from .arena import (
     looping_components,
     memoryless_machine,
     minimize_table,
+    skey,
     split_components,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
@@ -454,7 +455,9 @@ class TreeProduct:
         self.width = [len(t.leaves) if t is not None else 1 for t in tree]
         starts = [("m", v, leaf) for v in range(n) for leaf in range(self.width[v])]
         states, edges = explore(starts, successors, max_product_states, "tree product")
-        self.view = ArenaIndex(states, edges.__getitem__, lambda x: x[1] if x[0] == "m" else x[2])
+        self.view = ArenaIndex(
+            sorted(states, key=skey), edges.__getitem__, lambda x: x[1] if x[0] == "m" else x[2]
+        )
         self.prio = [n + 1 if x[0] == "m" else tree[x[2]].step(x[1], x[2])[1] for x in self.view.vertices]
         self.arena = arena
         self.tree = tree

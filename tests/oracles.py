@@ -27,6 +27,18 @@ def bfs_reachable(arena: Arena, source) -> set:
     return seen
 
 
+def arena_index_by_skey(arena: Arena) -> ArenaIndex:
+    """The arena's index with the vertices and every successor list sorted
+    by ``skey``, successors read from the edge set."""
+
+    def succ_of(v):
+        return [w for (u, w) in arena.edges if u == v]
+
+    return ArenaIndex(
+        sorted(arena.vertices, key=skey), lambda v: sorted(succ_of(v), key=skey), arena.owner.__getitem__
+    )
+
+
 def closed_walk_covers(arena: Arena, subset: frozenset, start) -> bool:
     """Is there a walk ``start -> ... -> start`` of length >= 1 inside
     ``subset`` that visits every member of ``subset``?"""
@@ -323,7 +335,9 @@ class RecordProduct:
                 outs.append(d)
             succ[("m", r)] = tuple(outs)
         index = arena.view.index
-        self.view = ArenaIndex(succ, succ.__getitem__, lambda x: index[x[1][0] if x[0] == "m" else x[2]])
+        self.view = ArenaIndex(
+            sorted(succ, key=skey), succ.__getitem__, lambda x: index[x[1][0] if x[0] == "m" else x[2]]
+        )
         self.arena = arena
         self.n = ctx.n
 

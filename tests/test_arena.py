@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphgames.arena as arena_module
 from graphgames.arena import (
     EnergySpec,
     Lasso,
@@ -27,6 +28,7 @@ from graphgames.gen import random_arena
 from graphgames.jsonio import machine_to_json
 
 from oracles import (
+    arena_index_by_skey,
     bfs_reachable,
     feasible_sets_by_walk_search,
     minimize_machine_by_dicts,
@@ -77,6 +79,54 @@ def test_all_violations_reported_together():
         validate_arena(doc)
     codes = {code for code, _ in exc.value.errors}
     assert {"UnknownOwner", "DanglingEdge", "MissingStart", "DeadEndVertex"} <= codes
+
+
+def mixed_arena_doc(rng: random.Random) -> dict:
+    """Random valid arena document whose ids mix strings and integers.
+
+    Integers above 9 sort apart from their numeric order under ``skey``,
+    and digit strings such as ``"3"`` sit beside the integer ``3``.
+    """
+    pool = list(range(15)) + [str(i) for i in range(15)] + [f"v{i}" for i in range(15)]
+    vertices = rng.sample(pool, rng.randint(1, 12))
+    players = ["A", 1]
+    edges = []
+    for v in vertices:
+        edges += [[v, w] for w in rng.sample(vertices, rng.randint(1, len(vertices)))]
+    rng.shuffle(edges)
+    return {
+        "players": players,
+        "vertices": [{"id": v, "owner": rng.choice(players)} for v in vertices],
+        "edges": edges,
+        "start": rng.choice(vertices),
+    }
+
+
+def test_arena_index_agrees_with_skey_sorted_index():
+    for seed in range(300):
+        arena = validate_arena(mixed_arena_doc(random.Random(seed)))
+        view, oracle = arena.view, arena_index_by_skey(arena)
+        assert view.vertices == oracle.vertices, seed
+        assert view.succ == oracle.succ, seed
+        assert view.pred == oracle.pred, seed
+        assert view.owner == oracle.owner, seed
+        assert view.owned == oracle.owned, seed
+        for i, v in enumerate(oracle.vertices):
+            assert arena.successors(v) == tuple(oracle.vertices[j] for j in oracle.succ[i]), seed
+
+
+def test_validate_arena_calls_skey_once_per_vertex(monkeypatch):
+    doc = mixed_arena_doc(random.Random(5))
+    calls = []
+    skey = arena_module.skey
+
+    def counting(x):
+        calls.append(x)
+        return skey(x)
+
+    monkeypatch.setattr(arena_module, "skey", counting)
+    validate_arena(doc)
+    assert len(calls) <= len(doc["vertices"])
 
 
 # --- lassos and inf-sets --------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgames import jsonio
+from graphgames import acceptance, jsonio
 from graphgames.arena import make_arena, validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
@@ -386,6 +386,20 @@ def test_cli_max_product_states_bounds_every_product(tmp_path, capsys, argv, doc
     assert [e["code"] for e in errors] == ["TooLargeError"]
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "game.json"], ["guarantee", "game.json"], ["verify", "game.json", "profile.json"]],
+    ids=["solve", "guarantee", "verify"],
+)
+def test_cli_refuses_a_bound_below_one(capsys, argv, bound):
+    # refused by argparse before any file is opened
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-product-states", bound])
+    assert exc.value.code == 2
+    assert "--max-product-states" in capsys.readouterr().err
+
+
 SYNTHESIS_FLAGS = {"--out", "--emit-dot", "--max-product-states"}
 
 
@@ -415,6 +429,59 @@ def test_cli_commands_register_only_the_options_they_read(capsys, command, posit
     with pytest.raises(SystemExit) as exc:
         main([command, *(f"{p}.json" for p in positionals), *unread])
     assert exc.value.code == 2
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    game_path = write(tmp_path, "game.json", GAME_DOC)
+    profile_path = write(tmp_path, "profile.json", STAY_PROFILE)
+    parity_path = write(tmp_path, "parity.json", PARITY_DOC)
+    assert main(["solve", parity_path]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ["solve", parity_path],
+        ["guarantee", game_path],
+        ["verify", game_path, profile_path],
+        ["verify", game_path, profile_path, "--subgames"],
+    ):
+        assert main(argv) in (0, 1)
+    assert built == []
+
+
+def test_cli_options_do_not_leak_between_calls(tmp_path, capsys):
+    game_path = write(tmp_path, "game.json", SINGLE_PLAYER_DOC)
+    profile_path = write(tmp_path, "lazy.json", LAZY_PROFILE)
+    subgames, plain = tmp_path / "subgames.json", tmp_path / "plain.json"
+    assert main(["verify", game_path, profile_path, "--subgames", "--out", str(subgames)]) == 1
+    assert "at_vertex" in json.loads(subgames.read_text())
+    assert main(["verify", game_path, profile_path, "--out", str(plain)]) == 1
+    assert "at_vertex" not in json.loads(plain.read_text())
+
+    game_path = write(tmp_path, "game.json", GAME_DOC)
+    assert main(["guarantee", game_path, "--max-product-states", "1"]) == 2
+    assert main(["guarantee", game_path]) == 0
+
+    parity_path = write(tmp_path, "parity.json", PARITY_DOC)
+    assert main(["solve", parity_path, "--out", str(tmp_path / "dot.json"), "--emit-dot"]) == 0
+    dots = set(tmp_path.glob("*.dot"))
+    assert dots
+    assert main(["solve", parity_path, "--out", str(tmp_path / "nodot.json")]) == 0
+    assert set(tmp_path.glob("*.dot")) == dots
+
+
+def test_cli_acceptance_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # exit 1 means only "profitable deviation found"
+    failed = acceptance.CriterionResult(1, "a criterion", False, "it failed")
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: [failed])
+    out = tmp_path / "acceptance.json"
+    assert main(["acceptance", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["criterion_1"]["passed"] is False
 
 
 def test_cli_renders_dot_only_when_asked(tmp_path, capsys, monkeypatch):
@@ -448,29 +515,32 @@ def test_cli_ne_then_verify_round_trip(tmp_path, capsys):
     assert out["deviation"] is None
 
 
-def test_cli_verify_reports_deviation(tmp_path, capsys):
-    single = {
-        "arena": {
-            "players": ["A"],
-            "vertices": [{"id": "u", "owner": "A"}, {"id": "w", "owner": "A"}],
-            "edges": [["u", "u"], ["u", "w"], ["w", "w"]],
-            "start": "u",
-        },
-        "preferences": {"A": [["o1"], ["o2"]]},
-        "outcomes": {"map": [[["u"], "o1"], [["w"], "o2"]]},
-    }
-    game_path = write(tmp_path, "game.json", single)
-    lazy = {
-        "machines": {
-            "A": {
-                "memory_bits": 0,
-                "init": 0,
-                "update": [],
-                "choice": [["u", 0, "u"], ["w", 0, "w"]],
-            }
+# one player, who prefers o2 but stays at u
+SINGLE_PLAYER_DOC = {
+    "arena": {
+        "players": ["A"],
+        "vertices": [{"id": "u", "owner": "A"}, {"id": "w", "owner": "A"}],
+        "edges": [["u", "u"], ["u", "w"], ["w", "w"]],
+        "start": "u",
+    },
+    "preferences": {"A": [["o1"], ["o2"]]},
+    "outcomes": {"map": [[["u"], "o1"], [["w"], "o2"]]},
+}
+LAZY_PROFILE = {
+    "machines": {
+        "A": {
+            "memory_bits": 0,
+            "init": 0,
+            "update": [],
+            "choice": [["u", 0, "u"], ["w", 0, "w"]],
         }
     }
-    profile_path = write(tmp_path, "lazy.json", lazy)
+}
+
+
+def test_cli_verify_reports_deviation(tmp_path, capsys):
+    game_path = write(tmp_path, "game.json", SINGLE_PLAYER_DOC)
+    profile_path = write(tmp_path, "lazy.json", LAZY_PROFILE)
     assert main(["verify", game_path, str(profile_path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["player"] == "A" and out["improved_outcome"] == "o2"
