@@ -487,7 +487,7 @@ def feasible_among(arena: Arena, candidates: Iterable, source: Vertex | None) ->
     view, adj, radj, reach = _reachable_part(arena, source)
     masks = {s: sum(1 << view.index[v] for v in s) for s in candidates if all(v in view.index for v in s)}
     return frozenset(
-        s for s, m in masks.items() if m & reach and _closed_and_strongly_connected(m, adj, radj)
+        s for s, m in masks.items() if m & reach and closed_and_strongly_connected(m, adj, radj)
     )
 
 
@@ -544,7 +544,8 @@ def component_mask(start: int, adj: list, radj: list, within: int) -> int:
     return _reach(start, adj, within) & _reach(start, radj, within)
 
 
-def _closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
+def closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
+    """Whether every member of ``mask`` has a successor in it and it is strongly connected."""
     m = mask
     while m:
         b = m & -m

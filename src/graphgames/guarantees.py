@@ -27,7 +27,7 @@ from .arena import (
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import Muller, SolveResult, TreeProduct, WinLoseGame
+from .winlose import Muller, MullerSearch, SolveResult, WinLoseGame, muller_search
 
 COALITION = "coalition-vs"
 
@@ -141,23 +141,27 @@ class GuaranteeTable:
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
 
-def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeRow:
+def best_guarantee(
+    game: GraphGame, player, max_product_states: int | MullerSearch = DEFAULT_PRODUCT_BOUND
+) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
     Thresholds descend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
     class immediately below it (the bottom class needs no witness).  Every
     threshold game is solved on the Zielonka-tree product of its family
-    over the game's arena.
+    over the game's arena.  ``max_product_states`` bounds every product,
+    or is the ``MullerSearch`` of the arena to take the products from.
     """
     order = game.prefs.order_of(player)
     k = order.num_classes()
     arena = game.arena
+    search = muller_search(arena, max_product_states)
     sides = (player, coalition_tag(player))
     solves: dict[int, SolveResult] = {}
     for j in range(k):
         family = _threshold_family(game, order, order.representative(j))
-        solves[j] = TreeProduct(arena, family, max_product_states).solve(sides)
+        solves[j] = search.product(family).solve(sides)
     class_rank = {}
     for v in arena.vertices:
         rank = 0
@@ -176,7 +180,9 @@ def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PR
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
-    rows = {p: best_guarantee(game, p, max_product_states) for p in game.arena.players}
+    """Every player's guarantee row; all threshold games share one Muller search and its products."""
+    search = MullerSearch(game.arena, max_product_states)
+    rows = {p: best_guarantee(game, p, search) for p in game.arena.players}
     solver_bits = max((r.solver_bits for r in rows.values()), default=0)
     return GuaranteeTable(
         rows=rows,

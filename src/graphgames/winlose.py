@@ -9,11 +9,10 @@ beyond the memory bound it was given.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .arena import (
     DEFAULT_PRODUCT_BOUND,
@@ -21,13 +20,12 @@ from .arena import (
     ArenaIndex,
     StrategyMachine,
     adjacency_masks,
+    closed_and_strongly_connected,
     explore,
     fallback_machine,
-    feasible_among,
     looping_components,
     memoryless_machine,
     minimize_table,
-    skey,
     split_components,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
@@ -135,19 +133,26 @@ def _attractor(view: ArenaIndex, sub: set, side, player: int, target: Iterable):
     return attr, strategy
 
 
-def _regions(view: ArenaIndex, side, prio, sub: set):
-    """Recursive region decomposition of the parity subgame on ``sub``.
+def _regions(view: ArenaIndex, side, levels: list, buckets: list, sub: set, lo: int):
+    """Region decomposition of the parity subgame on ``sub``, one level of it.
 
-    Returns ``(W0, W1, s0, s1)``: both winning regions and memoryless
-    strategies, all over vertex indices.
+    ``buckets[k]`` lists the vertices of priority ``levels[k]`` in index
+    order, and no vertex of ``sub`` lies in a bucket below ``lo``.  The
+    generator yields each subgame it needs as ``(sub, lo)`` and is sent its
+    regions back; it returns ``(W0, W1, s0, s1)``: both winning regions and
+    memoryless strategies, all over vertex indices.
     """
     if not sub:
         return set(), set(), {}, {}
-    p = min(prio[v] for v in sub)
-    i = p % 2
-    P = [v for v in sub if prio[v] == p]
+    k = lo
+    while True:
+        P = [v for v in buckets[k] if v in sub]
+        if P:
+            break
+        k += 1
+    i = levels[k] % 2
     A, astrat = _attractor(view, sub, side, i, P)
-    W0, W1, s0, s1 = _regions(view, side, prio, sub - A)
+    W0, W1, s0, s1 = yield sub - A, k + 1
     w_opp = W1 if i == 0 else W0
     if not w_opp:
         si = dict(s0 if i == 0 else s1)
@@ -159,7 +164,7 @@ def _regions(view: ArenaIndex, side, prio, sub: set):
             return sub, set(), si, {}
         return set(), sub, {}, si
     B, bstrat = _attractor(view, sub, side, 1 - i, w_opp)
-    W0b, W1b, s0b, s1b = _regions(view, side, prio, sub - B)
+    W0b, W1b, s0b, s1b = yield sub - B, k
     s_opp = dict(s1 if i == 0 else s0)
     s_opp.update(bstrat)
     s_opp.update(s1b if i == 0 else s0b)
@@ -170,14 +175,29 @@ def _regions(view: ArenaIndex, side, prio, sub: set):
 
 
 def _solve_view(view: ArenaIndex, side, prio):
-    """Parity regions and strategies of the whole graph, over indices."""
-    limit = max(sys.getrecursionlimit(), 4 * len(view.vertices) + 1000)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        return _regions(view, side, prio, set(range(len(view.vertices))))
-    finally:
-        sys.setrecursionlimit(old)
+    """Parity regions and strategies of the whole graph, over indices.
+
+    The levels of the decomposition wait on an explicit stack for the
+    subgames they yield, so its depth is bounded by memory alone.
+    """
+    levels = sorted(set(prio))
+    rank = {p: k for k, p in enumerate(levels)}
+    buckets: list = [[] for _ in levels]
+    for v, p in enumerate(prio):
+        buckets[rank[p]].append(v)
+    stack = [_regions(view, side, levels, buckets, set(range(len(view.vertices))), 0)]
+    result = None
+    while True:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            result = done.value
+        else:
+            stack.append(_regions(view, side, levels, buckets, *sub))
+            result = None
 
 
 def _to_vertices(view: ArenaIndex, strategy: Mapping) -> dict:
@@ -306,8 +326,68 @@ class LarContext:
         return tuple(sorted(records))
 
 
+class MullerSearch:
+    """What every Muller game over one arena shares, whatever its family.
+
+    Holds the arena's adjacency masks and looping components, its vertex
+    indices ordered by their decimal names, and two memos: the index mask
+    of every vertex set tested for being a recurrence set (0 when it is
+    none), and the distinct looping components that ``split_components``
+    finds inside each set.  ``product`` builds one ``TreeProduct`` per
+    distinct family of recurrence sets and hands it out again.  A tree
+    search is refused past ``bound`` sets and a product past ``bound``
+    states.
+    """
+
+    def __init__(self, arena: Arena, max_product_states: int):
+        view = arena.view
+        n = len(view.vertices)
+        self.arena = arena
+        self.bound = max_product_states
+        self.adj, self.radj = adjacency_masks(view)
+        self.components = tuple(looping_components((1 << n) - 1, self.adj, self.radj))
+        self.by_name = sorted(range(n), key=str)
+        self.masks: dict = {}  # vertex set -> its mask, or 0 when it is no recurrence set
+        self.splits: dict = {}  # mask -> looping components of mask - v, over all v
+        self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
+
+    def recurrence_masks(self, family: Iterable) -> frozenset:
+        """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped."""
+        masks, index = self.masks, self.arena.view.index
+        found = set()
+        for s in family:
+            m = masks.get(s)
+            if m is None:
+                m = sum(1 << index[v] for v in s) if all(v in index for v in s) else 0
+                m = masks[s] = m if m and closed_and_strongly_connected(m, self.adj, self.radj) else 0
+            if m:
+                found.add(m)
+        return frozenset(found)
+
+    def split(self, x: int) -> tuple:
+        parts = self.splits.get(x)
+        if parts is None:
+            parts = self.splits[x] = tuple(dict.fromkeys(split_components(x, self.adj, self.radj)))
+        return parts
+
+    def product(self, family: frozenset) -> TreeProduct:
+        """The tree product of ``family``, shared with every family of the same recurrence sets."""
+        key = self.recurrence_masks(family)
+        product = self.products.get(key)
+        if product is None:
+            product = self.products[key] = TreeProduct(self.arena, family, self)
+        return product
+
+
+def muller_search(arena: Arena, max_product_states: int | MullerSearch) -> MullerSearch:
+    """``max_product_states`` when it is already a search, else a new search of ``arena`` with that bound."""
+    if isinstance(max_product_states, MullerSearch):
+        return max_product_states
+    return MullerSearch(arena, max_product_states)
+
+
 class _SetSearch:
-    """Children of Zielonka-tree nodes, with every set met counted.
+    """Children of one family's Zielonka-tree nodes, with every set met counted.
 
     Sets are index masks over one arena.  Below a node outside the family
     the children are the family's maximal recurrence sets inside it.  Below
@@ -315,24 +395,22 @@ class _SetSearch:
     each such set misses some member ``v`` of the node, so it lies in a
     looping component of the node minus ``v``, and the descent expands
     only the components that are in the family.  Counting every set found
-    and every tree node against ``bound`` refuses a tree while it grows.
+    and every tree node against the bound refuses a tree while it grows;
+    the splits come from the shared search, and the first time the family
+    meets one it counts each of its components.
     """
 
-    def __init__(self, arena: Arena, family: frozenset, bound: int):
-        view = arena.view
-        self.adj, self.radj = adjacency_masks(view)
-        self.good = {
-            sum(1 << view.index[v] for v in s) for s in feasible_among(arena, family, None)
-        }
-        self.bound = bound
+    def __init__(self, search: MullerSearch, good: frozenset):
+        self.search = search
+        self.good = good
         self.count = 0
-        self.split: dict = {}  # mask -> looping components of mask - v, over all v
+        self.met: set = set()  # masks whose split this family has counted
         self.kids: dict = {}
 
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.bound:
-            raise TooLargeError(f"Zielonka tree exceeds {self.bound} sets")
+    def tick(self, sets: int) -> None:
+        self.count += sets
+        if self.count > self.search.bound:
+            raise TooLargeError(f"Zielonka tree exceeds {self.search.bound} sets")
 
     def children(self, node: int) -> list:
         """Maximal recurrence sets strictly inside ``node`` on the other side of the family, by mask."""
@@ -353,19 +431,16 @@ class _SetSearch:
                 found = set()
                 for m in self.good:
                     if m & node == m and m != node:
-                        self.tick()
+                        self.tick(1)
                         found.add(m)
             kids = self.kids[node] = sorted(c for c in found if not any(c & d == c and c != d for d in found))
         return kids
 
-    def _split(self, x: int) -> set:
-        parts = self.split.get(x)
-        if parts is None:
-            parts = self.split[x] = set()
-            for c in split_components(x, self.adj, self.radj):
-                if c not in parts:
-                    self.tick()
-                    parts.add(c)
+    def _split(self, x: int) -> tuple:
+        parts = self.search.split(x)
+        if x not in self.met:
+            self.met.add(x)
+            self.tick(len(parts))
         return parts
 
 
@@ -388,7 +463,7 @@ class ZielonkaTree:
         stack = [((), root)]
         while stack:
             path, mask = stack.pop()
-            search.tick()
+            search.tick(1)
             kids = search.children(mask)
             self.nodes[path] = (mask, len(kids))
             if not kids:
@@ -419,53 +494,99 @@ class ZielonkaTree:
         return hit
 
 
+class ProductGraph(NamedTuple):
+    """A product graph for the parity solver, over nodes ``0 .. len(vertices) - 1``."""
+
+    vertices: range
+    succ: list
+    pred: list
+
+
 class TreeProduct:
     """The parity product of an arena with the Zielonka trees of one Muller family.
 
-    Every looping component of the arena has its own tree.  A move node
-    ``("m", v, l)`` pairs the vertex of index ``v`` with a leaf ``l`` of its
+    Every looping component of the arena has its own tree.  The move node
+    ``move[v][l]`` pairs the vertex of index ``v`` with a leaf ``l`` of its
     component's tree (leaf 0 for vertices on no cycle), and every such pair
     is in the product.  A move to ``w`` in the same component passes
-    through the transition node ``("t", l, w)``, which carries the
-    priority of reading ``w`` at ``l`` and leads to the move node of the
-    new leaf.  A move into another component enters that component's
-    leftmost leaf.  Move nodes carry a priority above every transition.
-    The search for the trees and the product's nodes are both refused
-    past ``max_product_states``.
+    through the transition node of ``(l, w)``, which carries the priority
+    of reading ``w`` at ``l`` and leads to the move node of the new leaf.
+    A move into another component enters that component's leftmost leaf.
+    Move nodes carry a priority above every transition.  ``label[k]`` is
+    the vertex node ``k`` stands at or moves to.
+
+    Nodes are numbered move nodes first, each kind ordered by the decimal
+    names of its two numbers, ``(v, l)`` and ``(l, w)``.  The parity solver
+    breaks ties by node number, so this order fixes the machines it
+    returns.  ``max_product_states`` bounds the search for the trees and the
+    product's size, or is a ``MullerSearch`` of the arena to share.
     """
 
-    def __init__(self, arena: Arena, family: frozenset, max_product_states: int = DEFAULT_PRODUCT_BOUND):
-        search = _SetSearch(arena, family, max_product_states)
+    def __init__(
+        self, arena: Arena, family: frozenset, max_product_states: int | MullerSearch = DEFAULT_PRODUCT_BOUND
+    ):
+        search = muller_search(arena, max_product_states)
+        sets = _SetSearch(search, search.recurrence_masks(family))
         n = len(arena.vertices)
         tree: list = [None] * n
-        for comp in looping_components((1 << n) - 1, search.adj, search.radj):
-            t = ZielonkaTree(comp, search)
+        for comp in search.components:
+            t = ZielonkaTree(comp, sets)
             for i in range(n):
                 if comp >> i & 1:
                     tree[i] = t
-        succ = arena.view.succ
-
-        def successors(x: tuple) -> tuple:
-            if x[0] == "t":
-                return (("m", x[2], tree[x[2]].step(x[1], x[2])[0]),)
-            _, v, leaf = x
+        width = [len(t.leaves) if t is not None else 1 for t in tree]
+        cyclic = [w for w in search.by_name if tree[w] is not None]
+        if sum(width) + sum(width[w] for w in cyclic) > search.bound:
+            raise TooLargeError(f"tree product exceeds {search.bound} states")
+        leaves_by_name = {wd: sorted(range(wd), key=str) for wd in set(width)}
+        label: list = []
+        move: list = [None] * n
+        for v in search.by_name:
+            row = move[v] = [0] * width[v]
+            for leaf in leaves_by_name[width[v]]:
+                row[leaf] = len(label)
+                label.append(v)
+        self.moves = len(label)
+        into: list = [None] * n  # into[w][l]: the transition node of (l, w)
+        for w in cyclic:
+            into[w] = [0] * width[w]
+        for leaf in leaves_by_name[max(width)]:
+            for w in cyclic:
+                if leaf < width[w]:
+                    into[w][leaf] = len(label)
+                    label.append(w)
+        succ: list = [None] * len(label)
+        self.prio = [n + 1] * len(label)
+        for v, ws in enumerate(arena.view.succ):
             t = tree[v]
-            return tuple(("t", leaf, w) if t is not None and tree[w] is t else ("m", w, 0) for w in succ[v])
-
-        self.width = [len(t.leaves) if t is not None else 1 for t in tree]
-        starts = [("m", v, leaf) for v in range(n) for leaf in range(self.width[v])]
-        states, edges = explore(starts, successors, max_product_states, "tree product")
-        self.view = ArenaIndex(
-            sorted(states, key=skey), edges.__getitem__, lambda x: x[1] if x[0] == "m" else x[2]
-        )
-        self.prio = [n + 1 if x[0] == "m" else tree[x[2]].step(x[1], x[2])[1] for x in self.view.vertices]
+            for leaf, k in enumerate(move[v]):
+                succ[k] = tuple(into[w][leaf] if t is not None and tree[w] is t else move[w][0] for w in ws)
+        for w in cyclic:
+            for leaf, k in enumerate(into[w]):
+                nxt, self.prio[k] = tree[w].step(leaf, w)
+                succ[k] = (move[w][nxt],)
+        pred: list = [[] for _ in label]
+        for k, ks in enumerate(succ):
+            for j in ks:
+                pred[j].append(k)
+        self.view = ProductGraph(range(len(label)), succ, pred)
         self.arena = arena
-        self.tree = tree
+        self.move = move
+        self.label = label
+        # memory q is a leaf of the current vertex's tree; arriving at a
+        # vertex reads it there, and a leaf number past the tree's width,
+        # which no play produces, stands for leaf 0
+        self.at = [[q if q < wd else 0 for wd in width] for q in range(max(width))]
+        self.nxt = [
+            [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(tree)] for row in self.at
+        ]
+        self.solved: dict = {}  # sides -> SolveResult
 
     def parity_game(self, p0) -> tuple:
         """Side and priority of every node when ``p0`` plays for the family."""
         owners = self.arena.view.owner
-        side = [(0 if owners[x[1]] == p0 else 1) if x[0] == "m" else 1 for x in self.view.vertices]
+        side = [0 if owners[v] == p0 else 1 for v in self.label[: self.moves]]
+        side += [1] * (len(self.label) - self.moves)
         return side, self.prio
 
     def solve(self, sides: tuple) -> SolveResult:
@@ -473,34 +594,27 @@ class TreeProduct:
 
         Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
         Strategies come back as leaf-memory machines, minimised and
-        canonically numbered.
+        canonically numbered.  Each split into sides is solved once.
         """
+        if sides in self.solved:
+            return self.solved[sides]
         p0, p1 = sides
         owners = self.arena.view.owner
         W0, _, s0, s1 = _solve_view(self.view, *self.parity_game(p0))
-        index = self.view.index
         vs = self.arena.view.vertices
-        win0 = frozenset(v for i, v in enumerate(vs) if index[("m", i, 0)] in W0)
-        # memory q is a leaf of the current vertex's tree; arriving at a
-        # vertex reads it there, and a leaf number past the tree's width,
-        # which no play produces, stands for leaf 0
-        states = range(max(self.width))
-        at = [[q if q < width else 0 for width in self.width] for q in states]
-        nxt = [
-            [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(self.tree)]
-            for row in at
-        ]
-        m0 = self._machine(p0, s0, [i for i, o in enumerate(owners) if o == p0], at, nxt)
-        m1 = self._machine(p1, s1, [i for i, o in enumerate(owners) if o != p0], at, nxt)
-        return SolveResult(
+        win0 = frozenset(v for i, v in enumerate(vs) if self.move[i][0] in W0)
+        m0 = self._machine(p0, s0, [i for i, o in enumerate(owners) if o == p0])
+        m1 = self._machine(p1, s1, [i for i, o in enumerate(owners) if o != p0])
+        result = self.solved[sides] = SolveResult(
             win0=win0,
             win1=frozenset(vs) - win0,
             strategy0=m0,
             strategy1=m1,
             memory_bits_used=max(m0.memory_bits, m1.memory_bits),
         )
+        return result
 
-    def _machine(self, player, strategy: Mapping, owned: list, at: list, nxt: list) -> StrategyMachine:
+    def _machine(self, player, strategy: Mapping, owned: list) -> StrategyMachine:
         """Pull a positional product strategy back to a leaf-memory machine.
 
         At an owned vertex in memory ``q`` the machine moves where the
@@ -509,15 +623,15 @@ class TreeProduct:
         """
         vs = self.arena.view.vertices
         succ = self.arena.view.succ
-        index, label = self.view.index, self.view.owner
+        move, label = self.move, self.label
         choice = []
-        for row in at:
+        for row in self.at:
             moves = []
             for i in owned:
-                d = strategy.get(index[("m", i, row[i])])
+                d = strategy.get(move[i][row[i]])
                 moves.append(vs[label[d] if d is not None else succ[i][0]])
             choice.append(tuple(moves))
-        return minimize_table(player, vs, tuple(vs[i] for i in owned), nxt, choice)
+        return minimize_table(player, vs, tuple(vs[i] for i in owned), self.nxt, choice)
 
 
 def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:

@@ -12,6 +12,7 @@ from graphgames.arena import (
     inf_set,
     make_arena,
 )
+from graphgames.errors import TooLargeError
 from graphgames.gen import random_graph_game, random_profile
 from graphgames.guarantees import (
     GraphGame,
@@ -22,7 +23,7 @@ from graphgames.guarantees import (
     threshold_game,
 )
 from graphgames.orders import PreferenceProfile, linear_order
-from graphgames.winlose import solve_muller
+from graphgames.winlose import TreeProduct, solve_muller
 
 from oracles import (
     RecordProduct,
@@ -301,6 +302,74 @@ def test_threshold_regions_match_the_record_product_oracle():
                 family = frozenset(s for s, o in game.outcome_map.items() if order.lt(order.representative(j), o))
                 above = {v for v in game.arena.vertices if table.rows[p].class_rank[v] > j}
                 assert oracle.win0(family, p) == above
+
+
+def threshold_families(game):
+    """Every threshold family of every player, in the order ``guarantee_table`` solves them."""
+    for p in game.arena.players:
+        order = game.prefs.order_of(p)
+        for j in range(order.num_classes()):
+            yield frozenset(s for s, o in game.outcome_map.items() if order.lt(order.representative(j), o))
+
+
+def fresh_refusal(game, family, bound):
+    """The message a product with a search of its own is refused with, or None."""
+    try:
+        TreeProduct(game.arena, family, bound)
+    except TooLargeError as exc:
+        return str(exc)
+    return None
+
+
+def test_shared_search_refuses_exactly_where_fresh_products_do():
+    # the products share the split memo, but each family counts every split
+    # it meets, so the table is refused at the first family a product of its
+    # own would refuse, with the same message.  Just below the largest bound
+    # any family needs, a family that counted only the splits no earlier
+    # family had met would slip through
+    rng = random.Random(9090)
+    refused = set()
+    for _ in range(100):
+        n = rng.randint(3, 6)
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        game = random_graph_game(rng, n, players, [f"o{i}" for i in range(rng.randint(2, 4))])
+        families = list(threshold_families(game))
+        need = 1
+        for family in families:
+            lo, hi = need, 1000
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if fresh_refusal(game, family, mid) else (lo, mid)
+            need = lo
+        guarantee_table(game, need)
+        for bound in (need - 1, rng.randint(1, need - 1)) if need > 1 else ():
+            expected = next(filter(None, (fresh_refusal(game, f, bound) for f in families)))
+            with pytest.raises(TooLargeError) as refusal:
+                guarantee_table(game, bound)
+            assert str(refusal.value) == expected
+            refused.add(expected.split(" exceeds")[0])
+    assert refused == {"Zielonka tree", "tree product"}
+
+
+def test_guarantee_table_builds_one_product_per_distinct_family(monkeypatch):
+    import graphgames.winlose as wl
+
+    built = []
+    init = wl.TreeProduct.__init__
+
+    def counting(self, arena, family, *args):
+        built.append(family)
+        init(self, arena, family, *args)
+
+    monkeypatch.setattr(wl.TreeProduct, "__init__", counting)
+    rng = random.Random(7070)
+    for _ in range(100):
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        game = random_graph_game(rng, rng.randint(1, 6), players, [f"o{i}" for i in range(rng.randint(1, 4))])
+        built.clear()
+        guarantee_table(game)
+        distinct = {feasible_among(game.arena, family, None) for family in threshold_families(game)}
+        assert len(built) == len(distinct)
 
 
 def test_complete_eight_vertex_arena_solves_within_the_default_bound():

@@ -80,6 +80,25 @@ def test_parity_single_even_loop():
     assert res.win0 == {"v0"}
 
 
+def test_parity_solver_leaves_the_recursion_limit_alone(monkeypatch):
+    # 3,000 self-loops of distinct priorities nest the decomposition 3,000
+    # levels deep, past the interpreter's default recursion limit.  Only
+    # the lowest priority is odd: with odd ones higher up, every level would
+    # also solve the subgame left after the other side's region, and the
+    # levels would number millions
+    import sys
+
+    def refuse(limit):
+        raise AssertionError(f"the solver set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    vs = [f"v{i}" for i in range(3000)]
+    arena = two_sided(vs, [(v, v) for v in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
+    prio = {v: 2 * i if i else 1 for i, v in enumerate(vs)}
+    res = solve_parity(WinLoseGame(arena, Parity(prio), protagonist="P0"))
+    assert res.win0 == {v for v in vs if prio[v] % 2 == 0}
+
+
 def test_parity_two_vertex_regions():
     res = solve_parity(parity_two_vertices())
     assert res.win0 == {"v0"} and res.win1 == {"v1"}
@@ -164,9 +183,8 @@ def test_product_regions_are_record_independent(seed):
     product = wl.TreeProduct(game.arena, game.objective.family)
     W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(p0))
     verdicts = {}
-    for k, x in enumerate(product.view.vertices):
-        if x[0] == "m":
-            verdicts.setdefault(x[1], set()).add(k in W0)
+    for k in range(product.moves):  # the move nodes come first
+        verdicts.setdefault(product.label[k], set()).add(k in W0)
     assert len(verdicts) == len(game.arena.vertices)
     assert all(len(vs) == 1 for vs in verdicts.values())
 
