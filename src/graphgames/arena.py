@@ -388,6 +388,7 @@ def walk_configurations(
     """
     order = profile.players()
     machines = [profile.machines[p] for p in order]
+    slot = {p: i for i, p in enumerate(order)}
     v = arena.start if start is None else start
     if init_mems is None:
         mem = [m.init for m in machines]
@@ -402,7 +403,8 @@ def walk_configurations(
         index[cfg] = len(configs)
         configs.append(cfg)
         own = arena.owner[v]
-        w = machines[order.index(own)].move(v, mem[order.index(own)])
+        i = slot[own]
+        w = machines[i].move(v, mem[i])
         if (v, w) not in arena.edges:
             raise InvalidInputError(f"machine for {own!r} chose non-edge ({v!r}, {w!r})")
         mem = [m.next_state(w, q) for m, q in zip(machines, mem)]
@@ -437,7 +439,7 @@ def _reachable_part(arena: Arena, source: Vertex | None) -> tuple:
     view = arena.view
     adj, radj = adjacency_masks(view)
     everything = (1 << len(view.vertices)) - 1
-    reach = everything if source is None else _reach(1 << view.index[source], adj, everything)
+    reach = everything if source is None else reach_mask(1 << view.index[source], adj, everything)
     return view, adj, radj, reach
 
 
@@ -525,7 +527,7 @@ def adjacency_masks(view: ArenaIndex) -> tuple:
     )
 
 
-def _reach(start: int, adj: list, within: int) -> int:
+def reach_mask(start: int, adj: list, within: int) -> int:
     """Bitmask of the vertices reachable from ``start`` inside ``within``."""
     seen = frontier = start
     while frontier:
@@ -541,7 +543,7 @@ def _reach(start: int, adj: list, within: int) -> int:
 
 def component_mask(start: int, adj: list, radj: list, within: int) -> int:
     """Strongly connected component of the one-bit mask ``start`` inside ``within``."""
-    return _reach(start, adj, within) & _reach(start, radj, within)
+    return reach_mask(start, adj, within) & reach_mask(start, radj, within)
 
 
 def closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:

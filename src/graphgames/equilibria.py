@@ -10,6 +10,7 @@ outcome class against the fixed machines of everyone else.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,6 +30,7 @@ from .arena import (
     inf_set,
     looping_components,
     minimize_machine,
+    reach_mask,
     skey,
     walk_configurations,
 )
@@ -109,32 +111,87 @@ def _product_successors(arena: Arena, free: tuple, machines: list):
     return successors
 
 
-def _first_improvement(game: GraphGame, order, induced, view: ArenaIndex):
-    """Best outcome the free player can make the product settle on.
+class _DeviationProduct:
+    """One player's deviation product, built once and searched from any start.
 
-    ``view`` indexes the reachable configurations, labelled by vertex.
-    The outcome map's sets beating ``induced`` are tried best class first,
-    then by ``skey``.  A set ``T`` is achieved by a strongly connected
-    component of the configurations over ``T`` that covers ``T`` and can
-    loop.  Returns the outcome and the component with the lowest index of
-    the first achieved set, or ``None``.
+    The states are ``(vertex, memories of the others)``, explored from the
+    projections of ``configs`` (``(vertex, memories)`` pairs) while the
+    fixed machines move everyone but ``player``, refused past
+    ``max_product_states`` states and indexed in ``skey`` order.  A start
+    reaches a forward-closed part of the product, the very product a
+    search from that start alone would build, and a strongly connected
+    component meets that part only if it lies inside it.  So the looping
+    components covering each outcome-map key, and the states that reach
+    each of them, are found once over the whole product, and a start only
+    looks up its own bit.
     """
-    adj, radj = adjacency_masks(view)
-    over: dict = {}
-    for i, v in enumerate(view.owner):
-        over[v] = over.get(v, 0) | 1 << i
-    better = sorted(
-        ((T, o) for T, o in game.outcome_map.items() if order.lt(induced, o)),
-        key=lambda item: (-order.rank_of(item[1]), sorted(map(skey, item[0]))),
-    )
-    for T, o in better:
-        parts = [over.get(v, 0) for v in T]
-        if not all(parts):
-            continue
-        for comp in looping_components(sum(parts), adj, radj):
-            if all(comp & part for part in parts):
-                return o, comp
-    return None
+
+    def __init__(self, game: GraphGame, profile: StrategyProfile, player, configs, max_product_states: int):
+        arena = game.arena
+        self.others = [p for p in arena.sorted_players() if p != player]
+        fixed = [profile.machines[p] for p in self.others]
+        states, succ = explore(
+            [self.state(v, mems) for v, mems in configs],
+            _product_successors(arena, (player,), fixed),
+            max_product_states,
+            "deviation product",
+        )
+        self.view = view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
+        self.adj, self.radj = adjacency_masks(view)
+        self.everything = (1 << len(view.vertices)) - 1
+        self.over: dict = {}
+        for i, v in enumerate(view.owner):
+            self.over[v] = self.over.get(v, 0) | 1 << i
+        self.outcome_map = game.outcome_map
+        self.order = game.prefs.order_of(player)
+        self.better: dict = {}
+        self.covering: dict = {}
+
+    def state(self, v, mems: Mapping) -> tuple:
+        """The product state of the configuration ``(v, mems)``."""
+        return (v, tuple(mems[p] for p in self.others))
+
+    def _better(self, induced) -> list:
+        """The outcome map's items beating ``induced``, best class first, then by ``skey``."""
+        rank = self.order.rank_of(induced)
+        items = self.better.get(rank)
+        if items is None:
+            order = self.order
+            items = self.better[rank] = sorted(
+                ((T, o) for T, o in self.outcome_map.items() if order.lt(induced, o)),
+                key=lambda item: (-order.rank_of(item[1]), sorted(map(skey, item[0]))),
+            )
+        return items
+
+    def _covering(self, T):
+        """Yield ``(component, states that reach it)`` for each looping
+        component over ``T``'s states that meets every vertex of ``T``, by
+        lowest member.  Each is found once, when first asked for."""
+        entry = self.covering.get(T)
+        if entry is None:
+            parts = [self.over.get(v, 0) for v in T]
+            comps = looping_components(sum(parts), self.adj, self.radj) if all(parts) else iter(())
+            entry = self.covering[T] = ([], (c for c in comps if all(c & part for part in parts)))
+        found, rest = entry
+        yield from found
+        for comp in rest:
+            found.append((comp, reach_mask(comp, self.radj, self.everything)))
+            yield found[-1]
+
+    def first_improvement(self, start: tuple, induced):
+        """Best outcome beating ``induced`` that the play from ``start`` can settle on.
+
+        A set ``T`` is achieved by a looping component over ``T`` that
+        covers ``T`` and is reachable from ``start``.  Returns the outcome
+        and the component with the lowest index of the first achieved set,
+        or ``None``.
+        """
+        bit = 1 << self.view.index[start]
+        for T, o in self._better(induced):
+            for comp, back in self._covering(T):
+                if back & bit:
+                    return o, comp
+        return None
 
 
 def _bfs_path(start: int, goals, succ, allowed=None) -> list:
@@ -245,31 +302,30 @@ def verify_ne(
     searched, so the map must be total on recurrence sets, as
     ``GraphGame.validate_total`` checks.
     """
-    profile.validate(game.arena)
-    return _deviation_from(game, profile, start, init_mems, max_product_states)
-
-
-def _deviation_from(game: GraphGame, profile: StrategyProfile, start, init_mems, max_product_states: int):
-    """``verify_ne`` on a profile already validated against the arena."""
     arena = game.arena
-    players = arena.sorted_players()
+    profile.validate(arena)
     v0 = arena.start if start is None else start
-    mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in players}
+    mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in arena.players}
+    return _deviation_from(
+        game, profile, v0, mems0,
+        lambda a: _DeviationProduct(game, profile, a, [(v0, mems0)], max_product_states),
+    )
+
+
+def _deviation_from(game: GraphGame, profile: StrategyProfile, v0, mems0: Mapping, product_of):
+    """``verify_ne`` from ``(v0, mems0)`` on a validated profile; ``product_of(a)`` is ``a``'s product."""
+    arena = game.arena
     cfgs, loop = walk_configurations(arena, profile, v0, mems0)
     induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
-    for a in players:
-        others = [p for p in players if p != a]
-        fixed = [profile.machines[p] for p in others]
-        s0 = (v0, tuple(mems0[p] for p in others))
-        states, succ = explore(
-            [s0], _product_successors(arena, (a,), fixed), max_product_states, "deviation product"
-        )
-        view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
-        found = _first_improvement(game, game.prefs.order_of(a), induced, view)
+    for a in arena.sorted_players():
+        product = product_of(a)
+        s0 = product.state(v0, mems0)
+        found = product.first_improvement(s0, induced)
         if found is None:
             continue
         improved, comp = found
-        members = [i for i in range(len(states)) if comp >> i & 1]
+        view = product.view
+        members = [i for i in range(len(view.vertices)) if comp >> i & 1]
         stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
         cycle = _cover_cycle(members, view.succ, members[0])
         seq = [view.owner[i] for i in stem + cycle]
@@ -288,8 +344,11 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_product_states: in
     The joint product moves the token along every edge (deviations
     included) while all memories update; the ``verify_ne`` search runs
     from each configuration in breadth-first order and the first failure
-    comes back as ``(vertex, witness)``.  ``max_product_states`` bounds every
-    product built.
+    comes back as ``(vertex, witness)``.  Each player's deviation product
+    is built once, on first use, from every configuration, and answers the
+    search from each of them.  Each of its states is a configuration's
+    projection, so it is never larger than the joint product.
+    ``max_product_states`` bounds every product built.
     """
     arena = game.arena
     profile.validate(arena)
@@ -298,8 +357,10 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_product_states: in
     s0 = (arena.start, tuple(m.init for m in machines))
     step = _product_successors(arena, players, machines)
     configs, _ = explore([s0], step, max_product_states, "joint product")
-    for v, mems in configs:
-        witness = _deviation_from(game, profile, v, dict(zip(players, mems)), max_product_states)
+    subgames = [(v, dict(zip(players, mems))) for v, mems in configs]
+    product_of = functools.cache(lambda a: _DeviationProduct(game, profile, a, subgames, max_product_states))
+    for v, mems in subgames:
+        witness = _deviation_from(game, profile, v, mems, product_of)
         if witness is not None:
             return (v, witness)
     return None

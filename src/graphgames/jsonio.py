@@ -235,7 +235,15 @@ def machine_from_json(doc: Mapping, player=None) -> StrategyMachine:
         init = integer(doc.get("init", 0), "machine state")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad machine document: {exc}") from exc
-    return StrategyMachine(player if player is not None else doc.get("player"), bits, update, choice, init)
+    machine = StrategyMachine(player if player is not None else doc.get("player"), bits, update, choice, init)
+    if bits < 0:
+        raise InvalidInputError(f"machine for {machine.player!r} has negative memory_bits {bits}")
+    for q in machine.states():
+        if q < 0 or q.bit_length() > bits:
+            raise InvalidInputError(
+                f"machine for {machine.player!r} uses state {q}, outside 0 <= state < 2**{bits}"
+            )
+    return machine
 
 
 def profile_from_json(doc: Mapping) -> StrategyProfile:

@@ -4,14 +4,28 @@ These deliberately avoid the package's solver code paths: recurrence sets
 come from explicit closed-walk searches, values from plain recursion, and
 strategy quality from products built right here.  The Muller solver's
 regions are checked against the appearance-record product, which tracks
-the whole latest-appearance record instead of a Zielonka tree.
+the whole latest-appearance record instead of a Zielonka tree.  Subgame
+verification, which shares one deviation product per player, is checked
+against a search that explores, indexes and searches a fresh product from
+every configuration.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from graphgames.arena import Arena, ArenaIndex, StrategyMachine, bits_for, skey
+from graphgames.arena import (
+    Arena,
+    ArenaIndex,
+    StrategyMachine,
+    StrategyProfile,
+    adjacency_masks,
+    bits_for,
+    explore,
+    looping_components,
+    skey,
+    walk_configurations,
+)
 from graphgames.winlose import LarContext, _solve_view
 
 
@@ -356,3 +370,99 @@ class RecordProduct:
                 prio.append(2 * (self.n - h) + (frozenset(r[:h]) not in family))
         W0 = _solve_view(self.view, side, prio)[0]
         return frozenset(self.view.vertices[k][1][0] for k in W0 if self.view.vertices[k][0] == "m")
+
+
+def _first_improvement_in(game, order, induced, view: ArenaIndex):
+    """Best outcome beating ``induced`` that the product ``view`` can settle on.
+
+    The outcome map's sets are tried best class first, then by ``skey``; a
+    set ``T`` is achieved by a looping component of the states over ``T``
+    that meets every vertex of ``T``.  Returns the outcome and the
+    component with the lowest index of the first achieved set, or ``None``.
+    """
+    adj, radj = adjacency_masks(view)
+    over: dict = {}
+    for i, v in enumerate(view.owner):
+        over[v] = over.get(v, 0) | 1 << i
+    better = sorted(
+        ((T, o) for T, o in game.outcome_map.items() if order.lt(induced, o)),
+        key=lambda item: (-order.rank_of(item[1]), sorted(map(skey, item[0]))),
+    )
+    for T, o in better:
+        parts = [over.get(v, 0) for v in T]
+        if not all(parts):
+            continue
+        for comp in looping_components(sum(parts), adj, radj):
+            if all(comp & part for part in parts):
+                return o, comp
+    return None
+
+
+def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_product_states=10**5):
+    """``verify_ne``'s witness, each player's product explored from this one
+    start alone and indexed and searched afresh."""
+    from graphgames.equilibria import (
+        DeviationWitness,
+        _bfs_path,
+        _cover_cycle,
+        _first_divergence,
+        _position_machine,
+        _product_successors,
+    )
+
+    arena = game.arena
+    profile.validate(arena)
+    players = arena.sorted_players()
+    v0 = arena.start if start is None else start
+    mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in players}
+    cfgs, loop = walk_configurations(arena, profile, v0, mems0)
+    induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
+    for a in players:
+        others = [p for p in players if p != a]
+        fixed = [profile.machines[p] for p in others]
+        s0 = (v0, tuple(mems0[p] for p in others))
+        states, succ = explore(
+            [s0], _product_successors(arena, (a,), fixed), max_product_states, "deviation product"
+        )
+        view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
+        found = _first_improvement_in(game, game.prefs.order_of(a), induced, view)
+        if found is None:
+            continue
+        improved, comp = found
+        members = [i for i in range(len(states)) if comp >> i & 1]
+        stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
+        cycle = _cover_cycle(members, view.succ, members[0])
+        seq = [view.owner[i] for i in stem + cycle]
+        machine = _position_machine(a, seq, len(stem), arena)
+        alt = StrategyProfile({**profile.machines, a: machine})
+        mems_alt = dict(mems0)
+        mems_alt[a] = machine.init
+        vertex = _first_divergence((cfgs, loop), walk_configurations(arena, alt, v0, mems_alt))
+        return DeviationWitness(a, vertex, machine, improved)
+    return None
+
+
+def joint_configurations(arena: Arena, profile) -> list:
+    """Every ``(vertex, memories)`` reached when the token may take any edge,
+    in breadth-first order, memories keyed by player."""
+    players = arena.sorted_players()
+    machines = [profile.machines[p] for p in players]
+    start = (arena.start, tuple(m.init for m in machines))
+    seen = {start}
+    queue = [start]
+    for v, mems in queue:
+        for w in arena.successors(v):
+            nxt = (w, tuple(m.next_state(w, q) for m, q in zip(machines, mems)))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return [(v, dict(zip(players, mems))) for v, mems in queue]
+
+
+def spe_by_fresh_products(game, profile):
+    """``verify_spe``'s answer with a fresh deviation product per configuration."""
+    for v, mems in joint_configurations(game.arena, profile):
+        witness = deviation_by_fresh_products(game, profile, v, mems)
+        if witness is not None:
+            return (v, witness)
+    return None

@@ -5,6 +5,7 @@ import pytest
 from graphgames.arena import (
     StrategyMachine,
     StrategyProfile,
+    bits_for,
     induced_lasso,
     inf_set,
     make_arena,
@@ -12,6 +13,7 @@ from graphgames.arena import (
     primitive_cycle,
     walk_configurations,
 )
+import graphgames.equilibria as equilibria
 from graphgames.equilibria import (
     induced_outcome_from,
     muller_pareto_ne,
@@ -24,7 +26,9 @@ from graphgames.equilibria import (
 from graphgames.errors import NotAntagonisticError, PatternPresentError, TooLargeError
 from graphgames.gen import inverse_pair_profile, pattern_free_profile, random_graph_game
 from graphgames.guarantees import GraphGame, guarantee_table
+from graphgames.jsonio import machine_to_json
 from graphgames.orders import PreferenceProfile, linear_order, pareto_front
+from oracles import deviation_by_fresh_products, joint_configurations, spe_by_fresh_products
 
 
 def single_vertex_game():
@@ -212,15 +216,15 @@ def test_verify_finds_improvement_and_witness_replays():
     assert game.outcome_map[inf_set(lasso)] == "o2"
 
 
-def random_machine(rng, arena, player, bits):
+def random_machine(rng, arena, player, states):
     update, choice = {}, {}
     for v in arena.vertices:
-        for q in range(2 ** bits):
-            update[(v, q)] = rng.randrange(2 ** bits)
+        for q in range(states):
+            update[(v, q)] = rng.randrange(states)
     for v in arena.owned_by(player):
-        for q in range(2 ** bits):
+        for q in range(states):
             choice[(v, q)] = rng.choice(arena.successors(v))
-    return StrategyMachine(player, bits, update, choice)
+    return StrategyMachine(player, bits_for(states), update, choice)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -233,7 +237,7 @@ def test_verify_agrees_with_machine_enumeration(seed):
     players = ["A", "B"][: rng.randint(1, 2)]
     outcomes = [f"o{i}" for i in range(rng.randint(1, 3))]
     game = random_graph_game(rng, rng.randint(1, 3), players, outcomes)
-    machines = {p: random_machine(rng, game.arena, p, rng.randint(0, 1)) for p in players}
+    machines = {p: random_machine(rng, game.arena, p, 2 ** rng.randint(0, 1)) for p in players}
     profile = StrategyProfile(machines)
     induced = game.outcome_map[inf_set(induced_lasso(game.arena, profile))]
     witness = verify_ne(game, profile)
@@ -268,7 +272,7 @@ def test_verify_search_agrees_with_product_oracle(seed):
     outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
     game = random_graph_game(rng, rng.randint(3, 5), ["A", "B"], outcomes)
     arena = game.arena
-    machines = {p: random_machine(rng, arena, p, rng.randint(1, 2)) for p in ("A", "B")}
+    machines = {p: random_machine(rng, arena, p, 2 ** rng.randint(1, 2)) for p in ("A", "B")}
     profile = StrategyProfile(machines)
     induced = game.outcome_map[inf_set(induced_lasso(arena, profile))]
     expected = None
@@ -298,22 +302,6 @@ def test_verify_spe_flags_non_credible_threat():
     assert witness.improved_outcome == "mid"
 
 
-def reachable_configurations(arena, profile):
-    """Every (vertex, memories) pair reached when the token may take any edge."""
-    players = profile.players()
-    machines = profile.machines
-    start = (arena.start, tuple(machines[p].init for p in players))
-    seen = {start}
-    queue = [start]
-    for v, mems in queue:
-        for w in arena.successors(v):
-            nxt = (w, tuple(machines[p].next_state(w, q) for p, q in zip(players, mems)))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return [(v, dict(zip(players, mems))) for v, mems in queue]
-
-
 def play_prefix(arena, profile, v, mems, steps):
     """The first ``steps + 1`` vertices of the profile's play from a configuration."""
     mems = dict(mems)
@@ -336,7 +324,7 @@ def test_witnesses_replay_from_every_configuration(seed):
     game = random_graph_game(rng, rng.randint(3, 5), ["P0", "P1", "P2"], outcomes)
     profile = synthesize_ne(game).profile
     arena = game.arena
-    for v, mems in reachable_configurations(arena, profile):
+    for v, mems in joint_configurations(arena, profile):
         witness = verify_ne(game, profile, start=v, init_mems=mems)
         if witness is None:
             continue
@@ -355,6 +343,93 @@ def test_witnesses_replay_from_every_configuration(seed):
         apart = next((i for i in range(1, len(sa)) if sa[i] != sb[i]), None)
         assert apart is not None
         assert sa[apart - 1] == witness.vertex
+
+
+def witness_data(w):
+    """A deviation witness as plain data, its machine as its JSON document."""
+    return None if w is None else (w.player, w.vertex, w.improved_outcome, machine_to_json(w.machine))
+
+
+def verdict(found):
+    """A ``verify_spe`` answer as plain data: the configuration's vertex and the witness."""
+    return None if found is None else (found[0], witness_data(found[1]))
+
+
+def random_profile_game(seed):
+    """A random game on 2-5 vertices with 2-3 players, each playing a random 1-3-state machine."""
+    rng = random.Random(seed + 50_000)
+    players = ["A", "B", "C"][: rng.randint(2, 3)]
+    outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+    game = random_graph_game(rng, rng.randint(2, 5), players, outcomes)
+    machines = {p: random_machine(rng, game.arena, p, rng.randint(1, 3)) for p in players}
+    return game, StrategyProfile(machines)
+
+
+def synthesized_profile_game(seed):
+    """A synthesized profile: an antagonistic SPE on even seeds, a 2-3 player NE on odd ones."""
+    rng = random.Random(seed + 60_000)
+    outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+    if seed % 2 == 0:
+        prof = inverse_pair_profile(rng, outcomes, players=("A", "B"))
+        game = random_graph_game(rng, rng.randint(2, 5), ["A", "B"], outcomes, profile=prof)
+        return game, synthesize_antagonistic_spe(game)
+    players = ["A", "B", "C"][: rng.randint(2, 3)]
+    game = random_graph_game(rng, rng.randint(2, 5), players, outcomes)
+    return game, synthesize_ne(game).profile
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_shared_products_agree_with_fresh_products_on_random_profiles(seed):
+    # one product per player, shared by every configuration, gives the
+    # witness that a fresh product per configuration gives, byte for byte
+    game, profile = random_profile_game(seed)
+    assert verdict(verify_spe(game, profile)) == verdict(spe_by_fresh_products(game, profile))
+    assert witness_data(verify_ne(game, profile)) == witness_data(deviation_by_fresh_products(game, profile))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_shared_products_agree_with_fresh_products_on_synthesized_profiles(seed):
+    game, profile = synthesized_profile_game(seed)
+    assert verdict(verify_spe(game, profile)) == verdict(spe_by_fresh_products(game, profile))
+
+
+def count_deviation_products(monkeypatch) -> list:
+    """Patch ``equilibria.explore`` to log the products it explores by name."""
+    built = []
+    explore = equilibria.explore
+
+    def counting(starts, successors, bound, what):
+        built.append(what)
+        return explore(starts, successors, bound, what)
+
+    monkeypatch.setattr(equilibria, "explore", counting)
+    return built
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_spe_builds_one_deviation_product_per_player(seed, monkeypatch):
+    game, profile = random_profile_game(seed) if seed % 2 else synthesized_profile_game(seed // 2)
+    built = count_deviation_products(monkeypatch)
+    found = verify_spe(game, profile)
+    players = len(game.arena.players)
+    assert built.count("joint product") == 1
+    assert built.count("deviation product") <= players
+    if found is None:
+        # every configuration checked every player
+        assert built.count("deviation product") == players
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_spe_fits_in_the_joint_product_bound(seed):
+    # every deviation product state projects a joint configuration, so a
+    # bound the joint product meets is met by every deviation product
+    game, profile = random_profile_game(seed) if seed % 2 else synthesized_profile_game(seed // 2)
+    size = len(joint_configurations(game.arena, profile))
+    expected = verdict(verify_spe(game, profile))
+    assert verdict(verify_spe(game, profile, max_product_states=size)) == expected
+    if size > 1:
+        with pytest.raises(TooLargeError, match="joint product"):
+            verify_spe(game, profile, max_product_states=size - 1)
 
 
 # --- antagonistic subgame perfection ---------------------------------------------------

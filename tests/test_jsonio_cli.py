@@ -307,6 +307,31 @@ def test_cli_rejects_non_integer_machine_fields(tmp_path, capsys, path, value):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("subgames", [[], ["--subgames"]], ids=["verify", "verify-subgames"])
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (["A", "memory_bits"], -3, "-3"),
+        (["A", "choice"], [["u", 0, "u"], ["u", 5, "u"]], "state 5"),
+        (["B", "init"], 2, "state 2"),
+        (["B", "update"], [["u", 0, -1]], "state -1"),
+    ],
+    ids=["negative-bits", "choice-state-too-large", "init-too-large", "update-state-negative"],
+)
+def test_cli_refuses_machine_states_outside_memory_bits(tmp_path, capsys, path, value, named, subgames):
+    # states lie in 0 <= q < 2**memory_bits; STAY_PROFILE has no memory
+    # for A and one bit for B here
+    profile = with_changes(STAY_PROFILE, ["machines", "B", "memory_bits"], 1)
+    profile_path = write(tmp_path, "profile.json", with_changes(profile, ["machines", *path], value))
+    game_path = write(tmp_path, "game.json", GAME_DOC)
+    assert main(["verify", game_path, profile_path, *subgames]) == 2
+    captured = capsys.readouterr()
+    [error] = json.loads(captured.out)["errors"]
+    assert error["code"] == "InvalidInputError"
+    assert f"machine for '{path[0]}'" in error["detail"] and named in error["detail"]
+    assert captured.err == ""
+
+
 # no edge from w back to u, so B moving there from w leaves the arena's edges
 ONE_WAY_DOC = with_changes(GAME_DOC, ["arena", "edges"], [["u", "u"], ["u", "w"], ["w", "w"]])
 
