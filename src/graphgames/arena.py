@@ -351,6 +351,20 @@ def minimize_table(player: Player, vertices: tuple, owned: tuple, nxt: list, cho
     return StrategyMachine(player, bits_for(len(order)), update, moves, 0)
 
 
+def machine_rows(arena: Arena, machine: StrategyMachine, owned: tuple, base: int) -> tuple:
+    """``machine`` as ``minimize_table`` rows over ``arena.sorted_vertices()`` and ``owned``.
+
+    Memory state ``q`` becomes the row of state ``base + q``, for every
+    ``q`` up to the largest the machine names; where the machine has no
+    choice it moves to the first successor.
+    """
+    vertices = arena.sorted_vertices()
+    states = range(max(machine.states()) + 1)
+    nxt = [[base + machine.next_state(w, q) for w in vertices] for q in states]
+    choice = [tuple(machine.choice.get((u, q), arena.successors(u)[0]) for u in owned) for q in states]
+    return nxt, choice
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
     """One strategy machine per player."""
@@ -591,6 +605,8 @@ class EnergySpec:
 
     def validate(self, arena: Arena) -> None:
         for p in arena.players:
+            if p not in self.caps:
+                raise InvalidInputError(f"energy caps omit player {p!r}")
             lo, hi = self.caps[p]
             if not (lo <= 0 <= hi):
                 raise InvalidInputError(f"caps for {p!r} must satisfy lo <= 0 <= hi, got ({lo}, {hi})")

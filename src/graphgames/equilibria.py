@@ -22,14 +22,14 @@ from .arena import (
     StrategyMachine,
     StrategyProfile,
     adjacency_masks,
-    bits_for,
     canonical_lasso,
     explore,
     feasible_among,
     induced_lasso,
     inf_set,
     looping_components,
-    minimize_machine,
+    machine_rows,
+    minimize_table,
     reach_mask,
     skey,
     walk_configurations,
@@ -241,28 +241,29 @@ def _cover_cycle(members, succ, entry: int) -> list:
     return walk[:-1]
 
 
+def _lasso_rows(arena: Arena, owned: tuple, seq, loop_at: int, off_play: list) -> tuple:
+    """``minimize_table`` rows of a machine replaying the lasso ``seq`` by position.
+
+    State ``p`` stands at ``seq[p]``.  Arriving at the next vertex of the
+    lasso (``seq[loop_at]`` after the last) moves it to that position, and
+    any other arrival at ``arena.sorted_vertices()[i]`` to ``off_play[p][i]``.
+    At ``seq[p]`` it moves to the next vertex, elsewhere to the first
+    successor.
+    """
+    nxt, choice = [], []
+    for p, v in enumerate(seq):
+        q = p + 1 if p + 1 < len(seq) else loop_at
+        nxt.append([q if w == seq[q] else t for w, t in zip(arena.sorted_vertices(), off_play[p])])
+        choice.append(tuple(seq[q] if u == v else arena.successors(u)[0] for u in owned))
+    return nxt, choice
+
+
 def _position_machine(player, seq_vertices, loop_index, arena: Arena) -> StrategyMachine:
-    """Machine replaying a fixed lasso of vertices by position."""
-    L = len(seq_vertices)
-
-    def nxt(p):
-        return p + 1 if p + 1 < L else loop_index
-
-    vertices = arena.sorted_vertices()
+    """Machine replaying a fixed lasso of vertices by position; off the lasso it keeps its state."""
     owned = arena.owned_by(player)
-    update = {}
-    choice = {}
-    for p in range(L):
-        for w in vertices:
-            if w == seq_vertices[nxt(p)] and nxt(p) != p:
-                update[(w, p)] = nxt(p)
-        for v in owned:
-            if v == seq_vertices[p]:
-                choice[(v, p)] = seq_vertices[nxt(p)]
-            else:
-                choice[(v, p)] = arena.successors(v)[0]
-    machine = StrategyMachine(player, bits_for(L), update, choice, 0)
-    return minimize_machine(machine, vertices, owned)
+    stay = [[p] * len(arena.vertices) for p in range(len(seq_vertices))]
+    nxt, choice = _lasso_rows(arena, owned, seq_vertices, loop_index, stay)
+    return minimize_table(player, arena.sorted_vertices(), owned, nxt, choice)
 
 
 def _first_divergence(walk_a, walk_b):
@@ -380,59 +381,21 @@ def _conformance_machine(game: GraphGame, table: GuaranteeTable, lasso: Lasso, p
     """
     arena = game.arena
     seq = lasso.sequence()
-    L = len(seq)
-    loop_at = len(lasso.stem)
-
-    def nxt(p):
-        return p + 1 if p + 1 < L else loop_at
-
-    pun_keys = []
-    pun_machines = {}
-    for p in range(L):
-        b = arena.owner[seq[p]]
-        key = (b, table.rows[b].class_rank[seq[p]])
-        if key not in pun_machines:
-            pun_machines[key] = table.rows[b].punish[key[1]]
-            pun_keys.append(key)
-    base = {}
-    span = {}
-    offset = L
-    for key in pun_keys:
-        base[key] = offset
-        span[key] = max(pun_machines[key].states()) + 1
-        offset += span[key]
-    vertices = arena.sorted_vertices()
     owned = arena.owned_by(player)
-    update = {}
-    choice = {}
-    for p in range(L):
-        v = seq[p]
+    entry = {}  # (deviator, her class) -> the states arrivals enter her punishment at
+    off_play, blocks, moves = [], [], []
+    for v in seq:
         b = arena.owner[v]
         key = (b, table.rows[b].class_rank[v])
-        pun = pun_machines[key]
-        for w in vertices:
-            if w == seq[nxt(p)]:
-                if nxt(p) != p:
-                    update[(w, p)] = nxt(p)
-            else:
-                update[(w, p)] = base[key] + pun.next_state(w, pun.init)
-        for u in owned:
-            if u == v:
-                choice[(u, p)] = seq[nxt(p)]
-            else:
-                choice[(u, p)] = arena.successors(u)[0]
-    for key in pun_keys:
-        pun = pun_machines[key]
-        for q in range(span[key]):
-            s = base[key] + q
-            for w in vertices:
-                nq = pun.next_state(w, q)
-                if nq != q:
-                    update[(w, s)] = base[key] + nq
-            for u in owned:
-                choice[(u, s)] = pun.choice.get((u, q), arena.successors(u)[0])
-    machine = StrategyMachine(player, bits_for(offset), update, choice, 0)
-    return minimize_machine(machine, vertices, owned)
+        if key not in entry:
+            pun = table.rows[b].punish[key[1]]
+            rows, pun_moves = machine_rows(arena, pun, owned, len(seq) + len(blocks))
+            entry[key] = rows[pun.init]
+            blocks += rows
+            moves += pun_moves
+        off_play.append(entry[key])
+    nxt, choice = _lasso_rows(arena, owned, seq, len(lasso.stem), off_play)
+    return minimize_table(player, arena.sorted_vertices(), owned, nxt + blocks, choice + moves)
 
 
 def _report_from_lasso(game: GraphGame, table: GuaranteeTable, lasso: Lasso) -> SynthesisReport:

@@ -22,12 +22,13 @@ from .arena import (
     closed_strongly_connected_sets,
     fallback_machine,
     feasible_among,
-    minimize_machine,
+    machine_rows,
+    minimize_table,
     skey,
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import Muller, MullerSearch, SolveResult, WinLoseGame, muller_search
+from .winlose import Muller, MullerSearch, SolveResult, WinLoseGame
 
 COALITION = "coalition-vs"
 
@@ -141,22 +142,21 @@ class GuaranteeTable:
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
 
-def best_guarantee(
-    game: GraphGame, player, max_product_states: int | MullerSearch = DEFAULT_PRODUCT_BOUND
-) -> GuaranteeRow:
+def best_guarantee(game: GraphGame, player, search: MullerSearch | None = None) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
     Thresholds descend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
     class immediately below it (the bottom class needs no witness).  Every
     threshold game is solved on the Zielonka-tree product of its family
-    over the game's arena.  ``max_product_states`` bounds every product,
-    or is the ``MullerSearch`` of the arena to take the products from.
+    that ``search``, a ``MullerSearch`` of the game's arena, hands out;
+    without one, a search bounded by ``DEFAULT_PRODUCT_BOUND`` is made.
     """
     order = game.prefs.order_of(player)
     k = order.num_classes()
     arena = game.arena
-    search = muller_search(arena, max_product_states)
+    if search is None:
+        search = MullerSearch(arena, DEFAULT_PRODUCT_BOUND)
     sides = (player, coalition_tag(player))
     solves: dict[int, SolveResult] = {}
     for j in range(k):
@@ -207,38 +207,23 @@ def optimal_strategy(game: GraphGame, player, row: GuaranteeRow | None = None) -
     arena = game.arena
     vertices = arena.sorted_vertices()
     owned = arena.owned_by(player)
-    used = sorted(set(row.class_rank.values()))
-    machines = {c: row.machines[c] for c in used}
-    states_of = {c: machines[c].states() for c in used}
-    sid = {"fresh": 0}
-    for c in used:
-        for q in states_of[c]:
-            sid[(c, q)] = len(sid)
-    update = {}
-    choice = {}
-    cls = row.class_rank
-    for w in vertices:
-        target = (cls[w], machines[cls[w]].init)
-        if sid[target] != 0:
-            update[(w, 0)] = sid[target]
-    for v in owned:
-        m = machines[cls[v]]
-        choice[(v, 0)] = m.choice.get((v, m.init), arena.successors(v)[0])
-    for c in used:
-        m = machines[c]
-        for q in states_of[c]:
-            s = sid[(c, q)]
-            for w in vertices:
-                if cls[w] == c:
-                    nxt = (c, m.next_state(w, q))
-                else:
-                    nxt = (cls[w], machines[cls[w]].init)
-                if sid[nxt] != s:
-                    update[(w, s)] = sid[nxt]
-            for v in owned:
-                choice[(v, s)] = m.choice.get((v, q), arena.successors(v)[0])
-    machine = StrategyMachine(player, bits_for(len(sid)), update, choice, 0)
-    return minimize_machine(machine, vertices, owned)
+    machines = row.machines
+    cls = [row.class_rank[w] for w in vertices]
+    base = {}  # class -> the state its machine's memory 0 becomes; state 0 is fresh
+    size = 1
+    for c in sorted(set(cls)):
+        base[c] = size
+        size += max(machines[c].states()) + 1
+    enter = [base[c] + machines[c].init for c in cls]
+    nxt, choice = [enter], [()]
+    for c, b in base.items():
+        rows, moves = machine_rows(arena, machines[c], owned, b)
+        nxt += ([t if k == c else e for t, k, e in zip(r, cls, enter)] for r in rows)
+        choice += moves
+    # fresh, it moves as the machine it enters at the current vertex would
+    index = arena.view.index
+    choice[0] = tuple(choice[enter[index[v]]][j] for j, v in enumerate(owned))
+    return minimize_table(player, vertices, owned, nxt, choice)
 
 
 def local_consistency_violations(game: GraphGame, table: GuaranteeTable) -> list:

@@ -375,15 +375,8 @@ class MullerSearch:
         key = self.recurrence_masks(family)
         product = self.products.get(key)
         if product is None:
-            product = self.products[key] = TreeProduct(self.arena, family, self)
+            product = self.products[key] = TreeProduct(self, family)
         return product
-
-
-def muller_search(arena: Arena, max_product_states: int | MullerSearch) -> MullerSearch:
-    """``max_product_states`` when it is already a search, else a new search of ``arena`` with that bound."""
-    if isinstance(max_product_states, MullerSearch):
-        return max_product_states
-    return MullerSearch(arena, max_product_states)
 
 
 class _SetSearch:
@@ -518,14 +511,12 @@ class TreeProduct:
     Nodes are numbered move nodes first, each kind ordered by the decimal
     names of its two numbers, ``(v, l)`` and ``(l, w)``.  The parity solver
     breaks ties by node number, so this order fixes the machines it
-    returns.  ``max_product_states`` bounds the search for the trees and the
-    product's size, or is a ``MullerSearch`` of the arena to share.
+    returns.  The bound of ``search``, whose arena the product is built
+    over, limits the search for the trees and the product's size.
     """
 
-    def __init__(
-        self, arena: Arena, family: frozenset, max_product_states: int | MullerSearch = DEFAULT_PRODUCT_BOUND
-    ):
-        search = muller_search(arena, max_product_states)
+    def __init__(self, search: MullerSearch, family: frozenset):
+        arena = search.arena
         sets = _SetSearch(search, search.recurrence_masks(family))
         n = len(arena.vertices)
         tree: list = [None] * n
@@ -645,7 +636,7 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BO
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
     family = frozenset(frozenset(s) for s in game.objective.family)
-    return TreeProduct(game.arena, family, max_product_states).solve(game.sides())
+    return TreeProduct(MullerSearch(game.arena, max_product_states), family).solve(game.sides())
 
 
 def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:

@@ -23,6 +23,7 @@ from graphgames.arena import (
     bits_for,
     explore,
     looping_components,
+    minimize_machine,
     skey,
     walk_configurations,
 )
@@ -324,6 +325,134 @@ def minimize_machine_by_dicts(machine: StrategyMachine, vertices, owned) -> Stra
             if w is not None:
                 choice[(v, order[b])] = w
     return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)
+
+
+# The composite machines built as dicts keyed by their own states, then
+# explored, renumbered and minimised by ``minimize_machine``: the reference
+# for the package's builders, which fill integer tables for
+# ``minimize_table`` directly.
+
+
+def optimal_strategy_by_dicts(game, player, row) -> StrategyMachine:
+    """Reference for ``guarantees.optimal_strategy`` with the guarantee row ``row``."""
+    arena = game.arena
+    vertices = arena.sorted_vertices()
+    owned = arena.owned_by(player)
+    used = sorted(set(row.class_rank.values()))
+    machines = {c: row.machines[c] for c in used}
+    states_of = {c: machines[c].states() for c in used}
+    sid = {"fresh": 0}
+    for c in used:
+        for q in states_of[c]:
+            sid[(c, q)] = len(sid)
+    update = {}
+    choice = {}
+    cls = row.class_rank
+    for w in vertices:
+        target = (cls[w], machines[cls[w]].init)
+        if sid[target] != 0:
+            update[(w, 0)] = sid[target]
+    for v in owned:
+        m = machines[cls[v]]
+        choice[(v, 0)] = m.choice.get((v, m.init), arena.successors(v)[0])
+    for c in used:
+        m = machines[c]
+        for q in states_of[c]:
+            s = sid[(c, q)]
+            for w in vertices:
+                if cls[w] == c:
+                    nxt = (c, m.next_state(w, q))
+                else:
+                    nxt = (cls[w], machines[cls[w]].init)
+                if sid[nxt] != s:
+                    update[(w, s)] = sid[nxt]
+            for v in owned:
+                choice[(v, s)] = m.choice.get((v, q), arena.successors(v)[0])
+    machine = StrategyMachine(player, bits_for(len(sid)), update, choice, 0)
+    return minimize_machine(machine, vertices, owned)
+
+
+def position_machine_by_dicts(player, seq_vertices, loop_index, arena: Arena) -> StrategyMachine:
+    """Reference for ``equilibria._position_machine``."""
+    L = len(seq_vertices)
+
+    def nxt(p):
+        return p + 1 if p + 1 < L else loop_index
+
+    vertices = arena.sorted_vertices()
+    owned = arena.owned_by(player)
+    update = {}
+    choice = {}
+    for p in range(L):
+        for w in vertices:
+            if w == seq_vertices[nxt(p)] and nxt(p) != p:
+                update[(w, p)] = nxt(p)
+        for v in owned:
+            if v == seq_vertices[p]:
+                choice[(v, p)] = seq_vertices[nxt(p)]
+            else:
+                choice[(v, p)] = arena.successors(v)[0]
+    machine = StrategyMachine(player, bits_for(L), update, choice, 0)
+    return minimize_machine(machine, vertices, owned)
+
+
+def conformance_machine_by_dicts(game, table, lasso, player) -> StrategyMachine:
+    """Reference for ``equilibria._conformance_machine``."""
+    arena = game.arena
+    seq = lasso.sequence()
+    L = len(seq)
+    loop_at = len(lasso.stem)
+
+    def nxt(p):
+        return p + 1 if p + 1 < L else loop_at
+
+    pun_keys = []
+    pun_machines = {}
+    for p in range(L):
+        b = arena.owner[seq[p]]
+        key = (b, table.rows[b].class_rank[seq[p]])
+        if key not in pun_machines:
+            pun_machines[key] = table.rows[b].punish[key[1]]
+            pun_keys.append(key)
+    base = {}
+    span = {}
+    offset = L
+    for key in pun_keys:
+        base[key] = offset
+        span[key] = max(pun_machines[key].states()) + 1
+        offset += span[key]
+    vertices = arena.sorted_vertices()
+    owned = arena.owned_by(player)
+    update = {}
+    choice = {}
+    for p in range(L):
+        v = seq[p]
+        b = arena.owner[v]
+        key = (b, table.rows[b].class_rank[v])
+        pun = pun_machines[key]
+        for w in vertices:
+            if w == seq[nxt(p)]:
+                if nxt(p) != p:
+                    update[(w, p)] = nxt(p)
+            else:
+                update[(w, p)] = base[key] + pun.next_state(w, pun.init)
+        for u in owned:
+            if u == v:
+                choice[(u, p)] = seq[nxt(p)]
+            else:
+                choice[(u, p)] = arena.successors(u)[0]
+    for key in pun_keys:
+        pun = pun_machines[key]
+        for q in range(span[key]):
+            s = base[key] + q
+            for w in vertices:
+                nq = pun.next_state(w, q)
+                if nq != q:
+                    update[(w, s)] = base[key] + nq
+            for u in owned:
+                choice[(u, s)] = pun.choice.get((u, q), arena.successors(u)[0])
+    machine = StrategyMachine(player, bits_for(offset), update, choice, 0)
+    return minimize_machine(machine, vertices, owned)
 
 
 class RecordProduct:

@@ -25,10 +25,17 @@ from graphgames.equilibria import (
 )
 from graphgames.errors import NotAntagonisticError, PatternPresentError, TooLargeError
 from graphgames.gen import inverse_pair_profile, pattern_free_profile, random_graph_game
-from graphgames.guarantees import GraphGame, guarantee_table
+from graphgames.guarantees import GraphGame, guarantee_table, optimal_strategy
 from graphgames.jsonio import machine_to_json
 from graphgames.orders import PreferenceProfile, linear_order, pareto_front
-from oracles import deviation_by_fresh_products, joint_configurations, spe_by_fresh_products
+from oracles import (
+    conformance_machine_by_dicts,
+    deviation_by_fresh_products,
+    joint_configurations,
+    optimal_strategy_by_dicts,
+    position_machine_by_dicts,
+    spe_by_fresh_products,
+)
 
 
 def single_vertex_game():
@@ -577,3 +584,71 @@ def test_verifiers_take_the_product_bound_by_name():
         verify_ne(game, profile, max_product_states=1)
     with pytest.raises(TooLargeError):
         verify_spe(game, profile, max_product_states=1)
+
+
+# --- table builders against dict builders ------------------------------------------------
+
+
+def optimal_pairs(monkeypatch):
+    for seed in range(200):
+        rng = random.Random(seed + 70_000)
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        game = random_graph_game(rng, rng.randint(1, 5), players, [f"o{i}" for i in range(rng.randint(1, 4))])
+        table = guarantee_table(game)
+        for p in players:
+            yield optimal_strategy(game, p, table.rows[p]), optimal_strategy_by_dicts(game, p, table.rows[p])
+
+
+def conformance_pairs(monkeypatch):
+    for seed in range(200):
+        rng = random.Random(seed + 80_000)
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        outcomes = [f"o{i}" for i in range(rng.randint(1, 4))]
+        ne_game = random_graph_game(rng, rng.randint(1, 5), players, outcomes)
+        # pareto-ne needs linear preferences without the blocking pattern
+        prof = pattern_free_profile(rng, players, outcomes)
+        pareto_game = random_graph_game(rng, rng.randint(1, 5), players, outcomes, profile=prof)
+        for game, synthesize in ((ne_game, synthesize_ne), (pareto_game, muller_pareto_ne)):
+            table = guarantee_table(game)
+            report = synthesize(game, table)
+            for p in players:
+                yield report.profile.machines[p], conformance_machine_by_dicts(game, table, report.main_lasso, p)
+
+
+def witness_pairs(monkeypatch):
+    built = []
+    position_machine = equilibria._position_machine
+
+    def recording(*args):
+        built.append((args, position_machine(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(equilibria, "_position_machine", recording)
+    witnesses = seed = 0
+    while witnesses < 200:
+        rng = random.Random(seed + 90_000)
+        seed += 1
+        players = ["A", "B", "C"][: rng.randint(2, 3)]
+        game = random_graph_game(rng, rng.randint(2, 5), players, [f"o{i}" for i in range(rng.randint(2, 4))])
+        profile = StrategyProfile({p: random_machine(rng, game.arena, p, rng.randint(2, 3)) for p in players})
+        built.clear()
+        witness = verify_ne(game, profile)
+        if witness is not None:
+            witnesses += 1
+            (args, machine), = built
+            assert witness.machine is machine
+            yield machine, position_machine_by_dicts(*args)
+
+
+@pytest.mark.parametrize(
+    "pairs", [optimal_pairs, conformance_pairs, witness_pairs], ids=["optimal", "conformance", "witness"]
+)
+def test_table_builders_match_the_dict_builders(pairs, monkeypatch):
+    # the builders fill integer tables for minimize_table; the references
+    # build dict machines and minimise them through minimize_machine.  Each
+    # case runs 200 seeded random games (200 witnesses for verify_ne)
+    count = 0
+    for machine, expected in pairs(monkeypatch):
+        assert machine_to_json(machine) == machine_to_json(expected)
+        count += 1
+    assert count >= 200

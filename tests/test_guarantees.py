@@ -23,7 +23,7 @@ from graphgames.guarantees import (
     threshold_game,
 )
 from graphgames.orders import PreferenceProfile, linear_order
-from graphgames.winlose import TreeProduct, solve_muller
+from graphgames.winlose import MullerSearch, TreeProduct, solve_muller
 
 from oracles import (
     RecordProduct,
@@ -315,7 +315,7 @@ def threshold_families(game):
 def fresh_refusal(game, family, bound):
     """The message a product with a search of its own is refused with, or None."""
     try:
-        TreeProduct(game.arena, family, bound)
+        TreeProduct(MullerSearch(game.arena, bound), family)
     except TooLargeError as exc:
         return str(exc)
     return None
@@ -357,9 +357,9 @@ def test_guarantee_table_builds_one_product_per_distinct_family(monkeypatch):
     built = []
     init = wl.TreeProduct.__init__
 
-    def counting(self, arena, family, *args):
+    def counting(self, search, family):
         built.append(family)
-        init(self, arena, family, *args)
+        init(self, search, family)
 
     monkeypatch.setattr(wl.TreeProduct, "__init__", counting)
     rng = random.Random(7070)

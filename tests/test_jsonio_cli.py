@@ -278,6 +278,16 @@ def test_cli_rejects_malformed_documents(tmp_path, capsys, command, doc):
     assert captured.err == ""
 
 
+def test_cli_names_the_player_energy_caps_omit(tmp_path, capsys):
+    doc = with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "caps"], {"P0": [-1, 1]})
+    assert main(["solve", write(tmp_path, "caps.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "InvalidInputError", "detail": "energy caps omit player 'P1'"}
+    ]
+    assert captured.err == ""
+
+
 # memoryless: A stays at u, B stays at w
 STAY_PROFILE = {
     "machines": {

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphgames.arena import make_arena
+from graphgames.arena import DEFAULT_PRODUCT_BOUND, make_arena
 from graphgames.errors import CapExceededError, TooLargeError
 from graphgames.gen import random_arena, random_muller_game, random_parity_game
 from graphgames.jsonio import machine_to_json
@@ -180,7 +180,7 @@ def test_product_regions_are_record_independent(seed):
     rng = random.Random(seed)
     game = random_muller_game(rng, rng.randint(2, 4))
     p0, _ = game.sides()
-    product = wl.TreeProduct(game.arena, game.objective.family)
+    product = wl.TreeProduct(wl.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND), game.objective.family)
     W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(p0))
     verdicts = {}
     for k in range(product.moves):  # the move nodes come first
@@ -263,7 +263,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
     assert calls <= bound * n
     # the family {V} has one leaf per 6-vertex set: 7 * 7 move and 7 * 7 transition nodes
     small = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
-    assert len(wl.TreeProduct(arena, small.objective.family, 2 * n * n).view.vertices) == 2 * n * n
+    assert len(wl.TreeProduct(wl.MullerSearch(arena, 2 * n * n), small.objective.family).view.vertices) == 2 * n * n
     with pytest.raises(TooLargeError, match="tree product exceeds 97 states"):
         solve_muller(small, 2 * n * n - 1)
 
