@@ -341,8 +341,8 @@ def criterion_9_energy(seed: int = DEFAULT_SEED) -> CriterionResult:
         spec = random_energy_spec(rng, arena)
         product = energy_product(arena, spec)
         order = arena.sorted_players()
-        pv = product.arena.start
-        budgets = {p: product.budgets[pv][i] for i, p in enumerate(order)}
+        pv = product.start
+        budgets = {p: pv[1][i] for i, p in enumerate(order)}
         direct = {
             p: clamp_budget(spec.weights[p].get(arena.start, 0), *spec.caps[p]) for p in order
         }
@@ -350,14 +350,13 @@ def criterion_9_energy(seed: int = DEFAULT_SEED) -> CriterionResult:
             budget_errors += 1
             continue
         for _ in range(1000):
-            succs = product.arena.successors(pv)
+            succs = product.successors(pv)
             pv = succs[rng.randrange(len(succs))]
-            v = product.base_vertex[pv]
             direct = {
-                p: clamp_budget(direct[p] + spec.weights[p].get(v, 0), *spec.caps[p])
+                p: clamp_budget(direct[p] + spec.weights[p].get(pv[0], 0), *spec.caps[p])
                 for p in order
             }
-            if any(direct[p] != product.budgets[pv][i] for i, p in enumerate(order)):
+            if any(direct[p] != pv[1][i] for i, p in enumerate(order)):
                 budget_errors += 1
                 break
     inconsistencies = 0
@@ -368,8 +367,7 @@ def criterion_9_energy(seed: int = DEFAULT_SEED) -> CriterionResult:
             {"A": (rng.choice([-1, 0]), rng.choice([0, 1]))},
             {v: rng.randint(0, 1) for v in arena.vertices},
         )
-        product = energy_product(arena, spec)
-        game = _energy_outcome_game(product)
+        game = _energy_outcome_game(energy_product(arena, spec), spec)
         table = guarantee_table(game)
         if local_consistency_violations(game, table):
             inconsistencies += 1
@@ -385,21 +383,20 @@ def _tiny_energy_arena(rng) -> Arena:
     return random_arena(rng, 2, ["A"])
 
 
-def _energy_outcome_game(product) -> GraphGame:
+def _energy_outcome_game(arena: Arena, spec: EnergySpec) -> GraphGame:
     """Outcome per recurrence set from (least priority parity, limit minima).
 
     Minima agree across any recurrence set since they never increase along
     edges; larger limit minima are preferred, even least priority breaks
     ties upward.
     """
-    arena = product.arena
     sets = closed_strongly_connected_sets(arena)
     omap = {}
     keys = {}
     for s in sets:
-        minima = {product.min_so_far[pv] for pv in s}
+        minima = {pv[2] for pv in s}
         mn = sorted(minima)[0]
-        parity = min(product.priority[pv] for pv in s) % 2
+        parity = min(spec.priorities[pv[0]] for pv in s) % 2
         key = (mn, 1 - parity)
         name = f"m{'_'.join(str(x) for x in mn)}.p{1 - parity}"
         omap[s] = name

@@ -620,31 +620,18 @@ def clamp_budget(value: int, lo: int, hi: int) -> int:
     return max(min(value, hi), lo)
 
 
-@dataclass(frozen=True)
-class EnergyProduct:
-    """Budget-tracking product of an arena with an energy specification.
+def energy_product(
+    arena: Arena, spec: EnergySpec, max_product_states: int = DEFAULT_PRODUCT_BOUND
+) -> Arena:
+    """Unfold budgets into the arena, clamping into each player's caps.
 
     Product vertices are ``(vertex, budgets, minima)`` triples where budgets
-    and minima are per-player tuples in sorted player order.  Minima never
+    and minima are per-player tuples in sorted player order.  Visiting a
+    vertex charges its weight:  ``b' = clamp(b + weight, lo, hi)`` starting
+    from budget 0 before the start vertex is charged.  Minima never
     increase along edges, so any outcome read off the priorities and the
     minima is a function of the set of product vertices seen infinitely
     often.
-    """
-
-    arena: Arena
-    base_vertex: Mapping
-    budgets: Mapping
-    min_so_far: Mapping
-    priority: Mapping
-
-
-def energy_product(
-    arena: Arena, spec: EnergySpec, max_product_states: int = DEFAULT_PRODUCT_BOUND
-) -> EnergyProduct:
-    """Unfold budgets into the arena, clamping into each player's caps.
-
-    Visiting a vertex charges its weight:  ``b' = clamp(b + weight, lo, hi)``
-    starting from budget 0 before the start vertex is charged.
     """
     spec.validate(arena)
     players = arena.sorted_players()
@@ -669,11 +656,4 @@ def energy_product(
     vertices, succ = explore([start], step, max_product_states, "energy product")
     edges = frozenset((pv, pw) for pv in vertices for pw in succ[pv])
     owner = {pv: arena.owner[pv[0]] for pv in vertices}
-    prod = Arena(tuple(arena.players), tuple(vertices), edges, owner, start)
-    return EnergyProduct(
-        arena=prod,
-        base_vertex={pv: pv[0] for pv in vertices},
-        budgets={pv: pv[1] for pv in vertices},
-        min_so_far={pv: pv[2] for pv in vertices},
-        priority={pv: spec.priorities[pv[0]] for pv in vertices},
-    )
+    return Arena(tuple(arena.players), tuple(vertices), edges, owner, start)

@@ -481,10 +481,11 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
 
     Requires linear preferences without the blocking pattern (z < y < x
     for one player with x < z < y for another); the pattern is reported
-    as an error with its witness, no claim attached.  Supportable outcomes
-    are found by scanning lassos over the feasible sets among the outcome
-    map's keys (so the map must be total on recurrence sets) whose every
-    vertex lets the owner be held to at most the target outcome.
+    as an error with its witness, no claim attached.  The target is the
+    first outcome of the Pareto front, in key order, that a lasso can
+    support: some feasible set among the outcome map's keys (so the map
+    must be total on recurrence sets) yields it, and its every vertex lets
+    the owner be held to at most the target outcome.
     """
     require_linear_pattern_free(game.prefs)
     if table is None:
@@ -494,17 +495,13 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     realizable = {game.outcome_map[s] for s in feas}
     front = pareto_front(game.prefs, realizable)
 
-    def allowed_for(o) -> set:
-        """Vertices without a choice, or whose owner can be held to ``o``."""
-        return {
+    for target in sorted(front, key=skey):
+        # vertices without a choice, or whose owner can be held to the target
+        allowed = {
             v for v in arena.vertices
             if len(arena.successors(v)) == 1
-            or game.prefs.order_of(arena.owner[v]).rank_of(o) >= table.rows[arena.owner[v]].class_rank[v]
+            or game.prefs.order_of(arena.owner[v]).rank_of(target) >= table.rows[arena.owner[v]].class_rank[v]
         }
-
-    supportable = {}
-    for o in sorted(realizable, key=skey):
-        allowed = allowed_for(o)
         if arena.start not in allowed:
             continue
         reach = {arena.start}
@@ -517,20 +514,18 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
                     frontier.append(w)
         sets = [
             s for s in feas
-            if game.outcome_map[s] == o and s <= allowed and s & reach
+            if game.outcome_map[s] == target and s <= allowed and s & reach
         ]
         if sets:
-            supportable[o] = min(sets, key=lambda s: tuple(sorted(map(skey, s))))
-    candidates = sorted(set(supportable) & front, key=skey)
-    if not candidates:
+            break
+    else:
         raise GraphGamesError("internal: no supportable Pareto-optimal outcome")
-    target = candidates[0]
     # the set is strongly connected and meets ``reach``, so every member is
     # reachable inside the allowed vertices; enter at the lowest
     view = arena.view
-    members = sorted(view.index[v] for v in supportable[target])
-    allowed = {view.index[v] for v in allowed_for(target)}
-    path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, allowed)
+    chosen = min(sets, key=lambda s: tuple(sorted(map(skey, s))))
+    members = sorted(view.index[v] for v in chosen)
+    path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, {view.index[v] for v in allowed})
     cycle = _cover_cycle(members, view.succ, members[0])
     lasso = canonical_lasso((view.vertices[i] for i in path[:-1]), (view.vertices[i] for i in cycle))
     lasso.validate(arena)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Mapping
 
+from .arena import skey
 from .errors import CapExceededError, InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder, grid_discretize, linear_order
 
@@ -50,23 +51,21 @@ class PartialPreference:
 
 def partial_from_chains(outcomes, chains) -> PartialPreference:
     """Transitive closure of the union of worst-to-best chains."""
-    pairs = set()
+    above = {}
     for chain in chains:
         for i, x in enumerate(chain):
-            for y in chain[i + 1:]:
-                pairs.add((x, y))
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(pairs):
-            for (y2, z) in list(pairs):
-                if y2 == y and (x, z) not in pairs:
-                    pairs.add((x, z))
-                    changed = True
-    for (x, y) in pairs:
-        if (y, x) in pairs:
-            raise InvalidInputError(f"chains create a cycle through ({x!r}, {y!r})")
-    return PartialPreference(tuple(outcomes), frozenset(pairs))
+            above.setdefault(x, set()).update(chain[i + 1:])
+    # Warshall: after round k, above[x] holds every y reached through the
+    # intermediates handled so far
+    for k in above:
+        for ups in above.values():
+            if k in ups:
+                ups |= above[k]
+    # the first cyclic pair in sorted order is (x, x) for the least x on a cycle
+    for x in sorted(above, key=skey):
+        if x in above[x]:
+            raise InvalidInputError(f"chains create a cycle through ({x!r}, {x!r})")
+    return PartialPreference(tuple(outcomes), frozenset((x, y) for x, ups in above.items() for y in ups))
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,25 +88,28 @@ def objective_from_json(doc: Mapping):
     raise InvalidInputError(f"unknown objective kind {kind!r}")
 
 
-def _rename_product(product):
-    """Give product vertices printable string names, preserving structure."""
-    def name(pv):
-        b = ",".join(map(str, pv[1]))
-        m = ",".join(map(str, pv[2]))
-        return f"{pv[0]}|b={b}|m={m}"
+def _unfold_energy(doc: Mapping, arena: Arena, max_product_states: int) -> tuple:
+    """Unfold the document's energy budgets into the arena.
 
-    mapping = {pv: name(pv) for pv in product.arena.vertices}
+    Returns the product arena, each ``(vertex, budgets, minima)`` triple
+    named ``v|b=...|m=...``, and the map from each name to its base vertex.
+    """
+    spec = energy_from_json(doc["arena"]["energy"], arena)
+    product = energy_product(arena, spec, max_product_states)
+    mapping = {
+        pv: f"{pv[0]}|b={','.join(map(str, pv[1]))}|m={','.join(map(str, pv[2]))}"
+        for pv in product.vertices
+    }
     if len(set(mapping.values())) != len(mapping):
         raise InvalidInputError("product vertex names collide")
-    arena = Arena(
-        tuple(product.arena.players),
-        tuple(mapping[pv] for pv in product.arena.vertices),
-        frozenset((mapping[u], mapping[w]) for (u, w) in product.arena.edges),
-        {mapping[pv]: product.arena.owner[pv] for pv in product.arena.vertices},
-        mapping[product.arena.start],
+    named = Arena(
+        tuple(product.players),
+        tuple(mapping[pv] for pv in product.vertices),
+        frozenset((mapping[u], mapping[w]) for (u, w) in product.edges),
+        {mapping[pv]: product.owner[pv] for pv in product.vertices},
+        mapping[product.start],
     )
-    base = {mapping[pv]: product.base_vertex[pv] for pv in product.arena.vertices}
-    return arena, base
+    return named, {name: pv[0] for pv, name in mapping.items()}
 
 
 def _lift_objective(objective, base: Mapping, arena: Arena, max_product_states: int):
@@ -134,8 +137,9 @@ def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BO
     if protagonist not in arena.players:
         raise InvalidInputError(f"protagonist {protagonist!r} is not a player")
     if "energy" in doc.get("arena", {}):
-        spec = energy_from_json(doc["arena"]["energy"], arena)
-        arena, base = _rename_product(energy_product(arena, spec, max_product_states))
+        if isinstance(objective, Parity):
+            objective.require_total(arena)
+        arena, base = _unfold_energy(doc, arena, max_product_states)
         objective = _lift_objective(objective, base, arena, max_product_states)
     return WinLoseGame(arena, objective, protagonist)
 
@@ -183,8 +187,7 @@ def graph_game_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT
         # back to the original vertices, which recurrence sets respect.  The
         # lifted map names every recurrence set of the product, so it is
         # total without a second scan.
-        spec = energy_from_json(doc["arena"]["energy"], arena)
-        arena, base = _rename_product(energy_product(arena, spec, max_product_states))
+        arena, base = _unfold_energy(doc, arena, max_product_states)
         sets = closed_strongly_connected_sets(arena, None, max_product_states)
         projected = {s: frozenset(base[v] for v in s) for s in sets}
         require_covered(projected.values(), outcome_map, "projected recurrence set")

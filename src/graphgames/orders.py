@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product as iproduct
 from typing import Iterable, Mapping
 
 from .arena import skey
@@ -145,6 +146,10 @@ def terminal_interval(o, order: StrictWeakOrder) -> frozenset:
     return frozenset(x for x in order.outcomes if order.lt(o, x))
 
 
+def _orders_of(prefs) -> Mapping:
+    return prefs.orders if hasattr(prefs, "orders") else prefs
+
+
 def forbidden_pattern(profile) -> tuple | None:
     """Search for players a, b and outcomes with z < y < x for a, x < z < y for b.
 
@@ -152,25 +157,16 @@ def forbidden_pattern(profile) -> tuple | None:
     this pattern is exactly what blocks Pareto-optimal equilibria for
     linear preferences.
     """
-    orders = profile.orders if hasattr(profile, "orders") else profile
+    orders = _orders_of(profile)
     players = sorted(orders, key=skey)
-    outcomes = None
-    for p in players:
-        os = tuple(sorted(set(orders[p].outcomes), key=skey))
-        outcomes = os if outcomes is None else outcomes
-    if outcomes is None:
+    if not players:
         raise InvalidInputError("profile has no players")
-    for a in players:
-        oa = orders[a]
-        for b in players:
-            if a == b:
-                continue
-            ob = orders[b]
-            for x in outcomes:
-                for y in outcomes:
-                    for z in outcomes:
-                        if oa.lt(z, y) and oa.lt(y, x) and ob.lt(x, z) and ob.lt(z, y):
-                            return (a, b, x, y, z)
+    outcomes = sorted(set(orders[players[0]].outcomes), key=skey)
+    for a, b in permutations(players, 2):
+        oa, ob = orders[a], orders[b]
+        for x, y, z in iproduct(outcomes, repeat=3):
+            if oa.lt(z, y) and oa.lt(y, x) and ob.lt(x, z) and ob.lt(z, y):
+                return (a, b, x, y, z)
     return None
 
 
@@ -201,71 +197,32 @@ def require_linear_pattern_free(profile: PreferenceProfile) -> None:
 def slice_partition(profile: PreferenceProfile) -> SlicePartition:
     """Partition the outcomes into ordered consensus slices.
 
-    Requires linear orders without the forbidden pattern.  Outcomes that
-    some pair of players ranks oppositely are forced into one slice; slices
-    are merged further until the between-slice order is unanimous, yielding
-    the finest compatible partition.
+    Requires linear orders without the forbidden pattern.  Every compatible
+    partition cuts the reference player's chain into intervals, and a cut is
+    valid exactly when every player ranks everything before it below
+    everything after it; cutting at every valid cut yields the finest
+    compatible partition.
     """
     require_linear_pattern_free(profile)
     players = profile.players()
-    outcomes = sorted(profile.outcomes, key=skey)
-    parent = {o: o for o in outcomes}
-
-    def find(o):
-        while parent[o] != o:
-            parent[o] = parent[parent[o]]
-            o = parent[o]
-        return o
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=skey)] = min(ra, rb, key=skey)
-
-    def unanimous_below(x, y) -> bool:
-        return all(profile.order_of(p).lt(x, y) for p in players)
-
-    for i, x in enumerate(outcomes):
-        for y in outcomes[i + 1:]:
-            if not unanimous_below(x, y) and not unanimous_below(y, x):
-                union(x, y)
-    # merge components until all cross pairs agree on one direction
-    changed = True
-    while changed:
-        changed = False
-        comps: dict = {}
-        for o in outcomes:
-            comps.setdefault(find(o), []).append(o)
-        roots = sorted(comps, key=skey)
-        for i, ra in enumerate(roots):
-            for rb in roots[i + 1:]:
-                a_below = all(unanimous_below(x, y) for x in comps[ra] for y in comps[rb])
-                b_below = all(unanimous_below(y, x) for x in comps[ra] for y in comps[rb])
-                if not a_below and not b_below:
-                    union(ra, rb)
-                    changed = True
-    comps = {}
-    for o in outcomes:
-        comps.setdefault(find(o), []).append(o)
+    orders = [profile.order_of(p) for p in players]
     reference = players[0]
-    ref = profile.order_of(reference)
-    ordered = sorted(comps.values(), key=lambda c: min(ref.rank_of(o) for o in c))
-    slices = tuple(frozenset(c) for c in ordered)
-    # invariant 1: later slices unanimously preferred
-    for i, lo in enumerate(slices):
-        for hi in slices[i + 1:]:
-            for x in lo:
-                for y in hi:
-                    if not unanimous_below(x, y):
-                        raise InvalidInputError(
-                            f"no consensus between slices at ({x!r}, {y!r})"
-                        )
+    ref = orders[0]
+    chain = sorted(ref.outcomes, key=ref.rank_of)
+    slices = []
+    start = 0
+    for cut in range(1, len(chain) + 1):
+        if cut == len(chain) or all(
+            max(map(order.rank_of, chain[:cut])) < min(map(order.rank_of, chain[cut:]))
+            for order in orders
+        ):
+            slices.append(frozenset(chain[start:cut]))
+            start = cut
     flags = []
     for sl in slices:
         members = sorted(sl, key=ref.rank_of)
         entry = {}
-        for p in players:
-            order = profile.order_of(p)
+        for p, order in zip(players, orders):
             aligned = all(order.lt(a, b) for a, b in zip(members, members[1:]))
             reversed_ = all(order.lt(b, a) for a, b in zip(members, members[1:]))
             if aligned:
@@ -277,11 +234,7 @@ def slice_partition(profile: PreferenceProfile) -> SlicePartition:
                     f"player {p!r} is neither aligned nor reversed on slice {sorted(map(str, sl))}"
                 )
         flags.append(entry)
-    return SlicePartition(slices, tuple(flags), reference)
-
-
-def _orders_of(prefs) -> Mapping:
-    return prefs.orders if hasattr(prefs, "orders") else prefs
+    return SlicePartition(tuple(slices), tuple(flags), reference)
 
 
 def _dominates(orders: Mapping, q, o) -> bool:

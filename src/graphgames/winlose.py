@@ -47,6 +47,11 @@ class Safety:
 class Parity:
     priority: Mapping  # vertex -> non-negative int
 
+    def require_total(self, arena: Arena) -> None:
+        for v in arena.vertices:
+            if v not in self.priority:
+                raise InvalidInputError(f"vertex {v!r} has no priority")
+
 
 @dataclass(frozen=True)
 class Muller:
@@ -240,9 +245,7 @@ def solve_parity(game: WinLoseGame) -> SolveResult:
         raise InvalidInputError("solve_parity requires a Parity objective")
     arena = game.arena
     prio = game.objective.priority
-    for v in arena.vertices:
-        if v not in prio:
-            raise InvalidInputError(f"vertex {v!r} has no priority")
+    game.objective.require_total(arena)
     p0, p1 = game.sides()
     view = arena.view
     W0, W1, s0, s1 = _solve_view(view, _sides(game), [prio[v] for v in view.vertices])

@@ -7,7 +7,10 @@ regions are checked against the appearance-record product, which tracks
 the whole latest-appearance record instead of a Zielonka tree.  Subgame
 verification, which shares one deviation product per player, is checked
 against a search that explores, indexes and searches a fresh product from
-every configuration.
+every configuration.  Consensus slices come from a union-find with a
+merge-until-stable loop, and chain closures from a fixpoint that rescans
+every pair of pairs.  The Pareto target comes from testing every
+realizable outcome for support before intersecting with the front.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from graphgames.arena import (
     skey,
     walk_configurations,
 )
+from graphgames.errors import InvalidInputError
+from graphgames.extensive import PartialPreference
+from graphgames.orders import SlicePartition, pareto_front, require_linear_pattern_free
 from graphgames.winlose import LarContext, _solve_view
 
 
@@ -236,7 +242,7 @@ def outcomes_against_machine(arena: Arena, machine: StrategyMachine, start) -> f
 
 def tree_value(node, prefs):
     """Independent backward induction for outcome or payoff trees."""
-    from graphgames.extensive import Decision, Leaf
+    from graphgames.extensive import Leaf
 
     if isinstance(node, Leaf):
         return node.outcome if node.outcome is not None else dict(node.payoffs)
@@ -595,3 +601,132 @@ def spe_by_fresh_products(game, profile):
         if witness is not None:
             return (v, witness)
     return None
+
+
+def slice_partition_by_union_find(profile) -> SlicePartition:
+    """``slice_partition``'s answer by merging outcomes until every pair of
+    slices is ordered unanimously, then re-checking that order."""
+    require_linear_pattern_free(profile)
+    players = profile.players()
+    outcomes = sorted(profile.outcomes, key=skey)
+    parent = {o: o for o in outcomes}
+
+    def find(o):
+        while parent[o] != o:
+            parent[o] = parent[parent[o]]
+            o = parent[o]
+        return o
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb, key=skey)] = min(ra, rb, key=skey)
+
+    def unanimous_below(x, y) -> bool:
+        return all(profile.order_of(p).lt(x, y) for p in players)
+
+    for i, x in enumerate(outcomes):
+        for y in outcomes[i + 1:]:
+            if not unanimous_below(x, y) and not unanimous_below(y, x):
+                union(x, y)
+    # merge components until all cross pairs agree on one direction
+    changed = True
+    while changed:
+        changed = False
+        comps: dict = {}
+        for o in outcomes:
+            comps.setdefault(find(o), []).append(o)
+        roots = sorted(comps, key=skey)
+        for i, ra in enumerate(roots):
+            for rb in roots[i + 1:]:
+                a_below = all(unanimous_below(x, y) for x in comps[ra] for y in comps[rb])
+                b_below = all(unanimous_below(y, x) for x in comps[ra] for y in comps[rb])
+                if not a_below and not b_below:
+                    union(ra, rb)
+                    changed = True
+    comps = {}
+    for o in outcomes:
+        comps.setdefault(find(o), []).append(o)
+    reference = players[0]
+    ref = profile.order_of(reference)
+    ordered = sorted(comps.values(), key=lambda c: min(ref.rank_of(o) for o in c))
+    slices = tuple(frozenset(c) for c in ordered)
+    for i, lo in enumerate(slices):
+        for hi in slices[i + 1:]:
+            for x in lo:
+                for y in hi:
+                    if not unanimous_below(x, y):
+                        raise InvalidInputError(
+                            f"no consensus between slices at ({x!r}, {y!r})"
+                        )
+    flags = []
+    for sl in slices:
+        members = sorted(sl, key=ref.rank_of)
+        entry = {}
+        for p in players:
+            order = profile.order_of(p)
+            aligned = all(order.lt(a, b) for a, b in zip(members, members[1:]))
+            reversed_ = all(order.lt(b, a) for a, b in zip(members, members[1:]))
+            if aligned:
+                entry[p] = "aligned"
+            elif reversed_:
+                entry[p] = "reversed"
+            else:
+                raise InvalidInputError(
+                    f"player {p!r} is neither aligned nor reversed on slice {sorted(map(str, sl))}"
+                )
+        flags.append(entry)
+    return SlicePartition(slices, tuple(flags), reference)
+
+
+def partial_from_chains_by_fixpoint(outcomes, chains) -> PartialPreference:
+    """``partial_from_chains``'s closure by adding ``(x, z)`` for every
+    ``(x, y)`` and ``(y, z)`` until nothing changes; raises
+    ``InvalidInputError`` on a cycle, at a pair that depends on set order."""
+    pairs = set()
+    for chain in chains:
+        for i, x in enumerate(chain):
+            for y in chain[i + 1:]:
+                pairs.add((x, y))
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in list(pairs):
+            for (y2, z) in list(pairs):
+                if y2 == y and (x, z) not in pairs:
+                    pairs.add((x, z))
+                    changed = True
+    for (x, y) in pairs:
+        if (y, x) in pairs:
+            raise InvalidInputError(f"chains create a cycle through ({x!r}, {y!r})")
+    return PartialPreference(tuple(outcomes), frozenset(pairs))
+
+
+def pareto_target_by_all_realizable(game, table) -> tuple:
+    """``muller_pareto_ne``'s target outcome and recurrence set, found by
+    collecting every realizable outcome that a feasible set supports and
+    only then taking the least of them on the Pareto front."""
+    arena = game.arena
+    feas = feasible_sets_by_walk_search(arena, arena.start)
+    realizable = {game.outcome_map[s] for s in feas}
+    supportable = {}
+    for o in sorted(realizable, key=skey):
+        allowed = {
+            v for v in arena.vertices
+            if len(arena.successors(v)) == 1
+            or game.prefs.order_of(arena.owner[v]).rank_of(o) >= table.rows[arena.owner[v]].class_rank[v]
+        }
+        if arena.start not in allowed:
+            continue
+        reach = {arena.start}
+        todo = [arena.start]
+        while todo:
+            for w in arena.successors(todo.pop()):
+                if w in allowed and w not in reach:
+                    reach.add(w)
+                    todo.append(w)
+        sets = [s for s in feas if game.outcome_map[s] == o and s <= allowed and s & reach]
+        if sets:
+            supportable[o] = min(sets, key=lambda s: tuple(sorted(map(skey, s))))
+    target = min(set(supportable) & pareto_front(game.prefs, realizable), key=skey)
+    return target, supportable[target]

@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines; the same
 checks back the ``graphgames acceptance`` command.
 """
 
-import pytest
-
 from graphgames import acceptance
 
 

@@ -361,17 +361,17 @@ def test_energy_zero_weights_constant_budget():
     arena = two_vertex_arena()
     spec = EnergySpec({"A": {}}, {"A": (-1, 1)}, {"u": 0, "w": 1})
     product = energy_product(arena, spec)
-    assert all(product.budgets[pv] == (0,) for pv in product.arena.vertices)
-    assert all(product.min_so_far[pv] == (0,) for pv in product.arena.vertices)
+    assert all(pv[1] == (0,) for pv in product.vertices)
+    assert all(pv[2] == (0,) for pv in product.vertices)
 
 
 def test_energy_clamping_and_minimum():
     arena = make_arena(["A"], ["u", "w"], [("u", "w"), ("w", "w")], {"u": "A", "w": "A"}, "u")
     spec = EnergySpec({"A": {"u": 0, "w": -7}}, {"A": (-2, 4)}, {"u": 0, "w": 0})
     product = energy_product(arena, spec)
-    (w_state,) = [pv for pv in product.arena.vertices if product.base_vertex[pv] == "w"]
-    assert product.budgets[w_state] == (-2,)
-    assert product.min_so_far[w_state] == (-2,)
+    (w_state,) = [pv for pv in product.vertices if pv[0] == "w"]
+    assert w_state[1] == (-2,)
+    assert w_state[2] == (-2,)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -383,11 +383,11 @@ def test_energy_minima_monotone_along_edges(seed):
     spec = random_energy_spec(rng, arena)
     product = energy_product(arena, spec)
     order = arena.sorted_players()
-    for (u, w) in product.arena.edges:
+    for (u, w) in product.edges:
         for i, p in enumerate(order):
             lo, hi = spec.caps[p]
-            assert lo <= product.budgets[w][i] <= hi
-            assert product.min_so_far[w][i] <= product.min_so_far[u][i]
+            assert lo <= w[1][i] <= hi
+            assert w[2][i] <= u[2][i]
 
 
 def test_energy_product_bound_guard():

@@ -33,6 +33,7 @@ from oracles import (
     deviation_by_fresh_products,
     joint_configurations,
     optimal_strategy_by_dicts,
+    pareto_target_by_all_realizable,
     position_machine_by_dicts,
     spe_by_fresh_products,
 )
@@ -550,6 +551,18 @@ def test_pareto_ne_output_is_front_and_stable(seed):
     report = muller_pareto_ne(game)
     assert report.induced_outcome in pareto_front(game.prefs, game.realizable_outcomes())
     assert verify_ne(game, report.profile) is None
+
+
+def test_pareto_ne_target_matches_the_all_realizable_oracle():
+    for seed in range(200):
+        rng = random.Random(seed + 60_000)
+        players = ["A", "B", "C"][: rng.randint(2, 3)]
+        outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
+        prof = pattern_free_profile(rng, players, outcomes)
+        game = random_graph_game(rng, rng.randint(1, 5), players, outcomes, profile=prof)
+        table = guarantee_table(game)
+        report = muller_pareto_ne(game, table)
+        assert (report.induced_outcome, inf_set(report.main_lasso)) == pareto_target_by_all_realizable(game, table)
 
 
 def ring_game(n):

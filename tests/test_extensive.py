@@ -30,7 +30,7 @@ from graphgames.orders import (
     pareto_front,
 )
 
-from oracles import tree_value
+from oracles import partial_from_chains_by_fixpoint, tree_value
 
 
 # --- backward induction ----------------------------------------------------
@@ -254,6 +254,30 @@ def test_usc_escape_truncation_values():
 def test_partial_preference_rejects_cycles():
     with pytest.raises(InvalidInputError):
         partial_from_chains(("x", "y"), [["x", "y"], ["y", "x"]])
+
+
+def test_partial_preference_matches_the_fixpoint_oracle():
+    rng = random.Random(11)
+    pool = ("o0", "o1", "o2", "o3", "o4", "o5")
+    closed = cyclic = 0
+    for _ in range(500):
+        chains = [rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        try:
+            expected = partial_from_chains_by_fixpoint(pool, chains).pairs
+        except InvalidInputError:
+            cyclic += 1
+            with pytest.raises(InvalidInputError):
+                partial_from_chains(pool, chains)
+            continue
+        closed += 1
+        assert partial_from_chains(pool, chains).pairs == expected
+    assert closed > 50 and cyclic > 50
+
+
+def test_partial_preference_reports_the_least_outcome_on_a_cycle():
+    chains = [["z", "w"], ["w", "y", "x"], ["x", "y"]]
+    with pytest.raises(InvalidInputError, match=r"cycle through \('x', 'x'\)"):
+        partial_from_chains(("w", "x", "y", "z"), chains)
 
 
 # --- template instantiation ----------------------------------------------------------

@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgames import acceptance, jsonio
-from graphgames.arena import make_arena, validate_arena
+from graphgames.arena import validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
-from graphgames.guarantees import GraphGame
-from graphgames.orders import PreferenceProfile, linear_order
 
 
 GAME_DOC = {
@@ -284,6 +282,16 @@ def test_cli_names_the_player_energy_caps_omit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["errors"] == [
         {"code": "InvalidInputError", "detail": "energy caps omit player 'P1'"}
+    ]
+    assert captured.err == ""
+
+
+def test_cli_names_the_vertex_an_energy_parity_objective_misses(tmp_path, capsys):
+    doc = with_changes(ENERGY_PARITY_DOC, ["objective", "parity"], {"u": 0})
+    assert main(["solve", write(tmp_path, "priorities.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "InvalidInputError", "detail": "vertex 'w' has no priority"}
     ]
     assert captured.err == ""
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphgames.errors import (
+    GraphGamesError,
     InvalidInputError,
     LinearityRequired,
     OrderViolation,
@@ -24,6 +25,8 @@ from graphgames.orders import (
     slice_partition,
     terminal_interval,
 )
+
+from oracles import slice_partition_by_union_find
 
 
 def profile(**chains):
@@ -234,6 +237,27 @@ def test_slice_partition_is_finest_valid_partition_on_small_profiles():
         )
         assert len(result.slices) == best
     assert checked > 20
+
+
+def _answer(fn, prefs):
+    """The function's result, or its refusal as (type, message)."""
+    try:
+        return fn(prefs)
+    except GraphGamesError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("num_players, num_outcomes", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
+def test_slice_partition_matches_the_union_find_oracle(num_players, num_outcomes):
+    players = ("a", "b", "c")[:num_players]
+    outcomes = tuple(f"o{i}" for i in range(num_outcomes))
+    refused = 0
+    for chains in iproduct(permutations(outcomes), repeat=num_players):
+        p = PreferenceProfile(outcomes, {pl: linear_order(c) for pl, c in zip(players, chains)})
+        answer = _answer(slice_partition, p)
+        assert answer == _answer(slice_partition_by_union_find, p)
+        refused += isinstance(answer, tuple)
+    assert 0 < refused < len(list(permutations(outcomes))) ** num_players
 
 
 # --- Pareto fronts -----------------------------------------------------------------

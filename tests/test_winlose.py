@@ -5,7 +5,7 @@ import pytest
 
 from graphgames.arena import DEFAULT_PRODUCT_BOUND, make_arena
 from graphgames.errors import CapExceededError, TooLargeError
-from graphgames.gen import random_arena, random_muller_game, random_parity_game
+from graphgames.gen import random_muller_game, random_parity_game
 from graphgames.jsonio import machine_to_json
 from graphgames.winlose import (
     Muller,
