@@ -29,12 +29,9 @@ from .extensive import (
     Decision,
     Leaf,
     TreeGame,
-    backward_induction,
-    build_escape_truncation,
-    build_nonash_truncation,
-    build_six_outcome_example,
     enumerate_ne_outcomes,
     epsilon_grid_game,
+    gallery,
     realizable_outcomes,
     three_leaf_game,
 )
@@ -55,7 +52,7 @@ from .orders import (
     linear_order,
     pareto_front,
 )
-from .winlose import Parity, WinLoseGame, brute_force_solve, solve_muller, solve_parity
+from .winlose import Parity, WinLoseGame, brute_force_solve, solve, solve_muller, solve_parity
 from .arena import EnergySpec, energy_product
 
 DEFAULT_SEED = 20260808
@@ -76,22 +73,15 @@ class CriterionResult:
 def criterion_1_determinacy(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Winning regions partition the vertices on 1000 random games."""
     rng = random.Random(seed)
+    games = [random_parity_game(rng, rng.randint(1, 5), 2) for _ in range(600)]
+    games += [random_muller_game(rng, rng.randint(1, 3)) for _ in range(400)]
     bad = 0
-    total = 0
-    for _ in range(600):
-        game = random_parity_game(rng, rng.randint(1, 5), 2)
-        res = solve_parity(game)
-        total += 1
-        if res.win0 | res.win1 != frozenset(game.arena.vertices) or res.win0 & res.win1:
-            bad += 1
-    for _ in range(400):
-        game = random_muller_game(rng, rng.randint(1, 3))
-        res = solve_muller(game)
-        total += 1
+    for game in games:
+        res = solve(game)
         if res.win0 | res.win1 != frozenset(game.arena.vertices) or res.win0 & res.win1:
             bad += 1
     return CriterionResult(
-        1, "determinacy partition", bad == 0, f"{total - bad}/{total} games partition cleanly"
+        1, "determinacy partition", bad == 0, f"{len(games) - bad}/{len(games)} games partition cleanly"
     )
 
 
@@ -304,25 +294,20 @@ def criterion_7_grid(seed: int = DEFAULT_SEED, trees: int = 500) -> CriterionRes
 
 def criterion_8_gallery() -> CriterionResult:
     """Regression values of the counterexample gallery."""
+    report = gallery(10)
     problems = []
-    for d in range(2, 11):
-        value = backward_induction(build_nonash_truncation(d)).root_value()["P"]
-        if value != Fraction(d - 1, d):
+    for d, value in report["stopping_values"].items():
+        if value != str(Fraction(int(d) - 1, int(d))):
             problems.append(f"stopping game depth {d} value {value}")
-    for d in range(3, 11):
-        game = build_escape_truncation(d)
-        result = backward_induction(game)
-        if result.root_value() != "y":
-            problems.append(f"escape depth {d} root {result.root_value()}")
-        deepest_b = (0,) * (d - 1 if (d - 1) % 2 == 1 else d - 2)
-        if result.choices[deepest_b] != 1:
+    for d, escape in report["escape"].items():
+        if escape["root"] != "y":
+            problems.append(f"escape depth {d} root {escape['root']}")
+        if not escape["deepest_b_exits"]:
             problems.append(f"escape depth {d} deepest b-node keeps going")
-    g6 = build_six_outcome_example()
-    ne = enumerate_ne_outcomes(g6)
-    if ne != frozenset({"z", "gamma"}):
-        problems.append(f"six-outcome NE set {sorted(ne)}")
-    front = pareto_front(g6.prefs, realizable_outcomes(g6))
-    if "z" in front or "gamma" in front:
+    six = report["six_outcome"]
+    if six["ne_outcomes"] != ["gamma", "z"]:
+        problems.append(f"six-outcome NE set {six['ne_outcomes']}")
+    if any(six["weakly_pareto_optimal"].values()):
         problems.append("six-outcome equilibria not flagged")
     return CriterionResult(
         8, "gallery regressions", not problems,

@@ -388,6 +388,28 @@ class StrategyProfile:
                     raise InvalidInputError(f"machine for {p!r} chooses non-edge ({v!r}, {w!r}) in state {q}")
 
 
+def configuration_successors(arena: Arena, free: tuple, machines: list):
+    """Successors of a configuration ``(vertex, memories)`` when the players in ``free`` choose.
+
+    The memories are those of ``machines``, in the same order.  Any other
+    player's machine moves the token at her vertices; every memory updates
+    on arrival.
+    """
+    slot = {m.player: i for i, m in enumerate(machines)}
+
+    def successors(state):
+        v, mems = state
+        own = arena.owner[v]
+        if own in free:
+            targets = arena.successors(v)
+        else:
+            i = slot[own]
+            targets = (machines[i].move(v, mems[i]),)
+        return [(w, tuple(m.next_state(w, q) for m, q in zip(machines, mems))) for w in targets]
+
+    return successors
+
+
 def walk_configurations(
     arena: Arena,
     profile: StrategyProfile,
@@ -397,32 +419,27 @@ def walk_configurations(
     """Run the joint deterministic walk until a (vertex, memories) pair repeats.
 
     Returns ``(configs, loop_index)`` where ``configs`` is the list of
-    visited pairs and ``configs[loop_index]`` is the first repeated pair.
-    ``init_mems`` lets the walk resume from mid-flight memory contents.
+    visited pairs, memories in player order, and ``configs[loop_index]``
+    is the first repeated pair.  ``init_mems`` lets the walk resume from
+    mid-flight memory contents.
     """
     order = profile.players()
     machines = [profile.machines[p] for p in order]
-    slot = {p: i for i, p in enumerate(order)}
+    step = configuration_successors(arena, (), machines)
     v = arena.start if start is None else start
     if init_mems is None:
-        mem = [m.init for m in machines]
+        cfg = (v, tuple(m.init for m in machines))
     else:
-        mem = [init_mems[p] for p in order]
-    configs = []
-    index = {}
-    while True:
-        cfg = (v, tuple(mem))
-        if cfg in index:
-            return configs, index[cfg]
-        index[cfg] = len(configs)
-        configs.append(cfg)
-        own = arena.owner[v]
-        i = slot[own]
-        w = machines[i].move(v, mem[i])
-        if (v, w) not in arena.edges:
-            raise InvalidInputError(f"machine for {own!r} chose non-edge ({v!r}, {w!r})")
-        mem = [m.next_state(w, q) for m, q in zip(machines, mem)]
-        v = w
+        cfg = (v, tuple(init_mems[p] for p in order))
+    index = {}  # configuration -> step it was first visited at
+    while cfg not in index:
+        index[cfg] = len(index)
+        (nxt,) = step(cfg)
+        if (cfg[0], nxt[0]) not in arena.edges:
+            own = arena.owner[cfg[0]]
+            raise InvalidInputError(f"machine for {own!r} chose non-edge ({cfg[0]!r}, {nxt[0]!r})")
+        cfg = nxt
+    return list(index), index[cfg]
 
 
 def canonical_lasso(stem: Iterable, cycle: Iterable) -> Lasso:

@@ -26,19 +26,9 @@ from .equilibria import (
     verify_spe,
 )
 from .errors import InvalidArenaError, PatternPresentError
-from .extensive import (
-    backward_induction,
-    build_escape_truncation,
-    build_nonash_truncation,
-    build_six_outcome_example,
-    build_three_leaf_example,
-    build_usc_escape_truncation,
-    enumerate_ne_outcomes,
-    epsilon_grid_game,
-    realizable_outcomes,
-)
+from .extensive import epsilon_grid_game, gallery
 from .guarantees import guarantee_table
-from .orders import pareto_front, require_linear_pattern_free
+from .orders import require_linear_pattern_free
 from .winlose import solve as solve_winlose
 
 
@@ -158,42 +148,9 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    depth = args.depth
-    if depth < 3:
-        raise InvalidArenaError([("BadDepth", f"gallery depth must be >= 3, got {depth}")])
-    stopping = {}
-    for d in range(2, depth + 1):
-        value = backward_induction(build_nonash_truncation(d)).root_value()["P"]
-        stopping[str(d)] = str(value)
-    escape = {}
-    for d in range(3, depth + 1):
-        result = backward_induction(build_escape_truncation(d))
-        deepest_b = (0,) * (d - 1 if (d - 1) % 2 == 1 else d - 2)
-        escape[str(d)] = {
-            "root": str(result.root_value()),
-            "deepest_b_exits": result.choices[deepest_b] == 1,
-        }
-    three = build_three_leaf_example()
-    six = build_six_outcome_example()
-    six_ne = sorted(map(str, enumerate_ne_outcomes(six)))
-    six_front = pareto_front(six.prefs, realizable_outcomes(six))
-    usc = {}
-    for d in range(2, min(depth, 8) + 1):
-        value = backward_induction(build_usc_escape_truncation(d)).root_value()
-        usc[str(d)] = {str(p): str(x) for p, x in value.items()}
-    _write(
-        {
-            "stopping_values": stopping,
-            "escape": escape,
-            "three_leaf_ne_outcomes": sorted(map(str, enumerate_ne_outcomes(three))),
-            "six_outcome": {
-                "ne_outcomes": six_ne,
-                "weakly_pareto_optimal": {o: (o in six_front) for o in six_ne},
-            },
-            "usc_escape_values": usc,
-        },
-        args,
-    )
+    if args.depth < 3:
+        raise InvalidArenaError([("BadDepth", f"gallery depth must be >= 3, got {args.depth}")])
+    _write(gallery(args.depth), args)
     return 0
 
 

@@ -11,6 +11,7 @@ outcome class against the fixed machines of everyone else.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,6 +24,7 @@ from .arena import (
     StrategyProfile,
     adjacency_masks,
     canonical_lasso,
+    configuration_successors,
     explore,
     feasible_among,
     induced_lasso,
@@ -89,35 +91,13 @@ def induced_outcome_from(game: GraphGame, profile: StrategyProfile, vertex=None,
 # verification: one player free, everyone else fixed
 
 
-def _product_successors(arena: Arena, free: tuple, machines: list):
-    """Successors of ``(vertex, memories)`` when the players in ``free`` choose.
-
-    ``machines`` lists the tracked machines in player order, and the
-    memories are theirs in the same order.  At a vertex of any other
-    player the token moves as that player's machine says.
-    """
-    slot = {m.player: i for i, m in enumerate(machines)}
-
-    def successors(state):
-        v, mems = state
-        own = arena.owner[v]
-        if own in free:
-            targets = arena.successors(v)
-        else:
-            i = slot[own]
-            targets = (machines[i].move(v, mems[i]),)
-        return [(w, tuple(m.next_state(w, q) for m, q in zip(machines, mems))) for w in targets]
-
-    return successors
-
-
 class _DeviationProduct:
     """One player's deviation product, built once and searched from any start.
 
     The states are ``(vertex, memories of the others)``, explored from the
-    projections of ``configs`` (``(vertex, memories)`` pairs) while the
-    fixed machines move everyone but ``player``, refused past
-    ``max_product_states`` states and indexed in ``skey`` order.  A start
+    projections of ``configs`` (``(vertex, memories in player order)``
+    pairs) while the fixed machines move everyone but ``player``, refused
+    past ``max_product_states`` states and indexed in ``skey`` order.  A start
     reaches a forward-closed part of the product, the very product a
     search from that start alone would build, and a strongly connected
     component meets that part only if it lies inside it.  So the looping
@@ -128,11 +108,11 @@ class _DeviationProduct:
 
     def __init__(self, game: GraphGame, profile: StrategyProfile, player, configs, max_product_states: int):
         arena = game.arena
-        self.others = [p for p in arena.sorted_players() if p != player]
-        fixed = [profile.machines[p] for p in self.others]
+        self.slots = [i for i, p in enumerate(arena.sorted_players()) if p != player]
+        fixed = [profile.machines[p] for p in arena.sorted_players() if p != player]
         states, succ = explore(
-            [self.state(v, mems) for v, mems in configs],
-            _product_successors(arena, (player,), fixed),
+            [self.state(cfg) for cfg in configs],
+            configuration_successors(arena, (player,), fixed),
             max_product_states,
             "deviation product",
         )
@@ -147,9 +127,10 @@ class _DeviationProduct:
         self.better: dict = {}
         self.covering: dict = {}
 
-    def state(self, v, mems: Mapping) -> tuple:
-        """The product state of the configuration ``(v, mems)``."""
-        return (v, tuple(mems[p] for p in self.others))
+    def state(self, cfg: tuple) -> tuple:
+        """The product state of the configuration ``cfg``: its vertex and the others' memories."""
+        v, mems = cfg
+        return (v, tuple(mems[i] for i in self.slots))
 
     def _better(self, induced) -> list:
         """The outcome map's items beating ``induced``, best class first, then by ``skey``."""
@@ -163,20 +144,19 @@ class _DeviationProduct:
             )
         return items
 
-    def _covering(self, T):
-        """Yield ``(component, states that reach it)`` for each looping
-        component over ``T``'s states that meets every vertex of ``T``, by
-        lowest member.  Each is found once, when first asked for."""
-        entry = self.covering.get(T)
-        if entry is None:
+    def _covering(self, T) -> list:
+        """``(component, states that reach it)`` for each looping component
+        over ``T``'s states that meets every vertex of ``T``, by lowest
+        member.  The list is built when ``T`` is first asked for."""
+        found = self.covering.get(T)
+        if found is None:
             parts = [self.over.get(v, 0) for v in T]
-            comps = looping_components(sum(parts), self.adj, self.radj) if all(parts) else iter(())
-            entry = self.covering[T] = ([], (c for c in comps if all(c & part for part in parts)))
-        found, rest = entry
-        yield from found
-        for comp in rest:
-            found.append((comp, reach_mask(comp, self.radj, self.everything)))
-            yield found[-1]
+            comps = looping_components(sum(parts), self.adj, self.radj) if all(parts) else ()
+            found = self.covering[T] = [
+                (c, reach_mask(c, self.radj, self.everything))
+                for c in comps if all(c & part for part in parts)
+            ]
+        return found
 
     def first_improvement(self, start: tuple, induced):
         """Best outcome beating ``induced`` that the play from ``start`` can settle on.
@@ -266,24 +246,51 @@ def _position_machine(player, seq_vertices, loop_index, arena: Arena) -> Strateg
     return minimize_table(player, arena.sorted_vertices(), owned, nxt, choice)
 
 
-def _first_divergence(walk_a, walk_b):
-    """Vertex at which two walks ``(configs, loop_index)`` first move apart."""
-    (ca, la), (cb, lb) = walk_a, walk_b
+def _leaving_vertex(cfgs: list, loop: int, seq: list, loop_at: int):
+    """Vertex at which the walk ``(cfgs, loop)`` leaves the lasso ``seq`` that loops back to ``seq[loop_at]``.
 
-    def expand(cfgs, loop, length):
-        seq = [v for v, _ in cfgs]
-        cyc = seq[loop:]
-        while len(seq) < length:
-            seq.extend(cyc)
-        return seq[:length]
+    Both plays are ultimately periodic, so if they agree for
+    ``len(cfgs) + len(seq) + 2`` steps they agree forever (Fine and Wilf).
+    """
+    play = [v for v, _ in cfgs]
+    induced = itertools.chain(play[:loop], itertools.cycle(play[loop:]))
+    deviation = itertools.chain(seq[:loop_at], itertools.cycle(seq[loop_at:]))
+    steps = list(itertools.islice(zip(induced, deviation), len(play) + len(seq) + 2))
+    for (v, _), (w, x) in zip(steps, steps[1:]):
+        if w != x:
+            return v
+    raise GraphGamesError("internal: the deviation never leaves the play")
 
-    horizon = len(ca) + len(cb) + 2
-    sa = expand(ca, la, horizon)
-    sb = expand(cb, lb, horizon)
-    for i in range(1, horizon):
-        if sa[i] != sb[i]:
-            return sa[i - 1]
-    raise GraphGamesError("internal: walks never diverge")
+
+def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, max_product_states: int):
+    """The first of ``configs`` with a profitable deviation, as ``(vertex, witness)``, or ``None``.
+
+    ``configs`` are ``(vertex, memories in player order)`` pairs of a
+    validated profile.  Each player's product is built once, on first use,
+    from all of them.
+    """
+    arena = game.arena
+    players = arena.sorted_players()
+    product_of = functools.cache(lambda a: _DeviationProduct(game, profile, a, configs, max_product_states))
+    for cfg in configs:
+        cfgs, loop = walk_configurations(arena, profile, cfg[0], dict(zip(players, cfg[1])))
+        induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
+        for a in players:
+            product = product_of(a)
+            s0 = product.state(cfg)
+            found = product.first_improvement(s0, induced)
+            if found is None:
+                continue
+            improved, comp = found
+            view = product.view
+            members = [i for i in range(len(view.vertices)) if comp >> i & 1]
+            stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
+            cycle = _cover_cycle(members, view.succ, members[0])
+            seq = [view.owner[i] for i in stem + cycle]
+            machine = _position_machine(a, seq, len(stem), arena)
+            vertex = _leaving_vertex(cfgs, loop, seq, len(stem))
+            return cfg[0], DeviationWitness(a, vertex, machine, improved)
+    return None
 
 
 def verify_ne(
@@ -305,38 +312,11 @@ def verify_ne(
     """
     arena = game.arena
     profile.validate(arena)
+    players = arena.sorted_players()
     v0 = arena.start if start is None else start
-    mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in arena.players}
-    return _deviation_from(
-        game, profile, v0, mems0,
-        lambda a: _DeviationProduct(game, profile, a, [(v0, mems0)], max_product_states),
-    )
-
-
-def _deviation_from(game: GraphGame, profile: StrategyProfile, v0, mems0: Mapping, product_of):
-    """``verify_ne`` from ``(v0, mems0)`` on a validated profile; ``product_of(a)`` is ``a``'s product."""
-    arena = game.arena
-    cfgs, loop = walk_configurations(arena, profile, v0, mems0)
-    induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
-    for a in arena.sorted_players():
-        product = product_of(a)
-        s0 = product.state(v0, mems0)
-        found = product.first_improvement(s0, induced)
-        if found is None:
-            continue
-        improved, comp = found
-        view = product.view
-        members = [i for i in range(len(view.vertices)) if comp >> i & 1]
-        stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
-        cycle = _cover_cycle(members, view.succ, members[0])
-        seq = [view.owner[i] for i in stem + cycle]
-        machine = _position_machine(a, seq, len(stem), arena)
-        alt = StrategyProfile({**profile.machines, a: machine})
-        mems_alt = dict(mems0)
-        mems_alt[a] = machine.init
-        vertex = _first_divergence((cfgs, loop), walk_configurations(arena, alt, v0, mems_alt))
-        return DeviationWitness(a, vertex, machine, improved)
-    return None
+    mems0 = dict(init_mems) if init_mems else {p: profile.machines[p].init for p in players}
+    found = _first_deviation(game, profile, [(v0, tuple(mems0[p] for p in players))], max_product_states)
+    return None if found is None else found[1]
 
 
 def verify_spe(game: GraphGame, profile: StrategyProfile, max_product_states: int = DEFAULT_PRODUCT_BOUND):
@@ -356,15 +336,9 @@ def verify_spe(game: GraphGame, profile: StrategyProfile, max_product_states: in
     players = arena.sorted_players()
     machines = [profile.machines[p] for p in players]
     s0 = (arena.start, tuple(m.init for m in machines))
-    step = _product_successors(arena, players, machines)
+    step = configuration_successors(arena, players, machines)
     configs, _ = explore([s0], step, max_product_states, "joint product")
-    subgames = [(v, dict(zip(players, mems))) for v, mems in configs]
-    product_of = functools.cache(lambda a: _DeviationProduct(game, profile, a, subgames, max_product_states))
-    for v, mems in subgames:
-        witness = _deviation_from(game, profile, v, mems, product_of)
-        if witness is not None:
-            return (v, witness)
-    return None
+    return _first_deviation(game, profile, configs, max_product_states)
 
 
 # ---------------------------------------------------------------------------

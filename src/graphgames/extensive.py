@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .arena import skey
 from .errors import CapExceededError, InvalidInputError
-from .orders import PreferenceProfile, StrictWeakOrder, grid_discretize, linear_order
+from .orders import PreferenceProfile, StrictWeakOrder, grid_discretize, linear_order, pareto_front
 
 
 @dataclass(frozen=True)
@@ -401,3 +401,38 @@ def realizable_outcomes(game: TreeGame) -> frozenset:
 
     rec(game.root)
     return frozenset(found)
+
+
+def gallery(depth: int) -> dict:
+    """The counterexample gallery's report: truncation values up to ``depth``
+    (the payoff escape game's up to 8) and the two examples' equilibria."""
+    stopping = {}
+    for d in range(2, depth + 1):
+        value = backward_induction(build_nonash_truncation(d)).root_value()["P"]
+        stopping[str(d)] = str(value)
+    escape = {}
+    for d in range(3, depth + 1):
+        result = backward_induction(build_escape_truncation(d))
+        deepest_b = (0,) * (d - 1 if (d - 1) % 2 == 1 else d - 2)
+        escape[str(d)] = {
+            "root": str(result.root_value()),
+            "deepest_b_exits": result.choices[deepest_b] == 1,
+        }
+    three = build_three_leaf_example()
+    six = build_six_outcome_example()
+    six_ne = sorted(map(str, enumerate_ne_outcomes(six)))
+    six_front = pareto_front(six.prefs, realizable_outcomes(six))
+    usc = {}
+    for d in range(2, min(depth, 8) + 1):
+        value = backward_induction(build_usc_escape_truncation(d)).root_value()
+        usc[str(d)] = {str(p): str(x) for p, x in value.items()}
+    return {
+        "stopping_values": stopping,
+        "escape": escape,
+        "three_leaf_ne_outcomes": sorted(map(str, enumerate_ne_outcomes(three))),
+        "six_outcome": {
+            "ne_outcomes": six_ne,
+            "weakly_pareto_optimal": {o: (o in six_front) for o in six_ne},
+        },
+        "usc_escape_values": usc,
+    }

@@ -136,6 +136,15 @@ def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BO
     protagonist = doc.get("protagonist", arena.players[0])
     if protagonist not in arena.players:
         raise InvalidInputError(f"protagonist {protagonist!r} is not a player")
+    if isinstance(objective, Parity):
+        named = set(objective.priority)
+    elif isinstance(objective, Muller):
+        named = set().union(*objective.family)
+    else:
+        named = set(objective.targets if isinstance(objective, Reachability) else objective.safe)
+    unknown = sorted(named - set(arena.vertices), key=skey)
+    if unknown:
+        raise InvalidInputError(f"objective vertex {unknown[0]!r} not in arena")
     if "energy" in doc.get("arena", {}):
         if isinstance(objective, Parity):
             objective.require_total(arena)

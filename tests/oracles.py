@@ -7,9 +7,10 @@ regions are checked against the appearance-record product, which tracks
 the whole latest-appearance record instead of a Zielonka tree.  Subgame
 verification, which shares one deviation product per player, is checked
 against a search that explores, indexes and searches a fresh product from
-every configuration.  Consensus slices come from a union-find with a
-merge-until-stable loop, and chain closures from a fixpoint that rescans
-every pair of pairs.  The Pareto target comes from testing every
+every configuration, and places each witness where a second walk, of the
+deviating profile, first parts from the profile's own walk.  Consensus
+slices come from a union-find with a merge-until-stable loop, and chain
+closures from a fixpoint that rescans every pair of pairs.  The Pareto target comes from testing every
 realizable outcome for support before intersecting with the front.
 """
 
@@ -24,13 +25,14 @@ from graphgames.arena import (
     StrategyProfile,
     adjacency_masks,
     bits_for,
+    configuration_successors,
     explore,
     looping_components,
     minimize_machine,
     skey,
     walk_configurations,
 )
-from graphgames.errors import InvalidInputError
+from graphgames.errors import GraphGamesError, InvalidInputError
 from graphgames.extensive import PartialPreference
 from graphgames.orders import SlicePartition, pareto_front, require_linear_pattern_free
 from graphgames.winlose import LarContext, _solve_view
@@ -533,6 +535,26 @@ def _first_improvement_in(game, order, induced, view: ArenaIndex):
     return None
 
 
+def _first_divergence(walk_a, walk_b):
+    """Vertex at which two walks ``(configs, loop_index)`` first move apart."""
+    (ca, la), (cb, lb) = walk_a, walk_b
+
+    def expand(cfgs, loop, length):
+        seq = [v for v, _ in cfgs]
+        cyc = seq[loop:]
+        while len(seq) < length:
+            seq.extend(cyc)
+        return seq[:length]
+
+    horizon = len(ca) + len(cb) + 2
+    sa = expand(ca, la, horizon)
+    sb = expand(cb, lb, horizon)
+    for i in range(1, horizon):
+        if sa[i] != sb[i]:
+            return sa[i - 1]
+    raise GraphGamesError("internal: walks never diverge")
+
+
 def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_product_states=10**5):
     """``verify_ne``'s witness, each player's product explored from this one
     start alone and indexed and searched afresh."""
@@ -540,9 +562,7 @@ def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_p
         DeviationWitness,
         _bfs_path,
         _cover_cycle,
-        _first_divergence,
         _position_machine,
-        _product_successors,
     )
 
     arena = game.arena
@@ -557,7 +577,7 @@ def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_p
         fixed = [profile.machines[p] for p in others]
         s0 = (v0, tuple(mems0[p] for p in others))
         states, succ = explore(
-            [s0], _product_successors(arena, (a,), fixed), max_product_states, "deviation product"
+            [s0], configuration_successors(arena, (a,), fixed), max_product_states, "deviation product"
         )
         view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
         found = _first_improvement_in(game, game.prefs.order_of(a), induced, view)

@@ -23,7 +23,7 @@ from graphgames.arena import (
     validate_arena,
     walk_configurations,
 )
-from graphgames.errors import InvalidArenaError, TooLargeError
+from graphgames.errors import InvalidArenaError, InvalidInputError, TooLargeError
 from graphgames.gen import random_arena
 from graphgames.jsonio import machine_to_json
 
@@ -244,6 +244,17 @@ def test_lasso_memory_cycle_normalized():
     assert [v for v, _ in configs[loop:]] == ["v", "v"]
     lasso = induced_lasso(arena, StrategyProfile({"A": machine}))
     assert lasso.cycle == ("v",)
+
+
+def test_walk_refuses_a_machine_move_off_the_edges():
+    # u -> w is no edge; the unvalidated profile reaches the walk, which
+    # stops at the move and names it, and induced_lasso walks the same way
+    arena = make_arena(["A"], ["u", "w"], [("u", "u"), ("w", "w")], {"u": "A", "w": "A"}, "u")
+    profile = StrategyProfile({"A": memoryless_machine("A", {"u": "w", "w": "w"})})
+    with pytest.raises(InvalidInputError, match=r"^machine for 'A' chose non-edge \('u', 'w'\)$"):
+        walk_configurations(arena, profile)
+    with pytest.raises(InvalidInputError, match=r"^machine for 'A' chose non-edge \('u', 'w'\)$"):
+        induced_lasso(arena, profile)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -296,6 +296,27 @@ def test_cli_names_the_vertex_an_energy_parity_objective_misses(tmp_path, capsys
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "doc, unknown",
+    [
+        (with_changes(PARITY_DOC, ["objective"], {"reach": ["vv"]}), "vv"),
+        (with_changes(PARITY_DOC, ["objective"], {"safe": ["v0", "x", "vv"]}), "vv"),
+        (with_changes(PARITY_DOC, ["objective"], {"muller": [["v1"], ["v0", "vv"]]}), "vv"),
+        (with_changes(PARITY_DOC, ["objective"], {"parity": {"v0": 0, "v1": 1, "vv": 2}}), "vv"),
+        # a product vertex's name is still unknown: objectives name base vertices
+        (with_changes(ENERGY_PARITY_DOC, ["objective", "parity", "u|b=1|m=1"], 2), "u|b=1|m=1"),
+    ],
+    ids=["reach", "safe", "muller", "parity", "energy-parity"],
+)
+def test_cli_names_the_least_unknown_vertex_an_objective_names(tmp_path, capsys, doc, unknown):
+    assert main(["solve", write(tmp_path, "objective.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "InvalidInputError", "detail": f"objective vertex {unknown!r} not in arena"}
+    ]
+    assert captured.err == ""
+
+
 # memoryless: A stays at u, B stays at w
 STAY_PROFILE = {
     "machines": {
@@ -646,6 +667,15 @@ def test_cli_gallery_values(tmp_path, capsys):
     assert out["three_leaf_ne_outcomes"] == ["z"]
     assert out["six_outcome"]["ne_outcomes"] == ["gamma", "z"]
     assert out["six_outcome"]["weakly_pareto_optimal"] == {"gamma": False, "z": False}
+
+
+def test_cli_gallery_refuses_a_depth_below_three(tmp_path, capsys):
+    assert main(["gallery", "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "BadDepth", "detail": "gallery depth must be >= 3, got 2"}
+    ]
+    assert captured.err == ""
 
 
 def test_cli_every_emitted_profile_reverifies(tmp_path, capsys):
