@@ -127,6 +127,13 @@ def _lift_objective(objective, base: Mapping, arena: Arena, max_product_states: 
     raise InvalidInputError(f"unknown objective {objective!r}")
 
 
+def _require_in_arena(arena: Arena, named: set, what: str) -> None:
+    """Refuse the least vertex of ``named``, in ``skey`` order, that the arena lacks."""
+    unknown = sorted(named - set(arena.vertices), key=skey)
+    if unknown:
+        raise InvalidInputError(f"{what} vertex {unknown[0]!r} not in arena")
+
+
 def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> WinLoseGame:
     doc = _object(doc, "game document")
     arena = validate_arena(doc.get("arena", {}))
@@ -142,9 +149,7 @@ def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BO
         named = set().union(*objective.family)
     else:
         named = set(objective.targets if isinstance(objective, Reachability) else objective.safe)
-    unknown = sorted(named - set(arena.vertices), key=skey)
-    if unknown:
-        raise InvalidInputError(f"objective vertex {unknown[0]!r} not in arena")
+    _require_in_arena(arena, named, "objective")
     if "energy" in doc.get("arena", {}):
         if isinstance(objective, Parity):
             objective.require_total(arena)
@@ -191,6 +196,7 @@ def graph_game_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT
             raise InvalidInputError(f"outcome map entry {entry!r} must be [[vertices], outcome]")
         vertices = frozenset(identifier(v, "vertex") for v in entry[0])
         outcome_map[vertices] = identifier(entry[1], "outcome")
+    _require_in_arena(arena, set().union(*outcome_map), "outcome map")
     if "energy" in doc.get("arena", {}):
         # unfold budgets first; outcomes then apply through the projection
         # back to the original vertices, which recurrence sets respect.  The

@@ -1,10 +1,11 @@
 """Two-player win/lose games on arenas and their solvers.
 
 Provides the reachability attractor, a recursive parity solver (min-parity:
-the protagonist wins iff the least priority seen infinitely often is even),
-a Muller solver through a Zielonka-tree reduction to parity, and
-an exhaustive machine-enumeration oracle that never asserts determinacy
-beyond the memory bound it was given.
+the protagonist wins iff the least priority seen infinitely often is even)
+that solves one strongly connected component at a time, a Muller solver
+through a Zielonka-tree reduction to parity, and an exhaustive
+machine-enumeration oracle that never asserts determinacy beyond the
+memory bound it was given.
 """
 
 from __future__ import annotations
@@ -179,30 +180,119 @@ def _regions(view: ArenaIndex, side, levels: list, buckets: list, sub: set, lo: 
     return W0b | B, W1b, s_opp, s_i
 
 
-def _solve_view(view: ArenaIndex, side, prio):
-    """Parity regions and strategies of the whole graph, over indices.
+def _drive(view: ArenaIndex, side, prio, sub, merge: bool):
+    """Regions and strategies of the parity subgame on ``sub``, over indices.
 
-    The levels of the decomposition wait on an explicit stack for the
-    subgames they yield, so its depth is bounded by memory alone.
+    ``sub`` lists the subgame's vertices in index order, and ``prio[v]`` is
+    the priority of vertex ``v``.  With ``merge``, consecutive priorities of
+    one parity share a level.  The levels of the decomposition wait on an
+    explicit stack for the subgames they yield, so its depth is bounded by
+    memory alone.
     """
-    levels = sorted(set(prio))
-    rank = {p: k for k, p in enumerate(levels)}
+    levels: list = []
+    rank = {}
+    for p in sorted({prio[v] for v in sub}):
+        if not (merge and levels and (p - levels[-1]) % 2 == 0):
+            levels.append(p)
+        rank[p] = len(levels) - 1
     buckets: list = [[] for _ in levels]
-    for v, p in enumerate(prio):
-        buckets[rank[p]].append(v)
-    stack = [_regions(view, side, levels, buckets, set(range(len(view.vertices))), 0)]
+    for v in sub:
+        buckets[rank[prio[v]]].append(v)
+    stack = [_regions(view, side, levels, buckets, set(sub), 0)]
     result = None
     while True:
         try:
-            sub = stack[-1].send(result)
+            nested = stack[-1].send(result)
         except StopIteration as done:
             stack.pop()
             if not stack:
                 return done.value
             result = done.value
         else:
-            stack.append(_regions(view, side, levels, buckets, *sub))
+            stack.append(_regions(view, side, levels, buckets, *nested))
             result = None
+
+
+def _solve_view(view: ArenaIndex, side, prio):
+    """Parity regions and strategies of the whole graph in one decomposition, over indices."""
+    return _drive(view, side, prio, range(len(prio)), False)
+
+
+def _components(succ) -> list:
+    """Strongly connected components of the graph ``succ``, sinks first.
+
+    One iterative pass of Tarjan's algorithm: a component is complete only
+    after every component it reaches, so the list is in reverse
+    topological order.  Each component lists its indices in ascending order.
+    """
+    n = len(succ)
+    number = [-1] * n  # discovery number, or n once the vertex has its component
+    low = [0] * n
+    stack: list = []
+    found: list = []
+    count = 0
+    for root in range(n):
+        if number[root] >= 0:
+            continue
+        number[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if number[w] < 0:
+                    number[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == number[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        number[w] = n
+                    comp.sort()
+                    found.append(comp)
+    return found
+
+
+def _solve_by_components(view: ArenaIndex, side, prio):
+    """Parity regions and strategies of the whole graph, one component at a time.
+
+    Components are solved sinks first.  The undecided part of each one
+    is closed in what is left, so it is solved alone, with consecutive
+    priorities of one parity merged into one level; then player 0's
+    attractor of its 0-region and player 1's attractor of its 1-region
+    are decided with it.
+    """
+    left = set(range(len(view.vertices)))
+    regions, strategies = (set(), set()), ({}, {})
+    for comp in _components(view.succ):
+        sub = [v for v in comp if v in left]
+        if not sub:
+            continue
+        w0, w1, s0, s1 = _drive(view, side, prio, sub, True)
+        alone = len(sub) == len(left)
+        for i, won, strategy in ((0, w0, s0), (1, w1, s1)):
+            if not alone:
+                won, attracted = _attractor(view, left, side, i, won)
+                left -= won
+                strategy.update(attracted)
+            regions[i].update(won)
+            strategies[i].update(strategy)
+    return (*regions, *strategies)
 
 
 def _to_vertices(view: ArenaIndex, strategy: Mapping) -> dict:
@@ -236,10 +326,15 @@ def attractor(arena: Arena, side, target: Iterable):
 
 
 def solve_parity(game: WinLoseGame) -> SolveResult:
-    """Solve a parity game by the classical recursive region decomposition.
+    """Solve a parity game one strongly connected component at a time.
 
-    Both winning strategies are memoryless; the regions always partition
-    the vertex set.
+    Components are taken sinks first, as in the generic solver of Friedmann
+    and Lange (ATVA 2009).  The vertices of a component that the components
+    below it have not decided are solved by the classical recursive region
+    decomposition (Zielonka 1998), with consecutive priorities of one
+    parity merged; both players' attractors of the regions found are then
+    decided too.  Both winning strategies are memoryless; the regions
+    always partition the vertex set.
     """
     if not isinstance(game.objective, Parity):
         raise InvalidInputError("solve_parity requires a Parity objective")
@@ -248,7 +343,7 @@ def solve_parity(game: WinLoseGame) -> SolveResult:
     game.objective.require_total(arena)
     p0, p1 = game.sides()
     view = arena.view
-    W0, W1, s0, s1 = _solve_view(view, _sides(game), [prio[v] for v in view.vertices])
+    W0, W1, s0, s1 = _solve_by_components(view, _sides(game), [prio[v] for v in view.vertices])
     return SolveResult(
         win0=frozenset(view.vertices[v] for v in W0),
         win1=frozenset(view.vertices[v] for v in W1),

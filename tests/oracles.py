@@ -205,6 +205,34 @@ def _kosaraju_sccs(nodes, succ):
     return sccs
 
 
+def parity_strategy_wins(game, side: int, machine: StrategyMachine, region) -> bool:
+    """Whether the memoryless ``machine`` of ``side`` wins the parity game from all of ``region``.
+
+    Independent of the solvers.  In the strategy graph the side's vertices
+    keep only the machine's move and the other side's vertices keep every
+    edge.  The machine wins iff ``region`` is closed in that graph and
+    every cycle inside it has a least priority of the side's parity: for
+    each priority ``p`` of the other parity, no vertex of priority ``p``
+    lies on a cycle through priorities of at least ``p``.
+    """
+    arena, prio = game.arena, game.objective.priority
+    region = sorted(region, key=str)
+
+    def succ(v):
+        return (machine.move(v, 0),) if game.side_of(v) == side else arena.successors(v)
+
+    inside = set(region)
+    if any(w not in inside for v in region for w in succ(v)):
+        return False
+    for p in {prio[v] for v in region if prio[v] % 2 != side}:
+        nodes = [v for v in region if prio[v] >= p]
+        keep = set(nodes)
+        for comp in _kosaraju_sccs(nodes, lambda v: [w for w in succ(v) if w in keep]):
+            if any(prio[v] == p for v in comp) and (len(comp) > 1 or comp[0] in succ(comp[0])):
+                return False
+    return True
+
+
 def outcomes_against_machine(arena: Arena, machine: StrategyMachine, start) -> frozenset:
     """All recurrence sets (of arena vertices) opponents can force vs the machine.
 

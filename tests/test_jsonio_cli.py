@@ -326,6 +326,19 @@ STAY_PROFILE = {
 }
 
 
+@pytest.mark.parametrize("command", ["guarantee", "verify"])
+def test_cli_names_the_least_unknown_vertex_an_outcome_map_names(tmp_path, capsys, command):
+    outcome_map = GAME_DOC["outcomes"]["map"] + [[["zz"], "o2"], [["u", "zzz"], "o1"], [["zzzz"], "o1"]]
+    game_path = write(tmp_path, "game.json", with_changes(GAME_DOC, ["outcomes", "map"], outcome_map))
+    profile_path = write(tmp_path, "profile.json", STAY_PROFILE)
+    assert main([command, game_path] + ([profile_path] if command == "verify" else [])) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "InvalidInputError", "detail": "outcome map vertex 'zz' not in arena"}
+    ]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

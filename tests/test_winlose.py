@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphgames import winlose
 from graphgames.arena import DEFAULT_PRODUCT_BOUND, make_arena
 from graphgames.errors import CapExceededError, TooLargeError
 from graphgames.gen import random_muller_game, random_parity_game
@@ -18,9 +19,11 @@ from graphgames.winlose import (
     solve,
     solve_muller,
     solve_parity,
+    _sides,
+    _solve_view,
 )
 
-from oracles import RecordProduct, minimize_machine_by_dicts, outcomes_against_machine
+from oracles import RecordProduct, minimize_machine_by_dicts, outcomes_against_machine, parity_strategy_wins
 
 
 def two_sided(vertices, edges, owner, start="v0"):
@@ -81,22 +84,100 @@ def test_parity_single_even_loop():
 
 
 def test_parity_solver_leaves_the_recursion_limit_alone(monkeypatch):
-    # 3,000 self-loops of distinct priorities nest the decomposition 3,000
-    # levels deep, past the interpreter's default recursion limit.  Only
-    # the lowest priority is odd: with odd ones higher up, every level would
-    # also solve the subgame left after the other side's region, and the
-    # levels would number millions
+    # 3,000 self-loops of distinct priorities nest the undecomposed core,
+    # which tree products still call, 3,000 levels deep, past the
+    # interpreter's default recursion limit.  Only the lowest priority is
+    # odd: with odd ones higher up, every level would also solve the
+    # subgame left after the other side's region, and the levels would
+    # number millions
     import sys
 
-    def refuse(limit):
-        raise AssertionError(f"the solver set the recursion limit to {limit}")
-
-    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse_recursion_limit)
     vs = [f"v{i}" for i in range(3000)]
     arena = two_sided(vs, [(v, v) for v in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
     prio = {v: 2 * i if i else 1 for i, v in enumerate(vs)}
+    game = WinLoseGame(arena, Parity(prio), protagonist="P0")
+    even = {v for v in vs if prio[v] % 2 == 0}
+    assert solve_parity(game).win0 == even
+    W0, _, _, _ = _solve_view(arena.view, _sides(game), [prio[v] for v in arena.view.vertices])
+    assert {arena.view.vertices[i] for i in W0} == even
+
+
+def refuse_recursion_limit(limit):
+    raise AssertionError(f"the solver set the recursion limit to {limit}")
+
+
+def test_parity_self_loops_take_a_few_attractors_each(monkeypatch):
+    # every self-loop of priorities 0..n-1 is its own component; solving
+    # them all as one game took about n**2 / 4 levels and 252,498 attractor
+    # calls at n=1,000
+    calls = []
+    real = winlose._attractor
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(winlose, "_attractor", counted)
+    n = 3000
+    vs = [f"v{i}" for i in range(n)]
+    arena = two_sided(vs, [(v, v) for v in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
+    res = solve_parity(WinLoseGame(arena, Parity({v: i for i, v in enumerate(vs)}), protagonist="P0"))
+    assert res.win0 == set(vs[::2])
+    assert len(calls) <= 3 * n
+
+
+@pytest.mark.parametrize("shape", ["cycle", "chain"])
+def test_parity_long_components_leave_the_recursion_limit_alone(monkeypatch, shape):
+    # one 5,000-vertex cycle is one component 5,000 vertices deep; a
+    # 5,000-vertex chain into a self-loop is 5,000 components, each one
+    # step from the next
+    import sys
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse_recursion_limit)
+    n = 5000
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+    edges.append((vs[-1], vs[0] if shape == "cycle" else vs[-1]))
+    arena = two_sided(vs, edges, {v: f"P{i % 2}" for i, v in enumerate(vs)})
+    # least priority on the cycle is 0, and the chain's sink has priority 1
+    prio = {v: i if shape == "cycle" else n - i for i, v in enumerate(vs)}
     res = solve_parity(WinLoseGame(arena, Parity(prio), protagonist="P0"))
-    assert res.win0 == {v for v in vs if prio[v] % 2 == 0}
+    assert (res.win0, res.win1) == ((set(vs), set()) if shape == "cycle" else (set(), set(vs)))
+
+
+def layered_parity_game(seed):
+    """Random parity game of 1-60 vertices with many components and self-loops.
+
+    Each vertex has 1-3 edges: some self-loops, most to a vertex no lower,
+    so the components come in long chains, and the rest anywhere, which
+    merges them into larger ones.  Priorities are drawn from 0..n.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    anywhere = rng.choice([0.05, 0.2, 0.5])
+    vs = [f"v{i}" for i in range(n)]
+    edges = set()
+    for i in range(n):
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            j = i if r < 0.15 else rng.randrange(n) if r < 0.15 + anywhere else rng.randint(i, n - 1)
+            edges.add((vs[i], vs[j]))
+    arena = two_sided(vs, sorted(edges), {v: rng.choice(["P0", "P1"]) for v in vs})
+    return WinLoseGame(arena, Parity({v: rng.randint(0, n) for v in vs}), protagonist="P0")
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_parity_components_agree_with_the_undecomposed_core(block):
+    for seed in range(50 * block, 50 * block + 50):
+        game = layered_parity_game(seed)
+        view = game.arena.view
+        res = solve_parity(game)
+        W0, W1, _, _ = _solve_view(view, _sides(game), [game.objective.priority[v] for v in view.vertices])
+        assert res.win0 == {view.vertices[i] for i in W0}, seed
+        assert res.win1 == {view.vertices[i] for i in W1}, seed
+        assert parity_strategy_wins(game, 0, res.strategy0, res.win0), seed
+        assert parity_strategy_wins(game, 1, res.strategy1, res.win1), seed
 
 
 def test_parity_two_vertex_regions():
