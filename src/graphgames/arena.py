@@ -35,10 +35,11 @@ class ArenaIndex:
     predecessor indices in ascending order, ``owner[i]`` its owner label,
     and ``owned[label]`` the vertices of each label in index order.  A
     product graph labels each state with its arena vertex instead of an
-    owner.
+    owner.  The bitmask facts below are worked out on first use and kept,
+    so every layer that reads them shares one copy.
     """
 
-    __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned")
+    __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned", "_masks", "_recurrence", "_splits")
 
     def __init__(self, vertices: Iterable, successors: Callable, owner: Callable):
         self.vertices = tuple(vertices)
@@ -54,6 +55,34 @@ class ArenaIndex:
         for v, o in zip(self.vertices, self.owner):
             owned.setdefault(o, []).append(v)
         self.owned = {o: tuple(vs) for o, vs in owned.items()}
+        self._masks = None
+        self._recurrence: dict = {}  # vertex set -> its mask, or 0 when it is no recurrence set
+        self._splits: dict = {}  # mask -> distinct looping components of mask - v, over every member v
+
+    def masks(self) -> tuple:
+        """``(adj, radj)``: the successor and predecessor bitmask of every index."""
+        if self._masks is None:
+            self._masks = (
+                [sum(1 << j for j in ws) for ws in self.succ],
+                [sum(1 << j for j in ws) for ws in self.pred],
+            )
+        return self._masks
+
+    def recurrence_mask(self, s) -> int:
+        """Index mask of the vertex set ``s``; 0 when it is no recurrence set or names an unknown vertex."""
+        m = self._recurrence.get(s)
+        if m is None:
+            index = self.index
+            m = sum(1 << index[v] for v in s) if all(v in index for v in s) else 0
+            m = self._recurrence[s] = m if m and closed_and_strongly_connected(m, *self.masks()) else 0
+        return m
+
+    def splits(self, x: int) -> tuple:
+        """The distinct looping components of ``x`` minus one member, over every member."""
+        parts = self._splits.get(x)
+        if parts is None:
+            parts = self._splits[x] = tuple(dict.fromkeys(split_components(x, *self.masks())))
+        return parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,15 +494,6 @@ def induced_lasso(arena: Arena, profile: StrategyProfile, start: Vertex | None =
     return canonical_lasso((v for v, _ in configs[:loop]), (v for v, _ in configs[loop:]))
 
 
-def _reachable_part(arena: Arena, source: Vertex | None) -> tuple:
-    """The arena's index, adjacency masks and the mask reachable from ``source`` (everything without one)."""
-    view = arena.view
-    adj, radj = adjacency_masks(view)
-    everything = (1 << len(view.vertices)) - 1
-    reach = everything if source is None else reach_mask(1 << view.index[source], adj, everything)
-    return view, adj, radj, reach
-
-
 def closed_strongly_connected_sets(
     arena: Arena, source: Vertex | None = None, max_product_states: int = DEFAULT_PRODUCT_BOUND
 ) -> frozenset:
@@ -486,19 +506,23 @@ def closed_strongly_connected_sets(
     the union of those families over all sources.
 
     The largest sets are the looping components of the reachable part, and
-    each set is expanded once through ``split_components``.  Finding more
+    each set is expanded once through the index's ``splits``.  Finding more
     than ``max_product_states`` sets raises ``TooLargeError`` at once.
     """
-    view, adj, radj, reach = _reachable_part(arena, source)
+    view = arena.view
+    adj, radj = view.masks()
+    reach = (1 << len(view.vertices)) - 1
+    if source is not None:
+        reach = reach_mask(1 << view.index[source], adj, reach)
     found: set = set()
-    stack = [looping_components(reach, adj, radj)]  # iterables of sets to meet, each opened lazily
+    stack = [looping_components(reach, adj, radj)]  # iterables of sets to meet
     while stack:
         for x in stack.pop():
             if x not in found:
                 found.add(x)
                 if len(found) > max_product_states:
                     raise TooLargeError(f"{len(found)} recurrence sets exceed the bound {max_product_states}")
-                stack.append(split_components(x, adj, radj))
+                stack.append(view.splits(x))
     return frozenset(frozenset(v for i, v in enumerate(view.vertices) if x >> i & 1) for x in found)
 
 
@@ -517,11 +541,11 @@ def feasible_among(arena: Arena, candidates: Iterable, source: Vertex | None) ->
     total on recurrence sets, it returns ``feasible_inf_sets``.  With no
     ``source`` it keeps every candidate that is a recurrence set.
     """
-    view, adj, radj, reach = _reachable_part(arena, source)
-    masks = {s: sum(1 << view.index[v] for v in s) for s in candidates if all(v in view.index for v in s)}
-    return frozenset(
-        s for s, m in masks.items() if m & reach and closed_and_strongly_connected(m, adj, radj)
-    )
+    view = arena.view
+    reach = -1
+    if source is not None:
+        reach = reach_mask(1 << view.index[source], view.masks()[0], (1 << len(view.vertices)) - 1)
+    return frozenset(s for s in candidates if view.recurrence_mask(s) & reach)
 
 
 def looping_components(within: int, adj: list, radj: list):
@@ -548,14 +572,6 @@ def split_components(x: int, adj: list, radj: list):
         low = m & -m
         m ^= low
         yield from looping_components(x ^ low, adj, radj)
-
-
-def adjacency_masks(view: ArenaIndex) -> tuple:
-    """Successor and predecessor bitmasks of every index of ``view``."""
-    return (
-        [sum(1 << j for j in ws) for ws in view.succ],
-        [sum(1 << j for j in ws) for ws in view.pred],
-    )
 
 
 def reach_mask(start: int, adj: list, within: int) -> int:

@@ -22,7 +22,6 @@ from .arena import (
     Lasso,
     StrategyMachine,
     StrategyProfile,
-    adjacency_masks,
     canonical_lasso,
     configuration_successors,
     explore,
@@ -117,7 +116,7 @@ class _DeviationProduct:
             "deviation product",
         )
         self.view = view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
-        self.adj, self.radj = adjacency_masks(view)
+        self.adj, self.radj = view.masks()
         self.everything = (1 << len(view.vertices)) - 1
         self.over: dict = {}
         for i, v in enumerate(view.owner):
@@ -174,8 +173,8 @@ class _DeviationProduct:
         return None
 
 
-def _bfs_path(start: int, goals, succ, allowed=None) -> list:
-    """Shortest index path ``[start, ..., goal]``; ties break by index."""
+def _bfs_path(start: int, goals, succ, allowed: int = -1) -> list:
+    """Shortest index path ``[start, ..., goal]`` through the index mask ``allowed``; ties break by index."""
     goals = set(goals)
     if start in goals:
         return [start]
@@ -185,9 +184,7 @@ def _bfs_path(start: int, goals, succ, allowed=None) -> list:
         nxt = []
         for s in sorted(frontier):
             for w in sorted(succ[s]):
-                if allowed is not None and w not in allowed:
-                    continue
-                if w in parent:
+                if not allowed >> w & 1 or w in parent:
                     continue
                 parent[w] = s
                 if w in goals:
@@ -203,10 +200,11 @@ def _bfs_path(start: int, goals, succ, allowed=None) -> list:
 def _cover_cycle(members, succ, entry: int) -> list:
     """Closed walk from ``entry`` covering the indices ``members``, as a cycle."""
     members = set(members)
+    inside = sum(1 << i for i in members)
     walk = [entry]
     visited = {entry}
     while visited != members:
-        path = _bfs_path(walk[-1], members - visited, succ, allowed=members)
+        path = _bfs_path(walk[-1], members - visited, succ, inside)
         walk.extend(path[1:])
         visited.update(path[1:])
     # return to the entry with at least one step
@@ -216,7 +214,7 @@ def _cover_cycle(members, succ, entry: int) -> list:
     if entry in firsts:
         back = [entry]
     else:
-        back = _bfs_path(firsts[0], {entry}, succ, allowed=members)
+        back = _bfs_path(firsts[0], {entry}, succ, inside)
     walk.extend(back)
     return walk[:-1]
 
@@ -267,14 +265,23 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
 
     ``configs`` are ``(vertex, memories in player order)`` pairs of a
     validated profile.  Each player's product is built once, on first use,
-    from all of them.
+    from all of them.  Every configuration a walk meets settles on that
+    walk's outcome, so a configuration is walked only when no earlier walk
+    met it, or to place a witness.
     """
     arena = game.arena
     players = arena.sorted_players()
     product_of = functools.cache(lambda a: _DeviationProduct(game, profile, a, configs, max_product_states))
+
+    def walk(cfg):
+        return walk_configurations(arena, profile, cfg[0], dict(zip(players, cfg[1])))
+
+    outcome: dict = {}  # configuration -> the outcome its play settles on
     for cfg in configs:
-        cfgs, loop = walk_configurations(arena, profile, cfg[0], dict(zip(players, cfg[1])))
-        induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
+        if cfg not in outcome:
+            cfgs, loop = walked = walk(cfg)
+            outcome.update(dict.fromkeys(cfgs, game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))))
+        induced = outcome[cfg]
         for a in players:
             product = product_of(a)
             s0 = product.state(cfg)
@@ -288,7 +295,9 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
             cycle = _cover_cycle(members, view.succ, members[0])
             seq = [view.owner[i] for i in stem + cycle]
             machine = _position_machine(a, seq, len(stem), arena)
-            vertex = _leaving_vertex(cfgs, loop, seq, len(stem))
+            if walked[0][0] != cfg:  # its outcome came from an earlier configuration's walk
+                walked = walk(cfg)
+            vertex = _leaving_vertex(*walked, seq, len(stem))
             return cfg[0], DeviationWitness(a, vertex, machine, improved)
     return None
 
@@ -465,30 +474,23 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     if table is None:
         table = guarantee_table(game)
     arena = game.arena
+    view = arena.view
+    start = 1 << view.index[arena.start]
     feas = feasible_among(arena, game.outcome_map, arena.start)
     realizable = {game.outcome_map[s] for s in feas}
     front = pareto_front(game.prefs, realizable)
 
     for target in sorted(front, key=skey):
         # vertices without a choice, or whose owner can be held to the target
-        allowed = {
-            v for v in arena.vertices
-            if len(arena.successors(v)) == 1
-            or game.prefs.order_of(arena.owner[v]).rank_of(target) >= table.rows[arena.owner[v]].class_rank[v]
-        }
-        if arena.start not in allowed:
-            continue
-        reach = {arena.start}
-        frontier = [arena.start]
-        while frontier:
-            v = frontier.pop()
-            for w in arena.successors(v):
-                if w in allowed and w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
+        allowed = sum(
+            1 << i for i, v in enumerate(view.vertices)
+            if len(view.succ[i]) == 1
+            or game.prefs.order_of(view.owner[i]).rank_of(target) >= table.rows[view.owner[i]].class_rank[v]
+        )
+        reach = reach_mask(start, view.masks()[0], allowed) if allowed & start else 0
         sets = [
             s for s in feas
-            if game.outcome_map[s] == target and s <= allowed and s & reach
+            if game.outcome_map[s] == target and not (m := view.recurrence_mask(s)) & ~allowed and m & reach
         ]
         if sets:
             break
@@ -496,10 +498,9 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
         raise GraphGamesError("internal: no supportable Pareto-optimal outcome")
     # the set is strongly connected and meets ``reach``, so every member is
     # reachable inside the allowed vertices; enter at the lowest
-    view = arena.view
     chosen = min(sets, key=lambda s: tuple(sorted(map(skey, s))))
     members = sorted(view.index[v] for v in chosen)
-    path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, {view.index[v] for v in allowed})
+    path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, allowed)
     cycle = _cover_cycle(members, view.succ, members[0])
     lasso = canonical_lasso((view.vertices[i] for i in path[:-1]), (view.vertices[i] for i in cycle))
     lasso.validate(arena)

@@ -191,11 +191,16 @@ def graph_game_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT
     if not isinstance(raw_map, list):
         raise InvalidInputError("outcomes.map must be a list of [[vertices], outcome] entries")
     outcome_map = {}
+    clashes = []  # sets given a second, different outcome, as sorted names
     for entry in raw_map:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], list)):
             raise InvalidInputError(f"outcome map entry {entry!r} must be [[vertices], outcome]")
         vertices = frozenset(identifier(v, "vertex") for v in entry[0])
-        outcome_map[vertices] = identifier(entry[1], "outcome")
+        outcome = identifier(entry[1], "outcome")
+        if outcome_map.setdefault(vertices, outcome) != outcome:
+            clashes.append(sorted(map(str, vertices)))
+    if clashes:
+        raise InvalidInputError(f"outcome map gives {min(clashes)} two outcomes")
     _require_in_arena(arena, set().union(*outcome_map), "outcome map")
     if "energy" in doc.get("arena", {}):
         # unfold budgets first; outcomes then apply through the projection

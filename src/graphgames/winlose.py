@@ -20,14 +20,11 @@ from .arena import (
     Arena,
     ArenaIndex,
     StrategyMachine,
-    adjacency_masks,
-    closed_and_strongly_connected,
     explore,
     fallback_machine,
     looping_components,
     memoryless_machine,
     minimize_table,
-    split_components,
 )
 from .errors import CapExceededError, InvalidInputError, TooLargeError
 
@@ -427,14 +424,12 @@ class LarContext:
 class MullerSearch:
     """What every Muller game over one arena shares, whatever its family.
 
-    Holds the arena's adjacency masks and looping components, its vertex
-    indices ordered by their decimal names, and two memos: the index mask
-    of every vertex set tested for being a recurrence set (0 when it is
-    none), and the distinct looping components that ``split_components``
-    finds inside each set.  ``product`` builds one ``TreeProduct`` per
-    distinct family of recurrence sets and hands it out again.  A tree
-    search is refused past ``bound`` sets and a product past ``bound``
-    states.
+    Holds the arena's looping components and its vertex indices ordered by
+    their decimal names; recurrence tests and component splits come from
+    the arena's index, which keeps them for every layer.  ``product``
+    builds one ``TreeProduct`` per distinct family of recurrence sets and
+    hands it out again.  A tree search is refused past ``bound`` sets and a
+    product past ``bound`` states.
     """
 
     def __init__(self, arena: Arena, max_product_states: int):
@@ -442,31 +437,13 @@ class MullerSearch:
         n = len(view.vertices)
         self.arena = arena
         self.bound = max_product_states
-        self.adj, self.radj = adjacency_masks(view)
-        self.components = tuple(looping_components((1 << n) - 1, self.adj, self.radj))
+        self.components = tuple(looping_components((1 << n) - 1, *view.masks()))
         self.by_name = sorted(range(n), key=str)
-        self.masks: dict = {}  # vertex set -> its mask, or 0 when it is no recurrence set
-        self.splits: dict = {}  # mask -> looping components of mask - v, over all v
         self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
 
     def recurrence_masks(self, family: Iterable) -> frozenset:
         """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped."""
-        masks, index = self.masks, self.arena.view.index
-        found = set()
-        for s in family:
-            m = masks.get(s)
-            if m is None:
-                m = sum(1 << index[v] for v in s) if all(v in index for v in s) else 0
-                m = masks[s] = m if m and closed_and_strongly_connected(m, self.adj, self.radj) else 0
-            if m:
-                found.add(m)
-        return frozenset(found)
-
-    def split(self, x: int) -> tuple:
-        parts = self.splits.get(x)
-        if parts is None:
-            parts = self.splits[x] = tuple(dict.fromkeys(split_components(x, self.adj, self.radj)))
-        return parts
+        return frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
 
     def product(self, family: frozenset) -> TreeProduct:
         """The tree product of ``family``, shared with every family of the same recurrence sets."""
@@ -487,7 +464,7 @@ class _SetSearch:
     looping component of the node minus ``v``, and the descent expands
     only the components that are in the family.  Counting every set found
     and every tree node against the bound refuses a tree while it grows;
-    the splits come from the shared search, and the first time the family
+    the splits come from the arena's index, and the first time the family
     meets one it counts each of its components.
     """
 
@@ -528,7 +505,7 @@ class _SetSearch:
         return kids
 
     def _split(self, x: int) -> tuple:
-        parts = self.search.split(x)
+        parts = self.search.arena.view.splits(x)
         if x not in self.met:
             self.met.add(x)
             self.tick(len(parts))

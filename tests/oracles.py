@@ -23,7 +23,6 @@ from graphgames.arena import (
     ArenaIndex,
     StrategyMachine,
     StrategyProfile,
-    adjacency_masks,
     bits_for,
     configuration_successors,
     explore,
@@ -545,7 +544,7 @@ def _first_improvement_in(game, order, induced, view: ArenaIndex):
     that meets every vertex of ``T``.  Returns the outcome and the
     component with the lowest index of the first achieved set, or ``None``.
     """
-    adj, radj = adjacency_masks(view)
+    adj, radj = view.masks()
     over: dict = {}
     for i, v in enumerate(view.owner):
         over[v] = over.get(v, 0) | 1 << i

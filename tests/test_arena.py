@@ -81,6 +81,12 @@ def test_all_violations_reported_together():
     assert {"UnknownOwner", "DanglingEdge", "MissingStart", "DeadEndVertex"} <= codes
 
 
+def test_arena_parts_name_a_vertex_without_owner():
+    with pytest.raises(InvalidArenaError) as exc:
+        make_arena(["A"], ["u", "w"], [("u", "w"), ("w", "u")], {"u": "A"}, "u")
+    assert exc.value.errors == [("UnknownOwner", "vertex 'w' has no owner")]
+
+
 def mixed_arena_doc(rng: random.Random) -> dict:
     """Random valid arena document whose ids mix strings and integers.
 
@@ -144,6 +150,29 @@ def test_inf_set_matches_long_simulation():
         seq.extend(lasso.cycle)
     tail = seq[len(lasso.stem) + len(lasso.cycle):]
     assert inf_set(lasso) == frozenset(tail)
+
+
+@pytest.mark.parametrize(
+    "stem, cycle, message",
+    [
+        (("u",), (), "lasso cycle must be non-empty"),
+        ((), ("w",), "lasso must begin at the start vertex, got 'w'"),
+        (("u",), ("w", "u"), "lasso uses missing edge ('w', 'u')"),
+        ((), ("u", "w"), "lasso cycle does not close"),
+    ],
+    ids=["empty-cycle", "other-start", "missing-edge", "open-cycle"],
+)
+def test_lasso_refusals(stem, cycle, message):
+    # two_vertex_arena has no edge from w back to u
+    with pytest.raises(InvalidInputError) as exc:
+        Lasso(stem, cycle).validate(two_vertex_arena())
+    assert str(exc.value) == message
+
+
+def test_profile_refuses_a_machine_filed_under_another_player():
+    profile = StrategyProfile({"A": memoryless_machine("B", {"u": "u", "w": "w"})})
+    with pytest.raises(InvalidInputError, match="machine under key 'A' claims player 'B'"):
+        profile.validate(two_vertex_arena())
 
 
 def test_primitive_cycle_reduction():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import graphgames.arena as ar
 from graphgames.arena import (
     StrategyMachine,
     StrategyProfile,
@@ -26,7 +27,7 @@ from graphgames.equilibria import (
 from graphgames.errors import NotAntagonisticError, PatternPresentError, TooLargeError
 from graphgames.gen import inverse_pair_profile, pattern_free_profile, random_graph_game
 from graphgames.guarantees import GraphGame, guarantee_table, optimal_strategy
-from graphgames.jsonio import machine_to_json
+from graphgames.jsonio import graph_game_from_json, graph_game_to_json, machine_to_json
 from graphgames.orders import PreferenceProfile, linear_order, pareto_front
 from oracles import (
     conformance_machine_by_dicts,
@@ -563,6 +564,36 @@ def test_pareto_ne_target_matches_the_all_realizable_oracle():
         table = guarantee_table(game)
         report = muller_pareto_ne(game, table)
         assert (report.induced_outcome, inf_set(report.main_lasso)) == pareto_target_by_all_realizable(game, table)
+
+
+def test_loading_guarantees_and_pareto_synthesis_share_the_arena_index(monkeypatch):
+    # the loader's totality check, the guarantee table's Muller search and
+    # muller_pareto_ne's feasibility test all read one arena's index
+    rng = random.Random(0)
+    players, outcomes = ["A", "B", "C"], ["o1", "o2", "o3"]
+    prof = pattern_free_profile(rng, players, outcomes)
+    doc = graph_game_to_json(random_graph_game(rng, 6, players, outcomes, profile=prof))
+    reads, split = [], []
+    masks, split_components = ar.ArenaIndex.masks, ar.split_components
+
+    def reading(view):
+        reads.append((view, masks(view)))
+        return reads[-1][1]
+
+    def counting(x, *args):
+        split.append(x)
+        return split_components(x, *args)
+
+    monkeypatch.setattr(ar.ArenaIndex, "masks", reading)
+    monkeypatch.setattr(ar, "split_components", counting)
+    game = graph_game_from_json(doc)
+    loaded = len(split)
+    muller_pareto_ne(game, guarantee_table(game))
+    # every read gets the one pair of masks built for the game's arena
+    assert len(reads) > 3 and {id(v) for v, _ in reads} == {id(game.arena.view)}
+    assert all(pair is reads[0][1] for _, pair in reads)
+    # loading splits each of the 19 recurrence sets once, and nothing splits any again
+    assert len(set(split)) == len(split) == loaded == len(game.outcome_map) == 19
 
 
 def ring_game(n):

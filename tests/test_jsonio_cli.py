@@ -131,6 +131,31 @@ def test_energy_block_expands_winlose_games():
     assert res.win0 | res.win1 == frozenset(game.arena.vertices)
 
 
+# the energy product of ENERGY_ARENA: P0's budget and its minimum per state
+U_STATES = frozenset({"u|b=0,0|m=-1,0", "u|b=1,0|m=-1,0", "u|b=1,0|m=0,0"})
+W_STATES = frozenset({"w|b=-1,0|m=-1,0", "w|b=0,0|m=-1,0", "w|b=0,0|m=0,0"})
+
+
+@pytest.mark.parametrize(
+    "objective, protagonist, win0",
+    [
+        ({"reach": ["w"]}, "P0", U_STATES | W_STATES),  # P0 moves from u to w
+        ({"reach": ["w"]}, "P1", W_STATES),  # P0 stays at u
+        ({"safe": ["u"]}, "P0", U_STATES),  # P0 stays at u; every w state is unsafe
+    ],
+    ids=["reach-P0", "reach-P1", "safe-P0"],
+)
+def test_energy_block_lifts_reach_and_safe_objectives(objective, protagonist, win0):
+    doc = {"arena": ENERGY_ARENA, "objective": objective, "protagonist": protagonist}
+    game = jsonio.winlose_from_json(doc)
+    lifted = game.objective.targets if "reach" in objective else game.objective.safe
+    assert lifted == (W_STATES if "reach" in objective else U_STATES)
+    from graphgames.winlose import solve
+
+    result = solve(game)
+    assert (result.win0, result.win1) == (win0, (U_STATES | W_STATES) - win0)
+
+
 def test_energy_block_expands_muller_objectives():
     doc = {"arena": ENERGY_ARENA, "objective": {"muller": [["u", "w"]]}}
     game = jsonio.winlose_from_json(doc)
@@ -336,6 +361,68 @@ def test_cli_names_the_least_unknown_vertex_an_outcome_map_names(tmp_path, capsy
     assert json.loads(captured.out)["errors"] == [
         {"code": "InvalidInputError", "detail": "outcome map vertex 'zz' not in arena"}
     ]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["guarantee", "verify"])
+def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, capsys, command):
+    profile_path = write(tmp_path, "profile.json", STAY_PROFILE)
+    extra = [] if command == "guarantee" else [profile_path]
+    code = main([command, write(tmp_path, "game.json", GAME_DOC), *extra])
+    plain = capsys.readouterr().out
+    # entries that repeat a set's own outcome change nothing
+    repeated = GAME_DOC["outcomes"]["map"] + [[["w"], "o2"], [["w", "u"], "o1"]]
+    game_path = write(tmp_path, "game.json", with_changes(GAME_DOC, ["outcomes", "map"], repeated))
+    assert main([command, game_path, *extra]) == code
+    assert capsys.readouterr().out == plain
+    # {u, w} clashes first in document order, but {u} sorts first
+    clashing = repeated + [[["w", "u"], "o2"], [["u"], "o2"]]
+    game_path = write(tmp_path, "game.json", with_changes(GAME_DOC, ["outcomes", "map"], clashing))
+    assert main([command, game_path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "InvalidInputError", "detail": "outcome map gives ['u'] two outcomes"}
+    ]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "command, doc, profile, errors",
+    [
+        ("guarantee", with_changes(GAME_DOC, ["arena", "vertices"], GAME_DOC["arena"]["vertices"] * 2), None,
+         [("DuplicateVertex", "vertex 'u' declared twice"), ("DuplicateVertex", "vertex 'w' declared twice")]),
+        ("guarantee", with_changes(GAME_DOC, ["arena", "players"], ["A", "B", "A"]), None,
+         [("DuplicatePlayer", "player 'A' declared twice")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"reach": ["v0"], "safe": ["v1"]}), None,
+         [("InvalidInputError", "objective must be one of parity/muller/reach/safe")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"buchi": ["v0"]}), None,
+         [("InvalidInputError", "unknown objective kind 'buchi'")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"reach": 5}), None,
+         [("InvalidInputError", "bad reach objective: 'int' object is not iterable")]),
+        ("solve", with_changes(PARITY_DOC, ["arena", "players"], ["P0", "P1", "P2"]), None,
+         [("InvalidInputError", "win/lose game needs exactly 2 players")]),
+        ("solve", with_changes(PARITY_DOC, ["protagonist"], "P2"), None,
+         [("InvalidInputError", "protagonist 'P2' is not a player")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "caps", "P0"], [1, 2]), None,
+         [("InvalidInputError", "caps for 'P0' must satisfy lo <= 0 <= hi, got (1, 2)")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "priorities"], {"u": 0}), None,
+         [("InvalidInputError", "vertex 'w' has no priority")]),
+        ("verify", GAME_DOC, with_changes(STAY_PROFILE, ["machines", "A"], [0]),
+         [("InvalidInputError", "bad machine document: list indices must be integers or slices, not str")]),
+        ("verify", GAME_DOC, {"machine": STAY_PROFILE["machines"]},
+         [("InvalidInputError", "profile document needs a 'machines' object")]),
+    ],
+    ids=["duplicate-vertex", "duplicate-player", "objective-two-kinds", "objective-unknown-kind",
+         "objective-bad-body", "winlose-three-players", "winlose-unknown-protagonist",
+         "energy-caps-above-zero", "energy-priority-missing", "machine-not-an-object", "profile-no-machines"],
+)
+def test_cli_names_what_a_malformed_document_gets_wrong(tmp_path, capsys, command, doc, profile, errors):
+    argv = [command, write(tmp_path, "doc.json", doc)]
+    if profile is not None:
+        argv.append(write(tmp_path, "profile.json", profile))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [{"code": c, "detail": d} for c, d in errors]
     assert captured.err == ""
 
 

@@ -6,7 +6,7 @@ import pytest
 from graphgames import winlose
 from graphgames.arena import DEFAULT_PRODUCT_BOUND, make_arena
 from graphgames.errors import CapExceededError, TooLargeError
-from graphgames.gen import random_muller_game, random_parity_game
+from graphgames.gen import random_arena, random_muller_game, random_parity_game
 from graphgames.jsonio import machine_to_json
 from graphgames.winlose import (
     Muller,
@@ -417,6 +417,19 @@ def test_brute_force_single_vertex_agrees():
     arena = two_sided(["v"], [("v", "v")], {"v": "P0"}, start="v")
     game = WinLoseGame(arena, Muller(frozenset({frozenset({"v"})})), protagonist="P0")
     assert brute_force_solve(game, 0).win0 == solve_muller(game).win0
+
+
+@pytest.mark.parametrize("objective", [Reachability, Safety])
+def test_brute_force_agrees_with_solve_on_reachability_and_safety(objective):
+    # memoryless strategies win both, so at zero memory bits the
+    # enumeration decides every vertex, the way solve does
+    for seed in range(300):
+        rng = random.Random(seed + 80_000)
+        arena = random_arena(rng, rng.randint(1, 5), ["P0", "P1"])
+        chosen = frozenset(v for v in arena.vertices if rng.random() < 0.4)
+        game = WinLoseGame(arena, objective(chosen), protagonist=rng.choice(["P0", "P1"]))
+        bf, result = brute_force_solve(game, 0), solve(game)
+        assert (bf.win0, bf.win1, bf.not_determined) == (result.win0, result.win1, frozenset()), seed
 
 
 def test_brute_force_cap():
