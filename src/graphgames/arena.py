@@ -30,29 +30,30 @@ class ArenaIndex:
     """Integer view of a game graph, built once and shared by every solver.
 
     Vertices are numbered in the order given, which is ``skey`` order for
-    an arena and for every product.  ``succ[i]`` lists the successor indices
-    of vertex ``i`` in the graph's successor order, ``pred[i]`` its
-    predecessor indices in ascending order, ``owner[i]`` its owner label,
-    and ``owned[label]`` the vertices of each label in index order.  A
-    product graph labels each state with its arena vertex instead of an
-    owner.  The bitmask facts below are worked out on first use and kept,
-    so every layer that reads them shares one copy.
+    an arena and for every product, and ``index`` maps each back to its
+    number.  ``succ[i]`` lists the successor indices of vertex ``i`` in the
+    graph's successor order, ``pred[i]`` its predecessor indices in
+    ascending order, ``owner[i]`` its owner label, and ``owned[label]`` the
+    vertices of each label in index order.  A product graph labels each
+    state with its arena vertex instead of an owner.  The bitmask facts
+    below are worked out on first use and kept, so every layer that reads
+    them shares one copy.
     """
 
     __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned", "_masks", "_recurrence", "_splits")
 
-    def __init__(self, vertices: Iterable, successors: Callable, owner: Callable):
-        self.vertices = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.succ = tuple(tuple(map(self.index.__getitem__, successors(v))) for v in self.vertices)
-        pred: list = [[] for _ in self.vertices]
-        for i, ws in enumerate(self.succ):
+    def __init__(self, vertices: tuple, index: dict, succ: tuple, owner: tuple):
+        self.vertices = vertices
+        self.index = index
+        self.succ = succ
+        pred: list = [[] for _ in vertices]
+        for i, ws in enumerate(succ):
             for j in ws:
                 pred[j].append(i)
         self.pred = tuple(map(tuple, pred))
-        self.owner = tuple(owner(v) for v in self.vertices)
+        self.owner = owner
         owned: dict = {}
-        for v, o in zip(self.vertices, self.owner):
+        for v, o in zip(vertices, owner):
             owned.setdefault(o, []).append(v)
         self.owned = {o: tuple(vs) for o, vs in owned.items()}
         self._masks = None
@@ -102,15 +103,17 @@ class Arena:
     _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the one skey sort of an arena; successors follow it by index
-        vs = sorted(self.vertices, key=skey)
-        rank = {v: i for i, v in enumerate(vs)}.__getitem__
-        out: dict = {v: [] for v in vs}
+        # the one skey sort of an arena; successors are sorted as indices
+        vs = tuple(sorted(self.vertices, key=skey))
+        index = {v: i for i, v in enumerate(vs)}
+        out: list = [[] for _ in vs]
         for (u, w) in self.edges:
-            out[u].append(w)
-        succ = {v: tuple(sorted(ws, key=rank)) for v, ws in out.items()}
-        object.__setattr__(self, "view", ArenaIndex(vs, succ.__getitem__, self.owner.__getitem__))
-        object.__setattr__(self, "_succ", succ)
+            out[index[u]].append(index[w])
+        for ws in out:
+            ws.sort()
+        view = ArenaIndex(vs, index, tuple(map(tuple, out)), tuple(map(self.owner.__getitem__, vs)))
+        object.__setattr__(self, "view", view)
+        object.__setattr__(self, "_succ", {v: tuple(map(vs.__getitem__, ws)) for v, ws in zip(vs, view.succ)})
 
     def successors(self, v: Vertex) -> tuple:
         return self._succ[v]
@@ -161,11 +164,36 @@ def make_arena(players, vertices, edges, owner, start) -> Arena:
     """Build an arena, raising ``InvalidArenaError`` with all violations."""
     players = tuple(players)
     vertices = tuple(vertices)
-    edges = tuple(dict.fromkeys((u, w) for (u, w) in edges))  # document order, for the error list
-    errors = check_arena_parts(players, vertices, edges, owner, start)
-    if errors:
-        raise InvalidArenaError(errors)
-    return Arena(players, vertices, frozenset(edges), dict(owner), start)
+    edges = [(u, w) for (u, w) in edges]
+    arena = _sound_arena(players, vertices, edges, dict(owner), start)
+    if arena is None:
+        edges = tuple(dict.fromkeys(edges))  # document order, for the error list
+        raise InvalidArenaError(check_arena_parts(players, vertices, edges, owner, start))
+    return arena
+
+
+def _sound_arena(players: tuple, vertices: tuple, edges: list, owner: dict, start):
+    """The arena of these parts, or None where ``check_arena_parts`` finds a violation.
+
+    Building the arena's index looks up every edge end and every owner, so
+    the index answers each check at once; only a refusal reads the parts
+    again, to word each violation.  An unhashable part also gives None.
+    """
+    try:
+        arena = Arena(players, vertices, frozenset(edges), owner, start)
+    except (KeyError, TypeError):
+        return None
+    view = arena.view
+    declared = set(players)
+    if (
+        len(view.index) < len(vertices)
+        or len(declared) < len(players)
+        or not declared.issuperset(view.owned)
+        or start not in view.index
+        or not all(view.succ)
+    ):
+        return None
+    return arena
 
 
 def identifier(x, what: str):
@@ -198,14 +226,17 @@ def validate_arena(doc: Mapping) -> Arena:
     if not isinstance(doc, Mapping):
         raise InvalidInputError("arena document must be an object")
     try:
-        if not isinstance(doc["players"], list):
-            raise InvalidInputError("arena players must be a list")
-        players = [identifier(p, "player") for p in doc["players"]]
-        vertex_docs = list(doc["vertices"])
-        edge_docs = list(doc["edges"])
+        players = [identifier(p, "player") for p in _listed(doc, "players")]
+        vertex_docs = _listed(doc, "vertices")
+        edge_docs = _listed(doc, "edges")
         start = identifier(doc["start"], "start vertex")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidInputError(f"arena document missing field: {exc}") from exc
+    players = tuple(players)
+    arena = _read_in_one_pass(players, vertex_docs, edge_docs, start)
+    if arena is not None:
+        return arena
+    # the pass refused the document: word why, entry by entry
     vertices = []
     owner = {}
     for vd in vertex_docs:
@@ -219,6 +250,28 @@ def validate_arena(doc: Mapping) -> Arena:
             raise InvalidInputError(f"edge entry {ed!r} must be a [src, dst] pair")
         edges.append((identifier(ed[0], "edge end"), identifier(ed[1], "edge end")))
     return make_arena(players, vertices, edges, owner, start)
+
+
+def _read_in_one_pass(players: tuple, vertex_docs: list, edge_docs: list, start):
+    """The arena of a document of plain objects and pairs, or None when an entry or an invariant fails."""
+    # exact types only: a two-character string would unpack as an edge
+    if not (set(map(type, vertex_docs)) <= {dict} and set(map(type, edge_docs)) <= {list}):
+        return None
+    try:
+        owner = {vd["id"]: vd["owner"] for vd in vertex_docs}
+        edges = [(u, w) for u, w in edge_docs]
+    except (KeyError, TypeError, ValueError):
+        return None
+    if len(owner) < len(vertex_docs):  # a repeated id
+        return None
+    return _sound_arena(players, tuple(owner), edges, owner, start)
+
+
+def _listed(doc: Mapping, name: str) -> list:
+    """The document's field ``name``, refused unless it is a list."""
+    if not isinstance(doc[name], list):
+        raise InvalidInputError(f"arena {name} must be a list")
+    return doc[name]
 
 
 @dataclass(frozen=True)

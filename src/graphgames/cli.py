@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a verification found a profitable deviation,
 2 invalid input or any other failure (reported as a structured error
 payload, or for ``acceptance`` in its verdicts), 3 the Pareto-blocking
 preference pattern is present.
-Outputs are canonical JSON so identical inputs give byte-identical files.
+Documents are read and written as UTF-8, whatever the locale.  Outputs
+are canonical JSON so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,17 +34,18 @@ from .winlose import solve as solve_winlose
 
 
 def _read_json(path: str):
+    """The JSON document at ``path``, read as UTF-8 whatever the locale."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidArenaError([("BadDocument", str(exc))]) from exc
 
 
 def _write(payload: dict, args) -> None:
     text = jsonio.dumps(payload)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -53,7 +55,7 @@ def _write_dot(name: str, render, subject, args) -> None:
     if not args.emit_dot:
         return
     base = Path(args.out).with_suffix("") if args.out else Path(name)
-    Path(f"{base}.{name}.dot").write_text(render(subject))
+    Path(f"{base}.{name}.dot").write_text(render(subject), encoding="utf-8")
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -161,7 +163,7 @@ def cmd_acceptance(args) -> int:
             f"criterion_{r.number}": {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         }
-        Path(args.out).write_text(jsonio.dumps(payload))
+        Path(args.out).write_text(jsonio.dumps(payload), encoding="utf-8")
     return 0 if all(r.passed for r in results) else 2
 
 

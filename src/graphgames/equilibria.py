@@ -115,7 +115,11 @@ class _DeviationProduct:
             max_product_states,
             "deviation product",
         )
-        self.view = view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
+        vs = tuple(sorted(states, key=skey))
+        index = {s: i for i, s in enumerate(vs)}
+        self.view = view = ArenaIndex(
+            vs, index, tuple(tuple(map(index.__getitem__, succ[s])) for s in vs), tuple(s[0] for s in vs)
+        )
         self.adj, self.radj = view.masks()
         self.everything = (1 << len(view.vertices)) - 1
         self.over: dict = {}

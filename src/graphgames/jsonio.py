@@ -7,8 +7,9 @@ inputs therefore serialize byte-identically.
 
 from __future__ import annotations
 
-import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping
 
 from .arena import (
@@ -34,7 +35,61 @@ from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseG
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The canonical text of ``obj``: the bytes of ``json.dumps(obj,
+    indent=2, sort_keys=True)`` and a newline, written without the indenting
+    encoder, which runs in pure Python."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` encoded with every nested line starting ``newline`` and two more spaces."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_escape(x) if type(x) is str else int.__repr__(x) if type(x) is int else _encode(x, inner) for x in obj]
+        ) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_escape(k if type(k) is str else _key(k)) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        ) + newline + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A non-string object key as ``json`` writes it: a number, a bool or null, spelt as a value."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float(x: float) -> str:
+    """A float as ``json`` writes it, with the names it gives NaN and the infinities."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _object(doc, what: str) -> Mapping:

@@ -49,6 +49,31 @@ def bfs_reachable(arena: Arena, source) -> set:
     return seen
 
 
+class IndexByCallables(ArenaIndex):
+    """An ``ArenaIndex`` built vertex by vertex from callables: the
+    successors and the owner of each vertex, in the order given."""
+
+    __slots__ = ()
+
+    def __init__(self, vertices, successors, owner):
+        self.vertices = tuple(vertices)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.succ = tuple(tuple(map(self.index.__getitem__, successors(v))) for v in self.vertices)
+        pred: list = [[] for _ in self.vertices]
+        for i, ws in enumerate(self.succ):
+            for j in ws:
+                pred[j].append(i)
+        self.pred = tuple(map(tuple, pred))
+        self.owner = tuple(owner(v) for v in self.vertices)
+        owned: dict = {}
+        for v, o in zip(self.vertices, self.owner):
+            owned.setdefault(o, []).append(v)
+        self.owned = {o: tuple(vs) for o, vs in owned.items()}
+        self._masks = None
+        self._recurrence = {}
+        self._splits = {}
+
+
 def arena_index_by_skey(arena: Arena) -> ArenaIndex:
     """The arena's index with the vertices and every successor list sorted
     by ``skey``, successors read from the edge set."""
@@ -56,7 +81,7 @@ def arena_index_by_skey(arena: Arena) -> ArenaIndex:
     def succ_of(v):
         return [w for (u, w) in arena.edges if u == v]
 
-    return ArenaIndex(
+    return IndexByCallables(
         sorted(arena.vertices, key=skey), lambda v: sorted(succ_of(v), key=skey), arena.owner.__getitem__
     )
 
@@ -513,7 +538,7 @@ class RecordProduct:
                 outs.append(d)
             succ[("m", r)] = tuple(outs)
         index = arena.view.index
-        self.view = ArenaIndex(
+        self.view = IndexByCallables(
             sorted(succ, key=skey), succ.__getitem__, lambda x: index[x[1][0] if x[0] == "m" else x[2]]
         )
         self.arena = arena
@@ -606,7 +631,7 @@ def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_p
         states, succ = explore(
             [s0], configuration_successors(arena, (a,), fixed), max_product_states, "deviation product"
         )
-        view = ArenaIndex(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
+        view = IndexByCallables(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
         found = _first_improvement_in(game, game.prefs.order_of(a), induced, view)
         if found is None:
             continue

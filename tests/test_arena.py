@@ -28,6 +28,7 @@ from graphgames.gen import random_arena
 from graphgames.jsonio import machine_to_json
 
 from oracles import (
+    IndexByCallables,
     arena_index_by_skey,
     bfs_reachable,
     feasible_sets_by_walk_search,
@@ -119,6 +120,47 @@ def test_arena_index_agrees_with_skey_sorted_index():
         assert view.owned == oracle.owned, seed
         for i, v in enumerate(oracle.vertices):
             assert arena.successors(v) == tuple(oracle.vertices[j] for j in oracle.succ[i]), seed
+
+
+def index_oracle_doc(rng: random.Random) -> dict:
+    """Random valid arena document with repeated edges, self-loops and numeric owners.
+
+    Ids mix integers and digit strings (``10`` sorts before ``"9"`` under
+    ``skey``), and every vertex keeps at least one edge.
+    """
+    pool = list(range(20)) + [str(i) for i in range(20)] + [f"v{i}" for i in range(10)]
+    vertices = rng.sample(pool, rng.randint(1, 16))
+    players = rng.choice([[0, 1], ["A", 2, 3.5], [True, "B"]])
+    edges = [[v, rng.choice(vertices)] for v in vertices]
+    edges += [[rng.choice(vertices), rng.choice(vertices)] for _ in range(rng.randint(0, 3 * len(vertices)))]
+    edges += rng.sample(edges, rng.randint(0, len(edges)))  # repeats
+    edges += [[v, v] for v in rng.sample(vertices, rng.randint(0, len(vertices)))]
+    rng.shuffle(edges)
+    return {
+        "players": players,
+        "vertices": [{"id": v, "owner": rng.choice(players)} for v in vertices],
+        "edges": edges,
+        "start": rng.choice(vertices),
+    }
+
+
+def test_one_pass_index_agrees_with_the_index_built_from_callables():
+    for seed in range(500):
+        doc = index_oracle_doc(random.Random(seed))
+        owner = {vd["id"]: vd["owner"] for vd in doc["vertices"]}
+        pairs = {(u, w) for u, w in doc["edges"]}
+        oracle = IndexByCallables(
+            sorted(owner, key=arena_module.skey),
+            lambda v: sorted({w for u, w in pairs if u == v}, key=arena_module.skey),
+            owner.__getitem__,
+        )
+        built = [validate_arena(doc), make_arena(doc["players"], owner, pairs, owner, doc["start"])]
+        for arena in built:
+            view = arena.view
+            for name in ("vertices", "index", "succ", "pred", "owner", "owned"):
+                assert getattr(view, name) == getattr(oracle, name), (seed, name)
+            for i, v in enumerate(oracle.vertices):
+                assert arena.successors(v) == tuple(oracle.vertices[j] for j in oracle.succ[i]), seed
 
 
 def test_validate_arena_calls_skey_once_per_vertex(monkeypatch):

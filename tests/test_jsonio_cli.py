@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -904,3 +905,145 @@ def test_cli_fuzzed_documents_exit_cleanly(tmp_path, argv, doc):
         assert json.loads(out.getvalue())
 
     run()
+
+
+# --- canonical emission and file encodings ----------------------------------
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+class Real(float):
+    def __repr__(self):
+        return "Real()"
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+EMIT_STRINGS = st.text(
+    st.characters(codec=None, categories=None) | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", "\U0001f600"]),
+    max_size=6,
+)
+EMIT_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**130), 2**130)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+    | EMIT_STRINGS | st.builds(Text, EMIT_STRINGS) | st.builds(Count, st.integers())
+    | st.builds(Real, st.floats())
+)
+# keys of one type sort; mixed keys, some of which do not, must raise where json raises
+EMIT_KEYS = (
+    st.text(max_size=3) | st.integers(-3, 3) | st.floats() | st.booleans() | st.none()
+    | st.builds(Text, st.text(max_size=3)) | st.integers(-3, 3).map(Count)
+)
+
+
+def _emit_containers(inner):
+    return (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.lists(inner, max_size=4).map(Items)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | st.dictionaries(st.integers(-3, 3) | st.booleans() | st.floats(), inner, max_size=4)
+        | st.dictionaries(EMIT_KEYS, inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4).map(Table)
+    )
+
+
+EMIT_DOCS = st.recursive(EMIT_SCALARS, _emit_containers, max_leaves=24)
+UNENCODABLE = st.sampled_from([object(), {1, 2}, b"u", Fraction(1, 2), (1, 2)])
+
+
+def assert_emits_as_indented_json(obj):
+    """``jsonio.dumps`` writes the standard library's canonical text, and raises TypeError where it does."""
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            jsonio.dumps(obj)
+    else:
+        assert jsonio.dumps(obj) == want
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(doc=EMIT_DOCS)
+def test_dumps_writes_the_bytes_of_indented_json(doc):
+    assert_emits_as_indented_json(doc)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(doc=st.recursive(EMIT_SCALARS | UNENCODABLE, _emit_containers, max_leaves=12),
+       key=st.sampled_from([(1,), b"k", frozenset(), "k"]))
+def test_dumps_raises_type_error_where_json_does(doc, key):
+    for obj in (doc, {key: doc}, [doc, {key: 0}]):
+        assert_emits_as_indented_json(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("vertices", 5, "arena vertices must be a list"),
+        ("vertices", {"x": {"id": "x", "owner": "P0"}}, "arena vertices must be a list"),
+        ("edges", "uu", "arena edges must be a list"),
+        ("edges", {"v0": "v1"}, "arena edges must be a list"),
+    ],
+    ids=["vertices-int", "vertices-object", "edges-string", "edges-object"],
+)
+def test_cli_names_an_arena_field_that_is_not_a_list(tmp_path, capsys, field, value, detail):
+    path = write(tmp_path, "doc.json", with_changes(PARITY_DOC, ["arena", field], value))
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [{"code": "InvalidInputError", "detail": detail}]
+    assert captured.err == ""
+
+
+def _run_in_c_locale(tmp_path, argv):
+    """Run the CLI in a child whose locale encoding is ASCII, with this process's sources."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphgames
+
+    source = str(Path(graphgames.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=path)
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run(
+        [sys.executable, "-m", "graphgames.cli", *argv], capture_output=True, env=env, cwd=tmp_path
+    )
+
+
+def test_cli_reads_and_writes_utf8_whatever_the_locale(tmp_path, capsys):
+    doc = with_changes(PARITY_DOC, ["arena", "vertices", 0, "id"], "é")
+    doc["arena"]["edges"] = [["é", "é"], ["é", "v1"], ["v1", "é"], ["v1", "v1"]]
+    doc["arena"]["start"] = "é"
+    doc["objective"] = {"parity": {"é": 0, "v1": 1}}
+    path = tmp_path / "doc.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert main(["solve", str(path)]) == 0
+    expected = capsys.readouterr().out.encode("ascii")
+    run = _run_in_c_locale(tmp_path, ["solve", str(path), "--out", "c.json", "--emit-dot"])
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
+    assert (tmp_path / "c.json").read_bytes() == expected
+    assert '"é" [label="é|P0"' in (tmp_path / "c.arena.dot").read_text(encoding="utf-8")
+
+
+def test_cli_refuses_undecodable_bytes_as_a_bad_document(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"arena": "\xe9"}')
+    run = _run_in_c_locale(tmp_path, ["solve", str(path)])
+    assert run.returncode == 2
+    errors = json.loads(run.stdout)["errors"]
+    assert [e["code"] for e in errors] == ["BadDocument"]
+    assert "can't decode byte 0xe9" in errors[0]["detail"]
