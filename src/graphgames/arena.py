@@ -91,7 +91,8 @@ class Arena:
     """Finite directed game graph with per-vertex ownership and a start vertex.
 
     Successors are listed in ``skey`` order; ``view`` is the arena's
-    integer index.
+    integer index.  The successor table by vertex is built on the first
+    call to ``successors``.
     """
 
     players: tuple
@@ -100,11 +101,12 @@ class Arena:
     owner: Mapping
     start: Vertex
     view: ArenaIndex = field(init=False, repr=False, compare=False)
-    _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the one skey sort of an arena; successors are sorted as indices
-        vs = tuple(sorted(self.vertices, key=skey))
+        # the one skey sort of an arena, which is string order when every
+        # vertex is a str; successors are sorted as indices
+        vertices = self.vertices
+        vs = tuple(sorted(vertices) if set(map(type, vertices)) <= {str} else sorted(vertices, key=skey))
         index = {v: i for i, v in enumerate(vs)}
         out: list = [[] for _ in vs]
         for (u, w) in self.edges:
@@ -113,10 +115,15 @@ class Arena:
             ws.sort()
         view = ArenaIndex(vs, index, tuple(map(tuple, out)), tuple(map(self.owner.__getitem__, vs)))
         object.__setattr__(self, "view", view)
-        object.__setattr__(self, "_succ", {v: tuple(map(vs.__getitem__, ws)) for v, ws in zip(vs, view.succ)})
 
     def successors(self, v: Vertex) -> tuple:
-        return self._succ[v]
+        try:
+            return self._succ[v]
+        except AttributeError:  # the first call builds the table
+            vs = self.view.vertices
+            succ = {u: tuple(map(vs.__getitem__, ws)) for u, ws in zip(vs, self.view.succ)}
+            object.__setattr__(self, "_succ", succ)
+            return succ[v]
 
     def owned_by(self, player: Player) -> tuple:
         return self.view.owned.get(player, ())
@@ -359,8 +366,10 @@ def memoryless_machine(player: Player, choices: Mapping) -> StrategyMachine:
 
 def fallback_machine(arena: Arena, player: Player, partial: Mapping) -> StrategyMachine:
     """Memoryless machine following ``partial`` and the first successor elsewhere."""
+    view = arena.view
+    vs, index, succ = view.vertices, view.index, view.succ
     return memoryless_machine(
-        player, {v: partial.get(v, arena.successors(v)[0]) for v in arena.owned_by(player)}
+        player, {v: partial[v] if v in partial else vs[succ[index[v]][0]] for v in arena.owned_by(player)}
     )
 
 

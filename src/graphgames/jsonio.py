@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from typing import Mapping
 
 from .arena import (
@@ -49,9 +50,25 @@ def _encode(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join(
-            [_escape(x) if type(x) is str else int.__repr__(x) if type(x) is int else _encode(x, inner) for x in obj]
-        ) + newline + "]"
+        if type(obj[0]) is list:
+            # a list of rows, as machine tables are: each non-empty plain-list
+            # item is written here, a level further in
+            row = inner + "  "
+            comma = "," + row
+            items = [
+                "[" + row + comma.join([
+                    _escape(y) if type(y) is str else int.__repr__(y) if type(y) is int else _encode(y, row)
+                    for y in x
+                ]) + inner + "]"
+                if type(x) is list and x
+                else _encode(x, inner)
+                for x in obj
+            ]
+        else:
+            items = [
+                _escape(x) if type(x) is str else int.__repr__(x) if type(x) is int else _encode(x, inner) for x in obj
+            ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -129,18 +146,29 @@ def objective_from_json(doc: Mapping):
     if not isinstance(doc, Mapping) or len(doc) != 1:
         raise InvalidInputError("objective must be one of parity/muller/reach/safe")
     kind, body = next(iter(doc.items()))
-    try:
-        if kind == "parity":
-            return Parity({v: integer(i, "parity priority") for v, i in body.items()})
-        if kind == "muller":
-            return Muller(frozenset(frozenset(s) for s in body))
-        if kind == "reach":
-            return Reachability(frozenset(body))
-        if kind == "safe":
-            return Safety(frozenset(body))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad {kind} objective: {exc}") from exc
+    if kind == "parity":
+        if not isinstance(body, Mapping):
+            raise InvalidInputError("parity objective must map vertices to priorities")
+        if not set(map(type, body.values())) <= {int}:
+            for i in body.values():
+                integer(i, "parity priority")  # words the refusal
+        return Parity(dict(body))
+    if kind == "muller":
+        if not isinstance(body, list):
+            raise InvalidInputError("muller objective must be a list of lists of vertices")
+        return Muller(frozenset(_vertex_set(s, "muller objective set") for s in body))
+    if kind == "reach":
+        return Reachability(_vertex_set(body, "reach objective"))
+    if kind == "safe":
+        return Safety(_vertex_set(body, "safe objective"))
     raise InvalidInputError(f"unknown objective kind {kind!r}")
+
+
+def _vertex_set(body, what: str) -> frozenset:
+    """The vertices the list ``body`` names, refused unless it is a list of identifiers."""
+    if not isinstance(body, list):
+        raise InvalidInputError(f"{what} must be a list of vertices")
+    return frozenset(identifier(v, "objective vertex") for v in body)
 
 
 def _unfold_energy(doc: Mapping, arena: Arena, max_product_states: int) -> tuple:
@@ -289,31 +317,31 @@ def machine_to_json(machine: StrategyMachine) -> dict:
         "player": str(machine.player),
         "memory_bits": machine.memory_bits,
         "init": machine.init,
-        "update": sorted(
-            [[str(v), q, nq] for (v, q), nq in machine.update.items()],
-            key=lambda e: (e[0], e[1]),
-        ),
-        "choice": sorted(
-            [[str(v), q, str(w)] for (v, q), w in machine.choice.items()],
-            key=lambda e: (e[0], e[1]),
-        ),
+        "update": sorted([[str(v), q, nq] for (v, q), nq in machine.update.items()], key=itemgetter(0, 1)),
+        "choice": sorted([[str(v), q, str(w)] for (v, q), w in machine.choice.items()], key=itemgetter(0, 1)),
     }
 
 
 def machine_from_json(doc: Mapping, player=None) -> StrategyMachine:
+    if not isinstance(doc, Mapping):
+        what = "machine document" if player is None else f"machine for {player!r}"
+        raise InvalidInputError(f"{what} must be a JSON object")
+    player = player if player is not None else doc.get("player")
+    if "memory_bits" not in doc:
+        raise InvalidInputError(f"machine for {player!r} lacks memory_bits")
+    bits = integer(doc["memory_bits"], "memory_bits")
     try:
-        bits = integer(doc["memory_bits"], "memory_bits")
         update = {
-            (v, integer(q, "machine state")): integer(nq, "machine state")
-            for v, q, nq in doc.get("update", [])
+            (v, integer(q, "machine state")): integer(nq, "machine state") for v, q, nq in doc.get("update", [])
         }
         choice = {
             (v, integer(q, "machine state")): identifier(w, "machine move") for v, q, w in doc.get("choice", [])
         }
-        init = integer(doc.get("init", 0), "machine state")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad machine document: {exc}") from exc
-    machine = StrategyMachine(player if player is not None else doc.get("player"), bits, update, choice, init)
+    except (TypeError, ValueError):  # an entry that is no triple, or an unhashable vertex
+        _refuse_entries(doc, player)
+        raise
+    init = integer(doc.get("init", 0), "machine state")
+    machine = StrategyMachine(player, bits, update, choice, init)
     if bits < 0:
         raise InvalidInputError(f"machine for {machine.player!r} has negative memory_bits {bits}")
     for q in machine.states():
@@ -322,6 +350,16 @@ def machine_from_json(doc: Mapping, player=None) -> StrategyMachine:
                 f"machine for {machine.player!r} uses state {q}, outside 0 <= state < 2**{bits}"
             )
     return machine
+
+
+def _refuse_entries(doc: Mapping, player) -> None:
+    """Refuse the first update or choice entry of the machine document that is no triple naming a vertex."""
+    for field, shape in (("update", "[vertex, state, state]"), ("choice", "[vertex, state, vertex]")):
+        entries = doc.get(field, [])
+        if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 3 for e in entries)):
+            raise InvalidInputError(f"machine for {player!r} {field} must be a list of {shape} triples")
+        for v, _, _ in entries:
+            identifier(v, "machine vertex")
 
 
 def profile_from_json(doc: Mapping) -> StrategyProfile:

@@ -10,7 +10,6 @@ memory bound it was given.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Mapping, NamedTuple
@@ -116,9 +115,8 @@ def _attractor(view: ArenaIndex, sub: set, side, player: int, target: Iterable):
     attr = {t for t in target if t in sub}
     strategy: dict = {}
     remaining: dict = {}
-    queue = deque(sorted(attr))
-    while queue:
-        w = queue.popleft()
+    queue = sorted(attr)
+    for w in queue:  # the queue grows as it is walked, so the walk is breadth first
         for v in pred[w]:
             if v in attr or v not in sub:
                 continue
@@ -127,7 +125,7 @@ def _attractor(view: ArenaIndex, sub: set, side, player: int, target: Iterable):
             else:
                 left = remaining.get(v)
                 if left is None:
-                    left = sum(1 for x in succ[v] if x in sub)
+                    left = len(sub.intersection(succ[v]))
                 remaining[v] = left = left - 1
                 if left:
                     continue

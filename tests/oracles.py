@@ -16,6 +16,7 @@ realizable outcome for support before intersecting with the front.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product as iproduct
 
 from graphgames.arena import (
@@ -47,6 +48,36 @@ def bfs_reachable(arena: Arena, source) -> set:
                 seen.add(w)
                 todo.append(w)
     return seen
+
+
+def attractor_by_deque(view: ArenaIndex, sub: set, side, player: int, target):
+    """``player``'s attractor of ``target`` inside ``sub``, walked with a
+    ``deque`` as its first-in first-out queue, each opponent vertex's
+    successors in ``sub`` counted one by one.  Returns the attractor and a
+    strategy mapping each attracted vertex of ``player`` to its successor
+    one level closer, with ties broken by index."""
+    succ, pred = view.succ, view.pred
+    attr = {t for t in target if t in sub}
+    strategy: dict = {}
+    remaining: dict = {}
+    queue = deque(sorted(attr))
+    while queue:
+        w = queue.popleft()
+        for v in pred[w]:
+            if v in attr or v not in sub:
+                continue
+            if side[v] == player:
+                strategy[v] = w
+            else:
+                left = remaining.get(v)
+                if left is None:
+                    left = sum(1 for x in succ[v] if x in sub)
+                remaining[v] = left = left - 1
+                if left:
+                    continue
+            attr.add(v)
+            queue.append(v)
+    return attr, strategy
 
 
 class IndexByCallables(ArenaIndex):

@@ -88,13 +88,18 @@ def test_arena_parts_name_a_vertex_without_owner():
     assert exc.value.errors == [("UnknownOwner", "vertex 'w' has no owner")]
 
 
-def mixed_arena_doc(rng: random.Random) -> dict:
-    """Random valid arena document whose ids mix strings and integers.
+MIXED_IDS = list(range(15)) + [str(i) for i in range(15)] + [f"v{i}" for i in range(15)]
+# only strings, which sort as they are: digit strings, capitals, non-ASCII, a space, the empty string
+STRING_IDS = [str(i) for i in range(15)] + [f"v{i}" for i in range(15)] + ["V", "é", "Z z", ""]
+
+
+def mixed_arena_doc(rng: random.Random, pool: list = MIXED_IDS) -> dict:
+    """Random valid arena document whose ids are drawn from ``pool``; by
+    default they mix strings and integers.
 
     Integers above 9 sort apart from their numeric order under ``skey``,
     and digit strings such as ``"3"`` sit beside the integer ``3``.
     """
-    pool = list(range(15)) + [str(i) for i in range(15)] + [f"v{i}" for i in range(15)]
     vertices = rng.sample(pool, rng.randint(1, 12))
     players = ["A", 1]
     edges = []
@@ -110,16 +115,33 @@ def mixed_arena_doc(rng: random.Random) -> dict:
 
 
 def test_arena_index_agrees_with_skey_sorted_index():
-    for seed in range(300):
-        arena = validate_arena(mixed_arena_doc(random.Random(seed)))
-        view, oracle = arena.view, arena_index_by_skey(arena)
-        assert view.vertices == oracle.vertices, seed
-        assert view.succ == oracle.succ, seed
-        assert view.pred == oracle.pred, seed
-        assert view.owner == oracle.owner, seed
-        assert view.owned == oracle.owned, seed
-        for i, v in enumerate(oracle.vertices):
-            assert arena.successors(v) == tuple(oracle.vertices[j] for j in oracle.succ[i]), seed
+    # the successor table by vertex is built on the first call to successors
+    for pool in (MIXED_IDS, STRING_IDS):
+        for seed in range(300):
+            arena = validate_arena(mixed_arena_doc(random.Random(seed), pool))
+            assert "_succ" not in vars(arena), seed
+            view, oracle = arena.view, arena_index_by_skey(arena)
+            assert view.vertices == oracle.vertices, seed
+            assert view.succ == oracle.succ, seed
+            assert view.pred == oracle.pred, seed
+            assert view.owner == oracle.owner, seed
+            assert view.owned == oracle.owned, seed
+            for i, v in enumerate(oracle.vertices):
+                assert arena.successors(v) == tuple(oracle.vertices[j] for j in oracle.succ[i]), seed
+            assert "_succ" in vars(arena), seed
+
+
+def test_fallback_machine_agrees_with_the_eager_formula():
+    for seed in range(200):
+        rng = random.Random(seed)
+        arena = validate_arena(mixed_arena_doc(rng))
+        for player in arena.players:
+            owned = list(arena.owned_by(player))
+            partial = {v: rng.choice(arena.successors(v)) for v in rng.sample(owned, rng.randint(0, len(owned)))}
+            want = memoryless_machine(player, {v: partial.get(v, arena.successors(v)[0]) for v in owned})
+            got = arena_module.fallback_machine(arena, player, partial)
+            assert (got.player, got.memory_bits, got.update) == (want.player, want.memory_bits, want.update)
+            assert list(got.choice.items()) == list(want.choice.items()), seed
 
 
 def index_oracle_doc(rng: random.Random) -> dict:

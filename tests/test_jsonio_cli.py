@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from graphgames import acceptance, jsonio
 from graphgames.arena import validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
+from graphgames.gen import random_parity_game
+from graphgames.winlose import solve
 
 
 GAME_DOC = {
@@ -399,7 +402,19 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
         ("solve", with_changes(PARITY_DOC, ["objective"], {"buchi": ["v0"]}), None,
          [("InvalidInputError", "unknown objective kind 'buchi'")]),
         ("solve", with_changes(PARITY_DOC, ["objective"], {"reach": 5}), None,
-         [("InvalidInputError", "bad reach objective: 'int' object is not iterable")]),
+         [("InvalidInputError", "reach objective must be a list of vertices")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"safe": {"v0": 1}}), None,
+         [("InvalidInputError", "safe objective must be a list of vertices")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"muller": 5}), None,
+         [("InvalidInputError", "muller objective must be a list of lists of vertices")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"muller": [["v0"], "v1"]}), None,
+         [("InvalidInputError", "muller objective set must be a list of vertices")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"reach": [["v0"]]}), None,
+         [("InvalidInputError", "objective vertex ['v0'] must be a string or a number")]),
+        ("solve", with_changes(PARITY_DOC, ["objective"], {"parity": [0, 1]}), None,
+         [("InvalidInputError", "parity objective must map vertices to priorities")]),
+        ("solve", with_changes(PARITY_DOC, ["objective", "parity", "v1"], 1.0), None,
+         [("InvalidInputError", "parity priority 1.0 must be an integer")]),
         ("solve", with_changes(PARITY_DOC, ["arena", "players"], ["P0", "P1", "P2"]), None,
          [("InvalidInputError", "win/lose game needs exactly 2 players")]),
         ("solve", with_changes(PARITY_DOC, ["protagonist"], "P2"), None,
@@ -409,13 +424,20 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
         ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "priorities"], {"u": 0}), None,
          [("InvalidInputError", "vertex 'w' has no priority")]),
         ("verify", GAME_DOC, with_changes(STAY_PROFILE, ["machines", "A"], [0]),
-         [("InvalidInputError", "bad machine document: list indices must be integers or slices, not str")]),
+         [("InvalidInputError", "machine for 'A' must be a JSON object")]),
+        ("verify", GAME_DOC, with_changes(STAY_PROFILE, ["machines", "A", "update"], 5),
+         [("InvalidInputError", "machine for 'A' update must be a list of [vertex, state, state] triples")]),
+        ("verify", GAME_DOC, with_changes(STAY_PROFILE, ["machines", "B", "choice"], [["u", 0]]),
+         [("InvalidInputError", "machine for 'B' choice must be a list of [vertex, state, vertex] triples")]),
         ("verify", GAME_DOC, {"machine": STAY_PROFILE["machines"]},
          [("InvalidInputError", "profile document needs a 'machines' object")]),
     ],
     ids=["duplicate-vertex", "duplicate-player", "objective-two-kinds", "objective-unknown-kind",
-         "objective-bad-body", "winlose-three-players", "winlose-unknown-protagonist",
-         "energy-caps-above-zero", "energy-priority-missing", "machine-not-an-object", "profile-no-machines"],
+         "objective-bad-body", "objective-safe-body", "objective-muller-body", "objective-muller-set",
+         "objective-unhashable-vertex", "objective-parity-body", "objective-parity-float",
+         "winlose-three-players", "winlose-unknown-protagonist", "energy-caps-above-zero",
+         "energy-priority-missing", "machine-not-an-object", "machine-update-not-triples",
+         "machine-choice-not-triples", "profile-no-machines"],
 )
 def test_cli_names_what_a_malformed_document_gets_wrong(tmp_path, capsys, command, doc, profile, errors):
     argv = [command, write(tmp_path, "doc.json", doc)]
@@ -949,9 +971,23 @@ EMIT_KEYS = (
 )
 
 
+def _emit_rows(inner):
+    """Lists whose first item is a plain list, as machine tables are: rows
+    empty or not, of strings and integers or of anything, then items of any
+    kind, list subclasses among them."""
+    row = st.lists(inner | EMIT_STRINGS | st.integers(), max_size=3)
+    rows = st.builds(
+        lambda head, tail: [head, *tail],
+        st.lists(EMIT_STRINGS | st.integers(), max_size=3) | row,
+        st.lists(row | row.map(Items) | row.map(tuple) | inner, max_size=3),
+    )
+    return rows | rows.map(Items) | rows.map(tuple)
+
+
 def _emit_containers(inner):
     return (
-        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.lists(inner, max_size=4).map(Items)
+        _emit_rows(inner)
+        | st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.lists(inner, max_size=4).map(Items)
         | st.dictionaries(st.text(max_size=3), inner, max_size=4)
         | st.dictionaries(st.integers(-3, 3) | st.booleans() | st.floats(), inner, max_size=4)
         | st.dictionaries(EMIT_KEYS, inner, max_size=3)
@@ -986,6 +1022,15 @@ def test_dumps_writes_the_bytes_of_indented_json(doc):
 def test_dumps_raises_type_error_where_json_does(doc, key):
     for obj in (doc, {key: doc}, [doc, {key: 0}]):
         assert_emits_as_indented_json(obj)
+
+
+def test_parity_solve_leaves_the_successor_table_unbuilt():
+    for seed in range(50):
+        game = random_parity_game(random.Random(seed), 12, 12)
+        doc = {"arena": jsonio.arena_to_json(game.arena), "objective": {"parity": game.objective.priority}}
+        parsed = jsonio.winlose_from_json(doc)
+        jsonio.dumps(jsonio.solve_result_to_json(solve(parsed)))
+        assert "_succ" not in vars(parsed.arena), seed
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,13 @@ from graphgames.winlose import (
     _solve_view,
 )
 
-from oracles import RecordProduct, minimize_machine_by_dicts, outcomes_against_machine, parity_strategy_wins
+from oracles import (
+    RecordProduct,
+    attractor_by_deque,
+    minimize_machine_by_dicts,
+    outcomes_against_machine,
+    parity_strategy_wins,
+)
 
 
 def two_sided(vertices, edges, owner, start="v0"):
@@ -72,6 +78,33 @@ def test_attractor_levels_decrease():
     region, machine = attractor(arena, "P0", {"t"})
     assert region == {"a", "b", "t"}
     assert machine.move("a", 0) == "b" and machine.move("b", 0) == "t"
+
+
+def test_attractor_agrees_with_the_deque_oracle():
+    # the same set and the same strategy, in the same insertion order, on
+    # arena indices and on the tree products the Muller solver builds,
+    # over 4,000 seeded cases
+    for seed in range(2000):
+        rng = random.Random(seed)
+        if seed % 5:
+            view = random_arena(rng, rng.randint(1, 14), ["P0", "P1"]).view
+        else:
+            game = random_muller_game(rng, rng.randint(2, 5))
+            view = winlose.TreeProduct(
+                winlose.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND), game.objective.family
+            ).view
+        n = len(view.vertices)
+        for _ in range(2):
+            sub = {v for v in range(n) if rng.random() < 0.8}
+            side = [rng.randint(0, 1) for _ in range(n)]
+            player = rng.randint(0, 1)
+            target = rng.sample(range(n), rng.randint(0, n))
+            if rng.random() < 0.5:
+                target = set(target)
+            attr, strategy = winlose._attractor(view, sub, side, player, target)
+            want_attr, want_strategy = attractor_by_deque(view, sub, side, player, target)
+            assert attr == want_attr, seed
+            assert list(strategy.items()) == list(want_strategy.items()), seed
 
 
 # --- parity -----------------------------------------------------------------
