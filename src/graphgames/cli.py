@@ -42,10 +42,16 @@ def _read_json(path: str):
         raise InvalidArenaError([("BadDocument", str(exc))]) from exc
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale, in one binary write."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _write(payload: dict, args) -> None:
     text = jsonio.dumps(payload)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -55,7 +61,7 @@ def _write_dot(name: str, render, subject, args) -> None:
     if not args.emit_dot:
         return
     base = Path(args.out).with_suffix("") if args.out else Path(name)
-    Path(f"{base}.{name}.dot").write_text(render(subject), encoding="utf-8")
+    _write_file(f"{base}.{name}.dot", render(subject))
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -163,7 +169,7 @@ def cmd_acceptance(args) -> int:
             f"criterion_{r.number}": {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         }
-        Path(args.out).write_text(jsonio.dumps(payload), encoding="utf-8")
+        _write_file(args.out, jsonio.dumps(payload))
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -208,8 +214,8 @@ COMMANDS = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused by later ones."""
+def _parsers() -> tuple:
+    """The command-line parser and its commands' own parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="graphgames",
         description="Solve, synthesize and verify multi-player games on finite graphs",
@@ -220,11 +226,34 @@ def build_parser() -> argparse.ArgumentParser:
         for arg in arguments:
             p.add_argument(arg, **ARGUMENTS[arg])
         p.set_defaults(fn=fn)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by later ones."""
+    return _parsers()[0]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the named command's own parser where it can.
+
+    When ``argv`` starts with a command's name, that command's parser
+    reads the rest alone, as the full parser would hand it on.  Anything
+    else, and anything it leaves over, goes through the full parser, so
+    every usage, help and error text is argparse's own.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except PatternPresentError as exc:

@@ -12,6 +12,7 @@ class (used later as a punishment).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .arena import (
@@ -28,7 +29,7 @@ from .arena import (
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import Muller, MullerSearch, SolveResult, WinLoseGame
+from .winlose import Muller, MullerSearch, WinLoseGame
 
 COALITION = "coalition-vs"
 
@@ -114,17 +115,42 @@ class GuaranteeRow:
     can force from each vertex.  ``machines[c]`` forces class >= c from
     every vertex of class >= c; ``punish[c]`` is the coalition machine that
     holds the player to class <= c from every vertex of class <= c.
+    ``products[j]`` is the tree product of the threshold game for class
+    ``j``, played by ``sides``; the machines and the memory bound are
+    pulled back from them when first read.
     """
 
     player: object
     order: StrictWeakOrder
     class_rank: Mapping   # vertex -> rank
-    machines: Mapping     # rank -> StrategyMachine (player side)
-    punish: Mapping       # rank -> StrategyMachine (coalition side)
-    solver_bits: int
+    products: tuple       # threshold rank -> TreeProduct
+    sides: tuple          # (player, her coalition)
 
     def representative(self, v):
         return self.order.representative(self.class_rank[v])
+
+    def _used(self) -> list:
+        return sorted(set(self.class_rank.values()))
+
+    @cached_property
+    def machines(self) -> dict:
+        """Rank -> StrategyMachine of the player, for every rank some vertex has."""
+        arena = self.products[0].arena
+        return {
+            c: self.products[c - 1].strategy(self.sides, 0) if c >= 1 else fallback_machine(arena, self.player, {})
+            for c in self._used()
+        }
+
+    @cached_property
+    def punish(self) -> dict:
+        """Rank -> StrategyMachine of the coalition, for every rank some vertex has."""
+        top = len(self.products) - 1
+        return {c: self.products[min(c, top)].strategy(self.sides, 1) for c in self._used()}
+
+    @cached_property
+    def solver_bits(self) -> int:
+        """Memory bits of the largest machine over every threshold solve."""
+        return max(product.memory_bits(self.sides) for product in self.products)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +160,11 @@ class GuaranteeTable:
     rows: Mapping
     piece_count: int      # number of history pieces; one per vertex here
     piece_bits: int       # memory needed to track the piece; zero here
-    solver_bits: int      # uniform bound over all threshold solves
+
+    @cached_property
+    def solver_bits(self) -> int:
+        """Uniform bound over all threshold solves."""
+        return max((r.solver_bits for r in self.rows.values()), default=0)
 
     def ne_memory_bound(self) -> int:
         n_players = len(self.rows)
@@ -145,50 +175,42 @@ class GuaranteeTable:
 def best_guarantee(game: GraphGame, player, search: MullerSearch | None = None) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
-    Thresholds descend through the player's classes: the guarantee at a
+    Thresholds ascend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
     class immediately below it (the bottom class needs no witness).  Every
-    threshold game is solved on the Zielonka-tree product of its family
+    threshold game is played on the Zielonka-tree product of its family
     that ``search``, a ``MullerSearch`` of the game's arena, hands out;
     without one, a search bounded by ``DEFAULT_PRODUCT_BOUND`` is made.
+    Every product is built first, so a size refusal comes from the lowest
+    threshold that has one.  The families shrink as the threshold rises,
+    and so do the winning regions: only the regions up to the first empty
+    one are solved, and no machine is built until the row's are read.
     """
     order = game.prefs.order_of(player)
-    k = order.num_classes()
     arena = game.arena
     if search is None:
         search = MullerSearch(arena, DEFAULT_PRODUCT_BOUND)
     sides = (player, coalition_tag(player))
-    solves: dict[int, SolveResult] = {}
-    for j in range(k):
-        family = _threshold_family(game, order, order.representative(j))
-        solves[j] = search.product(family).solve(sides)
-    class_rank = {}
-    for v in arena.vertices:
-        rank = 0
-        for j in range(k):
-            if v in solves[j].win0:
-                rank = max(rank, j + 1)
-        class_rank[v] = rank
-    used = sorted(set(class_rank.values()))
-    machines = {}
-    punish = {}
-    for c in used:
-        machines[c] = solves[c - 1].strategy0 if c >= 1 else fallback_machine(arena, player, {})
-        punish[c] = solves[min(c, k - 1)].strategy1
-    solver_bits = max((r.memory_bits_used for r in solves.values()), default=0)
-    return GuaranteeRow(player, order, class_rank, machines, punish, solver_bits)
+    products = tuple(
+        search.product(_threshold_family(game, order, order.representative(j))) for j in range(order.num_classes())
+    )
+    class_rank = dict.fromkeys(arena.vertices, 0)
+    for j, product in enumerate(products):
+        win0 = product.regions(sides)[0]
+        if not win0:
+            break
+        for v in win0:
+            class_rank[v] = j + 1
+    return GuaranteeRow(player, order, class_rank, products, sides)
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
     """Every player's guarantee row; all threshold games share one Muller search and its products."""
     search = MullerSearch(game.arena, max_product_states)
-    rows = {p: best_guarantee(game, p, search) for p in game.arena.players}
-    solver_bits = max((r.solver_bits for r in rows.values()), default=0)
     return GuaranteeTable(
-        rows=rows,
+        rows={p: best_guarantee(game, p, search) for p in game.arena.players},
         piece_count=len(game.arena.vertices),
         piece_bits=0,
-        solver_bits=solver_bits,
     )
 
 

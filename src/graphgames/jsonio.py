@@ -127,19 +127,34 @@ def arena_to_json(arena: Arena) -> dict:
 
 
 def energy_from_json(doc: Mapping, arena: Arena) -> EnergySpec:
-    try:
-        weights = {
-            p: {v: integer(x, "energy weight") for v, x in vw.items()} for p, vw in doc["weights"].items()
-        }
-        caps = {
-            p: (integer(lo, "energy cap"), integer(hi, "energy cap")) for p, (lo, hi) in doc["caps"].items()
-        }
-        priorities = {v: integer(i, "energy priority") for v, i in doc["priorities"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad energy block: {exc}") from exc
+    """The energy block of an arena document; a refusal names the field, the player and the shape expected."""
+    doc = _object(doc, "energy block")
+    weights = {}
+    for p, vw in _energy_field(doc, "weights", "each player to an object of vertex weights").items():
+        if not isinstance(vw, Mapping):
+            raise InvalidInputError(f"energy weights for {p!r} must map vertices to integers")
+        weights[p] = {v: integer(x, "energy weight") for v, x in vw.items()}
+    caps = {}
+    for p, pair in _energy_field(doc, "caps", "each player to a [lo, hi] pair").items():
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InvalidInputError(f"energy caps for {p!r} must be a [lo, hi] pair of integers")
+        caps[p] = (integer(pair[0], "energy cap"), integer(pair[1], "energy cap"))
+    priorities = {
+        v: integer(i, "energy priority") for v, i in _energy_field(doc, "priorities", "vertices to integers").items()
+    }
     spec = EnergySpec(weights, caps, priorities)
     spec.validate(arena)
     return spec
+
+
+def _energy_field(doc: Mapping, field: str, shape: str) -> Mapping:
+    """The object under ``field`` of the energy block, refused unless it maps ``shape``."""
+    if field not in doc:
+        raise InvalidInputError(f"energy block lacks '{field}'")
+    body = doc[field]
+    if not isinstance(body, Mapping):
+        raise InvalidInputError(f"energy {field} must map {shape}")
+    return body
 
 
 def objective_from_json(doc: Mapping):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import permutations
 from typing import Iterable, Mapping
 
 from .arena import skey
@@ -162,11 +162,16 @@ def forbidden_pattern(profile) -> tuple | None:
     if not players:
         raise InvalidInputError("profile has no players")
     outcomes = sorted(set(orders[players[0]].outcomes), key=skey)
+    # each order's strict relation as a set of (worse, better) pairs
+    below = {p: {(x, y) for x in outcomes for y in outcomes if orders[p].lt(x, y)} for p in players}
     for a, b in permutations(players, 2):
-        oa, ob = orders[a], orders[b]
-        for x, y, z in iproduct(outcomes, repeat=3):
-            if oa.lt(z, y) and oa.lt(y, x) and ob.lt(x, z) and ob.lt(z, y):
-                return (a, b, x, y, z)
+        la, lb = below[a], below[b]
+        for x in outcomes:  # (x, y, z) in lexicographic order, so the witness is the first one
+            for y in outcomes:
+                if (y, x) in la:
+                    for z in outcomes:
+                        if (z, y) in la and (x, z) in lb and (z, y) in lb:
+                            return (a, b, x, y, z)
     return None
 
 

@@ -427,7 +427,9 @@ class MullerSearch:
     the arena's index, which keeps them for every layer.  ``product``
     builds one ``TreeProduct`` per distinct family of recurrence sets and
     hands it out again.  A tree search is refused past ``bound`` sets and a
-    product past ``bound`` states.
+    product past ``bound`` states.  Every product whose trees all have one
+    leaf has the same graph, whatever its family; the first one built is
+    kept in ``single_leaf`` for the others.
     """
 
     def __init__(self, arena: Arena, max_product_states: int):
@@ -438,6 +440,7 @@ class MullerSearch:
         self.components = tuple(looping_components((1 << n) - 1, *view.masks()))
         self.by_name = sorted(range(n), key=str)
         self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
+        self.single_leaf = None  # (view, label, move, moves, at, nxt) of a single-leaf product
 
     def recurrence_masks(self, family: Iterable) -> frozenset:
         """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped."""
@@ -585,7 +588,12 @@ class TreeProduct:
     names of its two numbers, ``(v, l)`` and ``(l, w)``.  The parity solver
     breaks ties by node number, so this order fixes the machines it
     returns.  The bound of ``search``, whose arena the product is built
-    over, limits the search for the trees and the product's size.
+    over, limits the search for the trees and the product's size.  When
+    every tree has one leaf, only the transition priorities depend on the
+    family, and the graph is the one ``search`` keeps for such products.
+
+    Each split into sides is solved once, positionally; its machines are
+    pulled back when first asked for.
     """
 
     def __init__(self, search: MullerSearch, family: frozenset):
@@ -602,6 +610,16 @@ class TreeProduct:
         cyclic = [w for w in search.by_name if tree[w] is not None]
         if sum(width) + sum(width[w] for w in cyclic) > search.bound:
             raise TooLargeError(f"tree product exceeds {search.bound} states")
+        self.arena = arena
+        self.solved: dict = {}  # sides -> (win0, s0, s1) of the positional solve
+        self.machines: dict = {}  # (sides, side) -> StrategyMachine
+        # one leaf everywhere: a one-row memory table, so both machines are memoryless
+        self.memoryless = max(width) == 1
+        if self.memoryless and search.single_leaf is not None:
+            self.view, self.label, self.move, self.moves, self.at, self.nxt = search.single_leaf
+            # a one-leaf tree may still be a chain deeper than its root
+            self.prio = [n + 1] * self.moves + [tree[w].step(0, w)[1] for w in cyclic]
+            return
         leaves_by_name = {wd: sorted(range(wd), key=str) for wd in set(width)}
         label: list = []
         move: list = [None] * n
@@ -634,7 +652,6 @@ class TreeProduct:
             for j in ks:
                 pred[j].append(k)
         self.view = ProductGraph(range(len(label)), succ, pred)
-        self.arena = arena
         self.move = move
         self.label = label
         # memory q is a leaf of the current vertex's tree; arriving at a
@@ -644,7 +661,8 @@ class TreeProduct:
         self.nxt = [
             [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(tree)] for row in self.at
         ]
-        self.solved: dict = {}  # sides -> SolveResult
+        if self.memoryless:
+            search.single_leaf = (self.view, label, move, self.moves, self.at, self.nxt)
 
     def parity_game(self, p0) -> tuple:
         """Side and priority of every node when ``p0`` plays for the family."""
@@ -653,30 +671,55 @@ class TreeProduct:
         side += [1] * (len(self.label) - self.moves)
         return side, self.prio
 
+    def regions(self, sides: tuple) -> tuple:
+        """``(win0, s0, s1)`` of the family's game with side 0 played by ``sides[0]``.
+
+        Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
+        ``win0`` holds the arena vertices side 0 wins from with a fresh
+        memory; ``s0`` and ``s1`` are the positional product strategies.
+        Each split is solved once.
+        """
+        hit = self.solved.get(sides)
+        if hit is None:
+            W0, _, s0, s1 = _solve_view(self.view, *self.parity_game(sides[0]))
+            vs = self.arena.view.vertices
+            win0 = frozenset(v for i, v in enumerate(vs) if self.move[i][0] in W0)
+            hit = self.solved[sides] = (win0, s0, s1)
+        return hit
+
+    def strategy(self, sides: tuple, i: int) -> StrategyMachine:
+        """The leaf-memory machine of side ``i``, pulled back on first use.
+
+        It is minimised and canonically numbered.
+        """
+        machine = self.machines.get((sides, i))
+        if machine is None:
+            p0 = sides[0]
+            owned = [v for v, o in enumerate(self.arena.view.owner) if (o == p0) == (i == 0)]
+            machine = self.machines[(sides, i)] = self._machine(sides[i], self.regions(sides)[1 + i], owned)
+        return machine
+
+    def memory_bits(self, sides: tuple) -> int:
+        """Memory bits of the larger of the split's two machines; 0, unbuilt, when they are memoryless."""
+        if self.memoryless:
+            return 0
+        return max(self.strategy(sides, 0).memory_bits, self.strategy(sides, 1).memory_bits)
+
     def solve(self, sides: tuple) -> SolveResult:
         """Solve the family's game with side 0 played by ``sides[0]``.
 
-        Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
         Strategies come back as leaf-memory machines, minimised and
-        canonically numbered.  Each split into sides is solved once.
+        canonically numbered.
         """
-        if sides in self.solved:
-            return self.solved[sides]
-        p0, p1 = sides
-        owners = self.arena.view.owner
-        W0, _, s0, s1 = _solve_view(self.view, *self.parity_game(p0))
-        vs = self.arena.view.vertices
-        win0 = frozenset(v for i, v in enumerate(vs) if self.move[i][0] in W0)
-        m0 = self._machine(p0, s0, [i for i, o in enumerate(owners) if o == p0])
-        m1 = self._machine(p1, s1, [i for i, o in enumerate(owners) if o != p0])
-        result = self.solved[sides] = SolveResult(
+        win0 = self.regions(sides)[0]
+        m0, m1 = self.strategy(sides, 0), self.strategy(sides, 1)
+        return SolveResult(
             win0=win0,
-            win1=frozenset(vs) - win0,
+            win1=frozenset(self.arena.vertices) - win0,
             strategy0=m0,
             strategy1=m1,
             memory_bits_used=max(m0.memory_bits, m1.memory_bits),
         )
-        return result
 
     def _machine(self, player, strategy: Mapping, owned: list) -> StrategyMachine:
         """Pull a positional product strategy back to a leaf-memory machine.

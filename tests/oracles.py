@@ -11,13 +11,16 @@ every configuration, and places each witness where a second walk, of the
 deviating profile, first parts from the profile's own walk.  Consensus
 slices come from a union-find with a merge-until-stable loop, and chain
 closures from a fixpoint that rescans every pair of pairs.  The Pareto target comes from testing every
-realizable outcome for support before intersecting with the front.
+realizable outcome for support before intersecting with the front.  The
+blocking preference pattern comes from asking the orders about every
+triple of outcomes.  Guarantee rows come from solving every threshold game
+afresh, regions and both machines, and reading every solve.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from graphgames.arena import (
     Arena,
@@ -27,6 +30,7 @@ from graphgames.arena import (
     bits_for,
     configuration_successors,
     explore,
+    fallback_machine,
     looping_components,
     minimize_machine,
     skey,
@@ -34,8 +38,9 @@ from graphgames.arena import (
 )
 from graphgames.errors import GraphGamesError, InvalidInputError
 from graphgames.extensive import PartialPreference
+from graphgames.guarantees import threshold_game
 from graphgames.orders import SlicePartition, pareto_front, require_linear_pattern_free
-from graphgames.winlose import LarContext, _solve_view
+from graphgames.winlose import LarContext, _solve_view, solve_muller
 
 
 def bfs_reachable(arena: Arena, source) -> set:
@@ -833,3 +838,37 @@ def pareto_target_by_all_realizable(game, table) -> tuple:
             supportable[o] = min(sets, key=lambda s: tuple(sorted(map(skey, s))))
     target = min(set(supportable) & pareto_front(game.prefs, realizable), key=skey)
     return target, supportable[target]
+
+
+def forbidden_pattern_by_lt(profile):
+    """The first ``(a, b, x, y, z)`` with z < y < x for a and x < z < y for b,
+    asking ``lt`` of both orders about every triple, or ``None``."""
+    orders = profile.orders
+    players = sorted(orders, key=skey)
+    outcomes = sorted(set(orders[players[0]].outcomes), key=skey)
+    for a, b in permutations(players, 2):
+        oa, ob = orders[a], orders[b]
+        for x, y, z in iproduct(outcomes, repeat=3):
+            if oa.lt(z, y) and oa.lt(y, x) and ob.lt(x, z) and ob.lt(z, y):
+                return (a, b, x, y, z)
+    return None
+
+
+def guarantee_row_by_fresh_solves(game, player) -> tuple:
+    """``(class_rank, machines, punish, solver_bits)`` of ``player``'s row, from
+    a fresh Muller solve of every threshold game.
+
+    The class at a vertex is one above the highest threshold won there;
+    ``machines[c]`` is threshold ``c - 1``'s winning machine (the fallback
+    machine for class 0), ``punish[c]`` threshold ``c``'s coalition machine
+    (the top threshold's for the top class), for every class some vertex
+    has; ``solver_bits`` is the largest machine of every solve.
+    """
+    order = game.prefs.order_of(player)
+    k = order.num_classes()
+    solves = [solve_muller(threshold_game(game, player, order.representative(j))) for j in range(k)]
+    rank = {v: max([j + 1 for j in range(k) if v in solves[j].win0], default=0) for v in game.arena.vertices}
+    used = sorted(set(rank.values()))
+    machines = {c: solves[c - 1].strategy0 if c else fallback_machine(game.arena, player, {}) for c in used}
+    punish = {c: solves[min(c, k - 1)].strategy1 for c in used}
+    return rank, machines, punish, max(r.memory_bits_used for r in solves)

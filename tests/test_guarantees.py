@@ -1,9 +1,12 @@
+import json
 import random
+from itertools import combinations
 
 import pytest
 
 from graphgames import jsonio
 from graphgames.arena import (
+    DEFAULT_PRODUCT_BOUND,
     StrategyProfile,
     bits_for,
     feasible_among,
@@ -12,7 +15,8 @@ from graphgames.arena import (
     make_arena,
 )
 from graphgames.errors import TooLargeError
-from graphgames.gen import random_graph_game, random_profile
+from graphgames.cli import main
+from graphgames.gen import inverse_pair_profile, random_graph_game, random_linear, random_profile
 from graphgames.guarantees import (
     GraphGame,
     best_guarantee,
@@ -22,10 +26,11 @@ from graphgames.guarantees import (
     threshold_game,
 )
 from graphgames.orders import PreferenceProfile, linear_order
-from graphgames.winlose import MullerSearch, TreeProduct, solve_muller
+from graphgames.winlose import MullerSearch, TreeProduct, ZielonkaTree, _SetSearch, solve_muller
 
 from oracles import (
     RecordProduct,
+    guarantee_row_by_fresh_solves,
     all_machines,
     feasible_sets_by_walk_search,
     machine_product_arena,
@@ -260,29 +265,95 @@ def test_threshold_games_are_determined(seed):
 
 
 def test_shared_product_rows_match_fresh_threshold_solves():
-    # every threshold of every player is solved on one record product; each
-    # row must equal the row built from a fresh solve per threshold game, so
-    # nothing one solve leaves behind reaches the next
+    # every threshold of every player is played on one search's products,
+    # only the regions up to the first empty one are solved, and machines
+    # are pulled back when read; each row must equal the row read off a
+    # fresh solve of every threshold game, so nothing one solve leaves
+    # behind reaches the next and nothing left unsolved is missed
     rng = random.Random(4040)
-    for _ in range(60):
-        players = ["A", "B", "C"][: rng.randint(2, 3)]
+    top_seen = set()
+    for n in range(300):
+        kind = ("weak", "linear", "inverse")[n % 3]
+        players = ["A", "B"] if kind == "inverse" else ["A", "B", "C"][: rng.randint(2, 3)]
         outcomes = [f"o{i}" for i in range(rng.randint(2, 4))]
-        game = random_graph_game(rng, rng.randint(3, 5), players, outcomes)
+        prefs = inverse_pair_profile(rng, outcomes) if kind == "inverse" else None
+        game = random_graph_game(rng, rng.randint(3, 5), players, outcomes, linear=kind == "linear", profile=prefs)
         table = guarantee_table(game)
+        bits = []
         for p in players:
-            order = game.prefs.order_of(p)
-            k = order.num_classes()
-            solves = [solve_muller(threshold_game(game, p, order.representative(j))) for j in range(k)]
-            rank = {v: max([j + 1 for j in range(k) if v in solves[j].win0], default=0) for v in game.arena.vertices}
+            rank, machines, punish, solver_bits = guarantee_row_by_fresh_solves(game, p)
             row = table.rows[p]
             assert row.class_rank == rank
-            used = sorted(set(rank.values()))
-            assert sorted(row.machines) == sorted(row.punish) == used
-            for c in used:
-                if c >= 1:
-                    assert jsonio.machine_to_json(row.machines[c]) == jsonio.machine_to_json(solves[c - 1].strategy0)
-                assert jsonio.machine_to_json(row.punish[c]) == jsonio.machine_to_json(solves[min(c, k - 1)].strategy1)
-            assert row.solver_bits == max(r.memory_bits_used for r in solves)
+            assert sorted(row.machines) == sorted(row.punish) == sorted(machines)
+            for c in machines:
+                assert jsonio.machine_to_json(row.machines[c]) == jsonio.machine_to_json(machines[c])
+                assert jsonio.machine_to_json(row.punish[c]) == jsonio.machine_to_json(punish[c])
+            assert row.solver_bits == solver_bits
+            bits.append(solver_bits)
+            top_seen.add(max(rank.values()) == row.order.num_classes() - 1)
+        assert table.solver_bits == max(bits)
+    assert top_seen == {True, False}
+
+
+def test_single_leaf_products_share_one_graph_and_equal_fresh_ones():
+    # every product whose trees all have one leaf takes its graph from the
+    # first such product of its search and only its priorities from its
+    # own trees; field by field it must equal a product built alone
+    rng = random.Random(5151)
+    several_components = deep_chain = False
+    for _ in range(500):
+        game = random_graph_game(rng, rng.randint(2, 6), ["A", "B"], ["o1"])
+        arena = game.arena
+        search = MullerSearch(arena, DEFAULT_PRODUCT_BOUND)
+        first = search.product(frozenset())  # the empty family: one leaf everywhere
+        sets = sorted(game.outcome_map, key=lambda s: sorted(s))
+        if len(sets) <= 6:  # every family
+            families = [frozenset(f) for r in range(len(sets) + 1) for f in combinations(sets, r)]
+        else:
+            families = [frozenset(s for s in sets if rng.random() < 0.5) for _ in range(64)]
+        for family in families:
+            shared = TreeProduct(search, family)
+            if not shared.memoryless:
+                continue
+            fresh = TreeProduct(MullerSearch(arena, DEFAULT_PRODUCT_BOUND), family)
+            assert shared.view is first.view and shared.label is first.label
+            for field in ("moves", "move", "label", "at", "nxt", "prio"):
+                assert getattr(shared, field) == getattr(fresh, field), field
+            assert list(shared.view.vertices) == list(fresh.view.vertices)
+            assert shared.view.succ == fresh.view.succ and shared.view.pred == fresh.view.pred
+            for sides in (("A", "B"), ("B", "A")):
+                assert shared.regions(sides) == fresh.regions(sides)
+                assert shared.memory_bits(sides) == fresh.solve(sides).memory_bits_used == 0
+            several_components |= len(search.components) > 1
+            masks = search.recurrence_masks(family)
+            tracker = _SetSearch(search, masks)
+            deep_chain |= any(len(ZielonkaTree(c, tracker).leaves[0]) >= 1 for c in search.components)
+    assert several_components and deep_chain
+
+
+def test_guarantee_builds_no_machine_and_spe_only_its_own(tmp_path, capsys, monkeypatch):
+    import graphgames.winlose as wl
+
+    pulled = []
+    machine = wl.TreeProduct._machine
+
+    def counting(self, player, strategy, owned):
+        pulled.append(player)
+        return machine(self, player, strategy, owned)
+
+    monkeypatch.setattr(wl.TreeProduct, "_machine", counting)
+    rng = random.Random(6262)
+    for i in range(20):
+        outcomes = ["o1", "o2", "o3"]
+        game = random_graph_game(rng, 5, ["A", "B"], outcomes, profile=inverse_pair_profile(rng, outcomes))
+        path = tmp_path / f"game{i}.json"
+        path.write_text(json.dumps(jsonio.graph_game_to_json(game)))
+        assert main(["guarantee", str(path)]) == 0
+        assert pulled == []
+        assert main(["spe", str(path)]) == 0
+        assert all(not isinstance(p, tuple) for p in pulled)  # no coalition machine
+        pulled.clear()
+    capsys.readouterr()
 
 
 def test_threshold_regions_match_the_record_product_oracle():
@@ -348,6 +419,37 @@ def test_shared_search_refuses_exactly_where_fresh_products_do():
             assert str(refusal.value) == expected
             refused.add(expected.split(" exceeds")[0])
     assert refused == {"Zielonka tree", "tree product"}
+
+
+@pytest.mark.parametrize(
+    "bound, detail",
+    [
+        (1, "2 recurrence sets exceed the bound 1"),
+        (19, "Zielonka tree exceeds 19 sets"),
+        (86, "tree product exceeds 86 states"),
+        (96, "Zielonka tree exceeds 96 sets"),  # a later threshold's tree
+        (100, "tree product exceeds 100 states"),
+        (179, "tree product exceeds 179 states"),
+    ],
+)
+@pytest.mark.parametrize("command", ["guarantee", "ne", "spe", "pareto-ne"])
+def test_over_bound_games_are_refused_at_the_same_layer_with_the_same_payload(tmp_path, capsys, command, bound, detail):
+    # every threshold product is still built, lowest threshold first, before
+    # any is solved, so each refusal is the one the table gave when it solved
+    # every threshold as it built it.  Inverse linear orders pass the spe and
+    # pareto-ne pre-checks
+    rng = random.Random(3)
+    outcomes = ["o1", "o2", "o3", "o4"]
+    order = random_linear(rng, outcomes)
+    prefs = PreferenceProfile(tuple(outcomes), {"A": order, "B": order.inverse()})
+    game = random_graph_game(rng, 6, ["A", "B"], outcomes, profile=prefs)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(jsonio.graph_game_to_json(game)))
+    assert main([command, str(path), "--max-product-states", str(bound)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == jsonio.dumps({"errors": [{"code": "TooLargeError", "detail": detail}]})
+    assert captured.err == ""
+    assert main([command, str(path), "--max-product-states", "180"]) == 0
 
 
 def test_guarantee_table_builds_one_product_per_distinct_family(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgames import acceptance, jsonio
+from graphgames import acceptance, cli, jsonio
 from graphgames.arena import validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
@@ -260,6 +260,16 @@ def with_changes(doc, path, value):
     return doc
 
 
+def without(doc, path):
+    """Deep copy of ``doc`` with the entry at key ``path`` removed."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
 # players P and Q, so the string "PQ" would spell both of them
 PQ_DOC = with_changes(
     with_changes(with_changes(PARITY_DOC, ["arena", "players"], ["P", "Q"]),
@@ -423,6 +433,22 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
          [("InvalidInputError", "caps for 'P0' must satisfy lo <= 0 <= hi, got (1, 2)")]),
         ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "priorities"], {"u": 0}), None,
          [("InvalidInputError", "vertex 'w' has no priority")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy"], [1]), None,
+         [("InvalidInputError", "energy block must be a JSON object")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "weights"], 5), None,
+         [("InvalidInputError", "energy weights must map each player to an object of vertex weights")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "weights", "P0"], [1, -1]), None,
+         [("InvalidInputError", "energy weights for 'P0' must map vertices to integers")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "caps"], [[-1, 1], [0, 0]]), None,
+         [("InvalidInputError", "energy caps must map each player to a [lo, hi] pair")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "caps", "P0"], 3), None,
+         [("InvalidInputError", "energy caps for 'P0' must be a [lo, hi] pair of integers")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "caps", "P1"], [-1, 0, 1]), None,
+         [("InvalidInputError", "energy caps for 'P1' must be a [lo, hi] pair of integers")]),
+        ("solve", without(ENERGY_PARITY_DOC, ["arena", "energy", "caps"]), None,
+         [("InvalidInputError", "energy block lacks 'caps'")]),
+        ("solve", with_changes(ENERGY_PARITY_DOC, ["arena", "energy", "priorities"], [0, 1]), None,
+         [("InvalidInputError", "energy priorities must map vertices to integers")]),
         ("verify", GAME_DOC, with_changes(STAY_PROFILE, ["machines", "A"], [0]),
          [("InvalidInputError", "machine for 'A' must be a JSON object")]),
         ("verify", GAME_DOC, with_changes(STAY_PROFILE, ["machines", "A", "update"], 5),
@@ -436,7 +462,9 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
          "objective-bad-body", "objective-safe-body", "objective-muller-body", "objective-muller-set",
          "objective-unhashable-vertex", "objective-parity-body", "objective-parity-float",
          "winlose-three-players", "winlose-unknown-protagonist", "energy-caps-above-zero",
-         "energy-priority-missing", "machine-not-an-object", "machine-update-not-triples",
+         "energy-priority-missing", "energy-not-an-object", "energy-weights-int", "energy-weights-player-list",
+         "energy-caps-list", "energy-caps-player-int", "energy-caps-triple", "energy-caps-missing",
+         "energy-priorities-list", "machine-not-an-object", "machine-update-not-triples",
          "machine-choice-not-triples", "profile-no-machines"],
 )
 def test_cli_names_what_a_malformed_document_gets_wrong(tmp_path, capsys, command, doc, profile, errors):
@@ -639,6 +667,62 @@ def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     ):
         assert main(argv) in (0, 1)
     assert built == []
+
+
+def parse_outcome(parse, argv):
+    """``(namespace or None, exit code or None, stdout, stderr)`` of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["frobnicate", "game.json"],
+        ["GUARANTEE", "game.json"],
+        ["guarantee"],
+        ["verify", "game.json"],
+        ["spe", "--out", "o.json"],
+        ["guarantee", "game.json", "--bogus"],
+        ["solve", "game.json", "-x"],
+        ["guarantee", "--", "game.json"],
+        ["guarantee", "game.json", "--", "--out"],
+        ["--", "guarantee", "game.json"],
+        ["guarantee", "game.json", "--ou", "o.json"],
+        ["verify", "game.json", "profile.json", "--sub"],
+        ["guarantee", "game.json", "--out=o.json"],
+        ["guarantee", "game.json", "--max-product-states=7", "--out", "o.json"],
+        ["pareto-ne", "game.json", "--out"],
+        ["guarantee", "game.json", "--max-product-states", "ten"],
+        ["solve", "game.json", "--emit-dot", "--max-product-states", "0"],
+        ["discretize", "tree.json", "--k", "2.5"],
+        ["guarantee", "game.json", "extra.json"],
+        ["guarantee", "game.json", "--seed", "1"],
+        ["--out", "o.json", "guarantee", "game.json"],
+        ["guarantee", "-h"],
+        ["verify", "--help"],
+        ["guarantee", "-"],
+        ["ne", "game.json", "--emit-dot", "--emit-dot"],
+        ["verify", "game.json", "profile.json", "--subgames", "--out", "o.json"],
+        ["discretize", "tree.json", "--k", "3"],
+        ["gallery", "--depth", "5"],
+        ["acceptance"],
+        ["acceptance", "--seed", "-3"],
+    ],
+)
+def test_cli_command_parser_reads_argv_as_the_full_parser_does(argv):
+    # the command's own parser answers where it can; namespace, exit code
+    # and every printed text must be the full parser's
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
 
 
 def test_cli_options_do_not_leak_between_calls(tmp_path, capsys):

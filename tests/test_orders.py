@@ -26,7 +26,7 @@ from graphgames.orders import (
     terminal_interval,
 )
 
-from oracles import slice_partition_by_union_find
+from oracles import forbidden_pattern_by_lt, slice_partition_by_union_find
 
 
 def profile(**chains):
@@ -146,6 +146,23 @@ def test_pattern_invariant_under_relabeling(rnd):
         },
     )
     assert (forbidden_pattern(p) is None) == (forbidden_pattern(relabeled) is None)
+
+
+def test_pattern_matches_the_order_by_order_oracle():
+    # the first witness, in player-pair and outcome-triple order, is the
+    # one that asking both orders about every triple finds
+    from graphgames.gen import random_profile
+
+    rng = random.Random(7171)
+    found = 0
+    for i in range(2400):
+        players = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+        outcomes = [f"o{j}" for j in range(rng.randint(1, 5))]
+        p = random_profile(rng, players, outcomes, linear=i % 2 == 0)
+        witness = forbidden_pattern(p)
+        assert witness == forbidden_pattern_by_lt(p)
+        found += witness is not None
+    assert 0 < found < 2400
 
 
 # --- slice partition ------------------------------------------------------------
