@@ -30,12 +30,12 @@ class ArenaIndex:
     """Integer view of a game graph, built once and shared by every solver.
 
     Vertices are numbered in the order given, which is ``skey`` order for
-    an arena and for every product, and ``index`` maps each back to its
-    number.  ``succ[i]`` lists the successor indices of vertex ``i`` in the
-    graph's successor order, ``pred[i]`` its predecessor indices in
-    ascending order, ``owner[i]`` its owner label, and ``owned[label]`` the
-    vertices of each label in index order.  A product graph labels each
-    state with its arena vertex instead of an owner.  The bitmask facts
+    an arena, and ``index`` maps each back to its number.  ``succ[i]``
+    lists the successor indices of vertex ``i`` in the graph's successor
+    order, ``pred[i]`` its predecessor indices in ascending order,
+    ``owner[i]`` its owner label, and ``owned[label]`` the vertices of each
+    label in index order.  A product graph may label each state with its
+    arena vertex instead of an owner.  The bitmask facts
     below are worked out on first use and kept, so every layer that reads
     them shares one copy.
     """
@@ -484,19 +484,25 @@ def configuration_successors(arena: Arena, free: tuple, machines: list):
 
     The memories are those of ``machines``, in the same order.  Any other
     player's machine moves the token at her vertices; every memory updates
-    on arrival.
+    on arrival.  Each step reads the machines' tables directly, as
+    ``next_state`` and ``move`` do; a missing choice is refused by ``move``.
     """
     slot = {m.player: i for i, m in enumerate(machines)}
+    updates = [m.update for m in machines]
+    owner = arena.owner
 
     def successors(state):
         v, mems = state
-        own = arena.owner[v]
+        own = owner[v]
         if own in free:
             targets = arena.successors(v)
         else:
             i = slot[own]
-            targets = (machines[i].move(v, mems[i]),)
-        return [(w, tuple(m.next_state(w, q) for m, q in zip(machines, mems))) for w in targets]
+            try:
+                targets = (machines[i].choice[v, mems[i]],)
+            except KeyError:
+                targets = (machines[i].move(v, mems[i]),)
+        return [(w, tuple([u.get((w, q), q) for u, q in zip(updates, mems)])) for w in targets]
 
     return successors
 
@@ -585,7 +591,17 @@ def closed_strongly_connected_sets(
                 if len(found) > max_product_states:
                     raise TooLargeError(f"{len(found)} recurrence sets exceed the bound {max_product_states}")
                 stack.append(view.splits(x))
-    return frozenset(frozenset(v for i, v in enumerate(view.vertices) if x >> i & 1) for x in found)
+    vs = view.vertices
+
+    def members(x: int) -> frozenset:
+        names = []
+        while x:
+            b = x & -x
+            names.append(vs[b.bit_length() - 1])
+            x ^= b
+        return frozenset(names)
+
+    return frozenset(map(members, found))
 
 
 def feasible_inf_sets(
@@ -610,18 +626,41 @@ def feasible_among(arena: Arena, candidates: Iterable, source: Vertex | None) ->
     return frozenset(s for s in candidates if view.recurrence_mask(s) & reach)
 
 
-def looping_components(within: int, adj: list, radj: list):
+def looping_components(within: int, adj: list, radj: list) -> list:
     """Strongly connected components inside ``within`` that hold a cycle.
 
-    Yields index masks in the order of their lowest member.
+    Returns index masks in the order of their lowest member.  Each
+    component is peeled off what is left: the states its lowest member
+    reaches, then those of them that reach it back.
     """
+    comps = []
     rest = within
     while rest:
         low = rest & -rest
-        comp = component_mask(low, adj, radj, rest)
+        seen = frontier = low
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & rest & ~seen
+            seen |= frontier
+        # every path back to ``low`` from a state it reaches runs inside ``ahead``
+        ahead = seen
+        comp = frontier = low
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= radj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & ahead & ~comp
+            comp |= frontier
         rest &= ~comp
         if comp != low or adj[low.bit_length() - 1] & low:
-            yield comp
+            comps.append(comp)
+    return comps
 
 
 def split_components(x: int, adj: list, radj: list):

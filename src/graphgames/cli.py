@@ -34,12 +34,25 @@ from .winlose import solve as solve_winlose
 
 
 def _read_json(path: str):
-    """The JSON document at ``path``, read as UTF-8 whatever the locale."""
+    """The JSON document at ``path``, read as UTF-8 whatever the locale.
+
+    The bytes are decoded in one go.  A text-mode read would also turn
+    CR LF and lone CR line ends into LF, which changes no parse but moves
+    the positions a syntax error names, so a refusal is worded on that text.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidArenaError([("BadDocument", str(exc))]) from exc
+    except RecursionError:
+        raise InvalidArenaError([("BadDocument", "document nests too deeply to read")]) from None
+    except ValueError:  # an integer literal past the interpreter's limit on decimal digits
+        raise InvalidArenaError([("BadDocument", "document has a number with too many digits to read")]) from None
 
 
 def _write_file(path, text: str) -> None:

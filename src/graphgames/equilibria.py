@@ -13,12 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .arena import (
     DEFAULT_PRODUCT_BOUND,
     Arena,
-    ArenaIndex,
     Lasso,
     StrategyMachine,
     StrategyProfile,
@@ -90,6 +89,19 @@ def induced_outcome_from(game: GraphGame, profile: StrategyProfile, vertex=None,
 # verification: one player free, everyone else fixed
 
 
+class _ProductIndex(NamedTuple):
+    """A deviation product's states in ``skey`` order, numbered by ``index``.
+
+    ``succ[i]`` lists the successor indices of state ``i`` and
+    ``owner[i]`` is its arena vertex.
+    """
+
+    vertices: tuple
+    index: dict
+    succ: tuple
+    owner: tuple
+
+
 class _DeviationProduct:
     """One player's deviation product, built once and searched from any start.
 
@@ -117,14 +129,23 @@ class _DeviationProduct:
         )
         vs = tuple(sorted(states, key=skey))
         index = {s: i for i, s in enumerate(vs)}
-        self.view = view = ArenaIndex(
-            vs, index, tuple(tuple(map(index.__getitem__, succ[s])) for s in vs), tuple(s[0] for s in vs)
-        )
-        self.adj, self.radj = view.masks()
-        self.everything = (1 << len(view.vertices)) - 1
-        self.over: dict = {}
-        for i, v in enumerate(view.owner):
-            self.over[v] = self.over.get(v, 0) | 1 << i
+        # successor and predecessor masks, and the states over each vertex, in one pass
+        self.adj = adj = []
+        self.radj = radj = [0] * len(vs)
+        self.over = over = {}
+        nexts = []
+        for i, s in enumerate(vs):
+            bit = 1 << i
+            over[s[0]] = over.get(s[0], 0) | bit
+            ws = tuple(map(index.__getitem__, succ[s]))
+            nexts.append(ws)
+            out = 0
+            for j in ws:
+                out |= 1 << j
+                radj[j] |= bit
+            adj.append(out)
+        self.view = _ProductIndex(vs, index, tuple(nexts), tuple(s[0] for s in vs))
+        self.everything = (1 << len(vs)) - 1
         self.outcome_map = game.outcome_map
         self.order = game.prefs.order_of(player)
         self.better: dict = {}
@@ -268,14 +289,19 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
     """The first of ``configs`` with a profitable deviation, as ``(vertex, witness)``, or ``None``.
 
     ``configs`` are ``(vertex, memories in player order)`` pairs of a
-    validated profile.  Each player's product is built once, on first use,
-    from all of them.  Every configuration a walk meets settles on that
-    walk's outcome, so a configuration is walked only when no earlier walk
-    met it, or to place a witness.
+    validated profile.  Each player's product is built once, from all of
+    them, on first use: when some outcome of the map beats, in her order,
+    the outcome a configuration's play settles on.  A player no outcome
+    tempts has no profitable deviation, so her product is never built.
+    Every configuration a walk meets settles on that walk's outcome, so a
+    configuration is walked only when no earlier walk met it, or to place
+    a witness.
     """
     arena = game.arena
     players = arena.sorted_players()
     product_of = functools.cache(lambda a: _DeviationProduct(game, profile, a, configs, max_product_states))
+    values = set(game.outcome_map.values())
+    tempted = functools.cache(lambda a, induced: any(game.prefs.order_of(a).lt(induced, o) for o in values))
 
     def walk(cfg):
         return walk_configurations(arena, profile, cfg[0], dict(zip(players, cfg[1])))
@@ -287,6 +313,8 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
             outcome.update(dict.fromkeys(cfgs, game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))))
         induced = outcome[cfg]
         for a in players:
+            if not tempted(a, induced):
+                continue
             product = product_of(a)
             s0 = product.state(cfg)
             found = product.first_improvement(s0, induced)

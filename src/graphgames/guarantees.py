@@ -45,8 +45,9 @@ class GraphGame:
     def __post_init__(self):
         if set(self.prefs.orders) != set(self.arena.players):
             raise InvalidInputError("preference profile players differ from arena players")
+        outcomes = set(self.prefs.outcomes)
         for s, o in self.outcome_map.items():
-            if o not in set(self.prefs.outcomes):
+            if o not in outcomes:
                 raise InvalidInputError(f"outcome {o!r} for {sorted(map(str, s))} not declared")
 
     def validate_total(self, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> None:

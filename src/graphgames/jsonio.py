@@ -293,7 +293,10 @@ def graph_game_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT
     for entry in raw_map:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], list)):
             raise InvalidInputError(f"outcome map entry {entry!r} must be [[vertices], outcome]")
-        vertices = frozenset(identifier(v, "vertex") for v in entry[0])
+        try:
+            vertices = frozenset(entry[0])
+        except TypeError:  # an unhashable vertex, which the refusal names
+            vertices = frozenset(identifier(v, "vertex") for v in entry[0])
         outcome = identifier(entry[1], "outcome")
         if outcome_map.setdefault(vertices, outcome) != outcome:
             clashes.append(sorted(map(str, vertices)))
@@ -442,13 +445,17 @@ def table_to_json(table: GuaranteeTable) -> dict:
 
 
 def _payoff(x) -> Fraction:
-    """A payoff given as a number or a fraction string such as ``"3/5"``."""
+    """A payoff given as a finite number or a fraction string such as ``"3/5"``."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InvalidInputError(f"payoff {x!r} must be finite")
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise InvalidInputError(f"payoff {x!r} must be a number or a fraction string")
     try:
         return Fraction(x)
-    except (ArithmeticError, ValueError) as exc:
-        raise InvalidInputError(f"payoff {x!r} is not a number: {exc}") from None
+    except ZeroDivisionError:
+        raise InvalidInputError(f"payoff {x!r} has a zero denominator") from None
+    except ValueError:
+        raise InvalidInputError(f"payoff {x!r} must be a number or a fraction string") from None
 
 
 def tree_from_json(doc: Mapping) -> TreeGame:

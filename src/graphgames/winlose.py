@@ -440,11 +440,19 @@ class MullerSearch:
         self.components = tuple(looping_components((1 << n) - 1, *view.masks()))
         self.by_name = sorted(range(n), key=str)
         self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
+        self.masks: dict = {}  # family -> masks of its recurrence sets
         self.single_leaf = None  # (view, label, move, moves, at, nxt) of a single-leaf product
 
-    def recurrence_masks(self, family: Iterable) -> frozenset:
-        """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped."""
-        return frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
+    def recurrence_masks(self, family: frozenset) -> frozenset:
+        """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped.
+
+        Worked out once per family: ``product`` and the ``TreeProduct`` it
+        builds both ask.
+        """
+        masks = self.masks.get(family)
+        if masks is None:
+            masks = self.masks[family] = frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
+        return masks
 
     def product(self, family: frozenset) -> TreeProduct:
         """The tree product of ``family``, shared with every family of the same recurrence sets."""

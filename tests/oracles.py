@@ -28,10 +28,9 @@ from graphgames.arena import (
     StrategyMachine,
     StrategyProfile,
     bits_for,
-    configuration_successors,
+    component_mask,
     explore,
     fallback_machine,
-    looping_components,
     minimize_machine,
     skey,
     walk_configurations,
@@ -597,6 +596,36 @@ class RecordProduct:
         return frozenset(self.view.vertices[k][1][0] for k in W0 if self.view.vertices[k][0] == "m")
 
 
+def looping_components_by_component_masks(within: int, adj: list, radj: list):
+    """``looping_components``' masks, each component the intersection of a
+    forward and a backward reach of its lowest member inside what is left."""
+    rest = within
+    while rest:
+        low = rest & -rest
+        comp = component_mask(low, adj, radj, rest)
+        rest &= ~comp
+        if comp != low or adj[low.bit_length() - 1] & low:
+            yield comp
+
+
+def successors_by_machine_calls(arena: Arena, free: tuple, machines: list):
+    """``configuration_successors``' answers, each step through the
+    machines' ``move`` and ``next_state``."""
+    slot = {m.player: i for i, m in enumerate(machines)}
+
+    def successors(state):
+        v, mems = state
+        own = arena.owner[v]
+        if own in free:
+            targets = arena.successors(v)
+        else:
+            i = slot[own]
+            targets = (machines[i].move(v, mems[i]),)
+        return [(w, tuple(m.next_state(w, q) for m, q in zip(machines, mems))) for w in targets]
+
+    return successors
+
+
 def _first_improvement_in(game, order, induced, view: ArenaIndex):
     """Best outcome beating ``induced`` that the product ``view`` can settle on.
 
@@ -617,7 +646,7 @@ def _first_improvement_in(game, order, induced, view: ArenaIndex):
         parts = [over.get(v, 0) for v in T]
         if not all(parts):
             continue
-        for comp in looping_components(sum(parts), adj, radj):
+        for comp in looping_components_by_component_masks(sum(parts), adj, radj):
             if all(comp & part for part in parts):
                 return o, comp
     return None
@@ -665,7 +694,7 @@ def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_p
         fixed = [profile.machines[p] for p in others]
         s0 = (v0, tuple(mems0[p] for p in others))
         states, succ = explore(
-            [s0], configuration_successors(arena, (a,), fixed), max_product_states, "deviation product"
+            [s0], successors_by_machine_calls(arena, (a,), fixed), max_product_states, "deviation product"
         )
         view = IndexByCallables(sorted(states, key=skey), succ.__getitem__, lambda s: s[0])
         found = _first_improvement_in(game, game.prefs.order_of(a), induced, view)

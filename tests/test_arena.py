@@ -12,10 +12,12 @@ from graphgames.arena import (
     canonical_lasso,
     clamp_budget,
     closed_strongly_connected_sets,
+    configuration_successors,
     energy_product,
     feasible_inf_sets,
     induced_lasso,
     inf_set,
+    looping_components,
     make_arena,
     memoryless_machine,
     minimize_machine,
@@ -32,8 +34,10 @@ from oracles import (
     arena_index_by_skey,
     bfs_reachable,
     feasible_sets_by_walk_search,
+    looping_components_by_component_masks,
     minimize_machine_by_dicts,
     recurrence_sets_by_mask_scan,
+    successors_by_machine_calls,
 )
 
 
@@ -301,6 +305,53 @@ def test_descent_agrees_with_mask_scan():
         source = rng.choice(arena.sorted_vertices())
         reach = bfs_reachable(arena, source)
         assert closed_strongly_connected_sets(arena, source) == {s for s in everything if s <= reach}, seed
+
+
+def test_peel_agrees_with_component_masks():
+    # the inline peel and the peel by forward and backward component masks
+    # give the same components in the same order, on 2,000 random graphs
+    # and masks inside them
+    rng = random.Random(4242)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        adj = [sum(1 << j for j in range(n) if rng.random() < rng.choice((0.1, 0.25, 0.5))) for _ in range(n)]
+        radj = [sum(1 << i for i in range(n) if adj[i] >> j & 1) for j in range(n)]
+        within = rng.getrandbits(n) | rng.choice((0, (1 << n) - 1))
+        assert looping_components(within, adj, radj) == list(looping_components_by_component_masks(within, adj, radj))
+
+
+def test_configuration_steps_agree_with_machine_calls():
+    # steps read the machines' tables directly; every successor list, and
+    # the refusal of a missing choice, is what move and next_state give
+    rng = random.Random(777)
+    refused = 0
+    for _ in range(300):
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        arena = random_arena(rng, rng.randint(1, 5), players)
+        machines = []
+        for p in players:
+            states = rng.randint(1, 3)
+            update = {(v, q): rng.randrange(states) for v in arena.vertices for q in range(states) if rng.random() < 0.7}
+            choice = {
+                (v, q): rng.choice(arena.successors(v))
+                for v in arena.owned_by(p) for q in range(states) if rng.random() < 0.9
+            }
+            machines.append(StrategyMachine(p, 2, update, choice))
+        free = tuple(rng.sample(players, rng.randint(0, len(players))))
+        fast = configuration_successors(arena, free, machines)
+        slow = successors_by_machine_calls(arena, free, machines)
+        for v in arena.vertices:
+            state = (v, tuple(rng.randrange(3) for _ in machines))
+            try:
+                expected = slow(state)
+            except InvalidInputError as exc:
+                refused += 1
+                with pytest.raises(InvalidInputError) as caught:
+                    fast(state)
+                assert str(caught.value) == str(exc)
+            else:
+                assert fast(state) == expected
+    assert refused
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -24,7 +24,7 @@ from graphgames.equilibria import (
     verify_ne,
     verify_spe,
 )
-from graphgames.errors import NotAntagonisticError, PatternPresentError, TooLargeError
+from graphgames.errors import InvalidInputError, NotAntagonisticError, PatternPresentError, TooLargeError
 from graphgames.gen import inverse_pair_profile, pattern_free_profile, random_graph_game
 from graphgames.guarantees import GraphGame, guarantee_table, optimal_strategy
 from graphgames.jsonio import graph_game_from_json, graph_game_to_json, machine_to_json
@@ -387,19 +387,21 @@ def synthesized_profile_game(seed):
     return game, synthesize_ne(game).profile
 
 
-@pytest.mark.parametrize("seed", range(300))
+@pytest.mark.parametrize("seed", range(1400))
 def test_shared_products_agree_with_fresh_products_on_random_profiles(seed):
-    # one product per player, shared by every configuration, gives the
-    # witness that a fresh product per configuration gives, byte for byte
+    # one product per tempted player, shared by every configuration, gives
+    # the witness that a fresh product per configuration and player gives,
+    # byte for byte
     game, profile = random_profile_game(seed)
     assert verdict(verify_spe(game, profile)) == verdict(spe_by_fresh_products(game, profile))
     assert witness_data(verify_ne(game, profile)) == witness_data(deviation_by_fresh_products(game, profile))
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(600))
 def test_shared_products_agree_with_fresh_products_on_synthesized_profiles(seed):
     game, profile = synthesized_profile_game(seed)
     assert verdict(verify_spe(game, profile)) == verdict(spe_by_fresh_products(game, profile))
+    assert witness_data(verify_ne(game, profile)) == witness_data(deviation_by_fresh_products(game, profile))
 
 
 def count_deviation_products(monkeypatch) -> list:
@@ -415,17 +417,34 @@ def count_deviation_products(monkeypatch) -> list:
     return built
 
 
+def tempted_players(game, profile) -> set:
+    """The players ``verify_spe`` builds a product for: those for whom the
+    map names an outcome better than some configuration's outcome, over
+    the configurations in search order, up to the first witness and its
+    player."""
+    values = set(game.outcome_map.values())
+    tempted = set()
+    for v, mems in joint_configurations(game.arena, profile):
+        induced = induced_outcome_from(game, profile, v, mems)
+        witness = deviation_by_fresh_products(game, profile, v, mems)
+        for a in game.arena.sorted_players():
+            if any(game.prefs.order_of(a).lt(induced, o) for o in values):
+                tempted.add(a)
+            if witness is not None and witness.player == a:
+                return tempted
+    return tempted
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_spe_builds_one_deviation_product_per_player(seed, monkeypatch):
+    # one product for each player some configuration's outcome can be
+    # improved on for, and none for any other player
     game, profile = random_profile_game(seed) if seed % 2 else synthesized_profile_game(seed // 2)
+    expected = tempted_players(game, profile)
     built = count_deviation_products(monkeypatch)
-    found = verify_spe(game, profile)
-    players = len(game.arena.players)
+    verify_spe(game, profile)
     assert built.count("joint product") == 1
-    assert built.count("deviation product") <= players
-    if found is None:
-        # every configuration checked every player
-        assert built.count("deviation product") == players
+    assert built.count("deviation product") == len(expected)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -624,10 +643,40 @@ def test_verifiers_take_the_product_bound_by_name():
     profile = synthesize_ne(game).profile
     assert verify_ne(game, profile, max_product_states=100) is None
     assert verify_spe(game, synthesize_antagonistic_spe(game), max_product_states=100) is None
-    with pytest.raises(TooLargeError):
-        verify_ne(game, profile, max_product_states=1)
-    with pytest.raises(TooLargeError):
+    # a moves to v1 and b stays there: a is tempted back to win0, and her
+    # product holds both vertices
+    moved = StrategyProfile({"a": memoryless_machine("a", {"v0": "v1"}), "b": memoryless_machine("b", {"v1": "v1"})})
+    witness = verify_ne(game, moved, max_product_states=2)
+    assert (witness.player, witness.improved_outcome) == ("a", "win0")
+    with pytest.raises(TooLargeError, match="deviation product exceeds 1 states"):
+        verify_ne(game, moved, max_product_states=1)
+    # verify --subgames is still refused by its joint product first
+    with pytest.raises(TooLargeError, match="joint product exceeds 1 states"):
         verify_spe(game, profile, max_product_states=1)
+
+
+def test_verify_ne_builds_no_product_for_a_player_no_outcome_tempts(monkeypatch):
+    # in the NE profile a keeps the token at v0 and her best outcome win0;
+    # b is tempted but never moves, so b's one-state product fits the bound
+    # and a's two-state product, needed by no one, is not built
+    game = parity_outcome_game()
+    profile = synthesize_ne(game).profile
+    built = count_deviation_products(monkeypatch)
+    assert verify_ne(game, profile, max_product_states=1) is None
+    assert built == ["deviation product"]
+    # b's machine has no choice at v1, which only a deviation by a reaches:
+    # a's product meets the gap, and no one needs it
+    gappy = StrategyProfile({"a": memoryless_machine("a", {"v0": "v0"}), "b": StrategyMachine("b", 0, {}, {})})
+    assert verify_ne(game, gappy) is None
+    # once a is tempted, her product is built and the gap refused
+    tempted = GraphGame(game.arena, game.outcome_map, PreferenceProfile(
+        ("win0", "win1"), {"a": linear_order(["win0", "win1"]), "b": linear_order(["win0", "win1"])}
+    ))
+    with pytest.raises(InvalidInputError, match="machine for 'b' has no choice at vertex 'v1', state 0"):
+        verify_ne(tempted, gappy)
+    # verify --subgames explores the joint product first, which meets the gap
+    with pytest.raises(InvalidInputError, match="machine for 'b' has no choice at vertex 'v1', state 0"):
+        verify_spe(game, gappy)
 
 
 # --- table builders against dict builders ------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import io
 import json
@@ -356,6 +357,14 @@ def test_cli_names_the_least_unknown_vertex_an_objective_names(tmp_path, capsys,
     assert captured.err == ""
 
 
+PAYOFF_TREE = {
+    "tree": {
+        "owner": "a",
+        "children": [{"payoffs": {"a": "3/5", "b": "3/10"}}, {"payoffs": {"a": "1/5", "b": "1"}}],
+    }
+}
+
+
 # memoryless: A stays at u, B stays at w
 STAY_PROFILE = {
     "machines": {
@@ -457,6 +466,12 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
          [("InvalidInputError", "machine for 'B' choice must be a list of [vertex, state, vertex] triples")]),
         ("verify", GAME_DOC, {"machine": STAY_PROFILE["machines"]},
          [("InvalidInputError", "profile document needs a 'machines' object")]),
+        ("discretize", with_changes(PAYOFF_TREE, ["tree", "children", 0, "payoffs", "a"], "x"), None,
+         [("InvalidInputError", "payoff 'x' must be a number or a fraction string")]),
+        ("discretize", with_changes(PAYOFF_TREE, ["tree", "children", 0, "payoffs", "a"], "1/0"), None,
+         [("InvalidInputError", "payoff '1/0' has a zero denominator")]),
+        ("discretize", with_changes(PAYOFF_TREE, ["tree", "children", 0, "payoffs", "a"], math.nan), None,
+         [("InvalidInputError", "payoff nan must be finite")]),
     ],
     ids=["duplicate-vertex", "duplicate-player", "objective-two-kinds", "objective-unknown-kind",
          "objective-bad-body", "objective-safe-body", "objective-muller-body", "objective-muller-set",
@@ -465,7 +480,8 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
          "energy-priority-missing", "energy-not-an-object", "energy-weights-int", "energy-weights-player-list",
          "energy-caps-list", "energy-caps-player-int", "energy-caps-triple", "energy-caps-missing",
          "energy-priorities-list", "machine-not-an-object", "machine-update-not-triples",
-         "machine-choice-not-triples", "profile-no-machines"],
+         "machine-choice-not-triples", "profile-no-machines", "payoff-not-a-fraction", "payoff-zero-denominator",
+         "payoff-nan"],
 )
 def test_cli_names_what_a_malformed_document_gets_wrong(tmp_path, capsys, command, doc, profile, errors):
     argv = [command, write(tmp_path, "doc.json", doc)]
@@ -542,14 +558,6 @@ def test_cli_verify_rejects_machine_moves_off_the_edges(tmp_path, capsys, doc, m
     captured = capsys.readouterr()
     assert [e["code"] for e in json.loads(captured.out)["errors"]] == ["InvalidInputError"]
     assert captured.err == ""
-
-
-PAYOFF_TREE = {
-    "tree": {
-        "owner": "a",
-        "children": [{"payoffs": {"a": "3/5", "b": "3/10"}}, {"payoffs": {"a": "1/5", "b": "1"}}],
-    }
-}
 
 
 @pytest.mark.parametrize(
@@ -984,20 +992,26 @@ def mutated(draw, doc):
 
 
 FUZZ_COMMANDS = [
-    (["solve"], PARITY_DOC),
-    (["guarantee"], GAME_DOC),
-    (["ne"], GAME_DOC),
-    (["spe"], GAME_DOC),
-    (["pareto-ne"], GAME_DOC),
-    (["verify"], GAME_DOC),
-    (["verify", "--subgames"], GAME_DOC),
-    (["discretize"], PAYOFF_TREE),
+    ("solve", ["solve"], PARITY_DOC),
+    ("solve reach", ["solve"], with_changes(PARITY_DOC, ["objective"], {"reach": ["v1"]})),
+    ("solve muller", ["solve"], with_changes(PARITY_DOC, ["objective"], {"muller": [["v0"], ["v0", "v1"]]})),
+    ("solve energy", ["solve"], ENERGY_PARITY_DOC),
+    ("guarantee", ["guarantee"], GAME_DOC),
+    ("ne", ["ne"], GAME_DOC),
+    ("spe", ["spe"], GAME_DOC),
+    ("pareto-ne", ["pareto-ne"], GAME_DOC),
+    ("verify", ["verify"], GAME_DOC),
+    ("verify --subgames", ["verify", "--subgames"], GAME_DOC),
+    ("discretize", ["discretize"], PAYOFF_TREE),
 ]
 
+# phrases of CPython's own exception messages, which a refusal should not pass on
+CPYTHON_WORDING = ("Invalid literal", "object is not", "cannot unpack", "has no attribute", "indices must be", "unhashable")
 
-@pytest.mark.parametrize("argv, doc", FUZZ_COMMANDS, ids=[" ".join(a) for a, _ in FUZZ_COMMANDS])
+
+@pytest.mark.parametrize("argv, doc", [c[1:] for c in FUZZ_COMMANDS], ids=[c[0] for c in FUZZ_COMMANDS])
 def test_cli_fuzzed_documents_exit_cleanly(tmp_path, argv, doc):
-    @settings(max_examples=25, deadline=None, database=None)
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(game=mutated(doc), profile=mutated(STAY_PROFILE))
     def run(game, profile):
         files = [write(tmp_path, "game.json", game)]
@@ -1008,7 +1022,11 @@ def test_cli_fuzzed_documents_exit_cleanly(tmp_path, argv, doc):
             code = main([argv[0], *files, *argv[1:]])
         assert code in ({0, 2, 3} | ({1} if argv[0] == "verify" else set()))
         assert err.getvalue() == ""
-        assert json.loads(out.getvalue())
+        payload = json.loads(out.getvalue())
+        for error in payload.get("errors", []) if code in (2, 3) else ():
+            # a refusal is the program's own, worded for the document
+            assert not isinstance(getattr(builtins, error["code"], None), type), error
+            assert not any(phrase in error["detail"] for phrase in CPYTHON_WORDING), error
 
     run()
 
@@ -1166,6 +1184,26 @@ def test_cli_reads_and_writes_utf8_whatever_the_locale(tmp_path, capsys):
     assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
     assert (tmp_path / "c.json").read_bytes() == expected
     assert '"é" [label="é|P0"' in (tmp_path / "c.arena.dot").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        # positions are those of the text with its line ends read as "\n"
+        ('{\r\n  "arena": ,\r\n}', "Expecting value: line 2 column 12 (char 13)"),
+        ('{\r  "arena": ,\r}', "Expecting value: line 2 column 12 (char 13)"),
+        ("[" * 100_000 + "]" * 100_000, "document nests too deeply to read"),
+        ('{"arena": ' + "1" * 5000 + "}", "document has a number with too many digits to read"),
+    ],
+    ids=["crlf-syntax-error", "cr-syntax-error", "too-deep", "too-many-digits"],
+)
+def test_cli_names_what_makes_a_document_unreadable(tmp_path, capsys, text, detail):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [{"code": "BadDocument", "detail": detail}]
+    assert captured.err == ""
 
 
 def test_cli_refuses_undecodable_bytes_as_a_bad_document(tmp_path):
