@@ -75,7 +75,7 @@ class ArenaIndex:
         if m is None:
             index = self.index
             m = sum(1 << index[v] for v in s) if all(v in index for v in s) else 0
-            m = self._recurrence[s] = m if m and closed_and_strongly_connected(m, *self.masks()) else 0
+            m = self._recurrence[s] = m if m and looping_components(m, *self.masks()) == [m] else 0
         return m
 
     def splits(self, x: int) -> tuple:
@@ -631,34 +631,22 @@ def looping_components(within: int, adj: list, radj: list) -> list:
 
     Returns index masks in the order of their lowest member.  Each
     component is peeled off what is left: the states its lowest member
-    reaches, then those of them that reach it back.
+    reaches, then those of them that reach it back.  A lowest member with
+    no successor or no predecessor left lies on no cycle and is dropped
+    alone.
     """
     comps = []
     rest = within
     while rest:
         low = rest & -rest
-        seen = frontier = low
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                nxt |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = nxt & rest & ~seen
-            seen |= frontier
-        # every path back to ``low`` from a state it reaches runs inside ``ahead``
-        ahead = seen
-        comp = frontier = low
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                nxt |= radj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = nxt & ahead & ~comp
-            comp |= frontier
+        i = low.bit_length() - 1
+        if not (adj[i] & rest and radj[i] & rest):
+            rest ^= low
+            continue
+        # every path back to ``low`` from a state it reaches runs inside that reach
+        comp = reach_mask(low, radj, reach_mask(low, adj, rest))
         rest &= ~comp
-        if comp != low or adj[low.bit_length() - 1] & low:
+        if comp != low or adj[i] & low:
             comps.append(comp)
     return comps
 
@@ -687,22 +675,6 @@ def reach_mask(start: int, adj: list, within: int) -> int:
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
-
-
-def component_mask(start: int, adj: list, radj: list, within: int) -> int:
-    """Strongly connected component of the one-bit mask ``start`` inside ``within``."""
-    return reach_mask(start, adj, within) & reach_mask(start, radj, within)
-
-
-def closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
-    """Whether every member of ``mask`` has a successor in it and it is strongly connected."""
-    m = mask
-    while m:
-        b = m & -m
-        if not adj[b.bit_length() - 1] & mask:
-            return False
-        m ^= b
-    return component_mask(mask & -mask, adj, radj, mask) == mask
 
 
 def explore(starts: Iterable, successors: Callable, bound: int, what: str) -> tuple:

@@ -7,6 +7,7 @@ inputs therefore serialize byte-identically.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
@@ -38,8 +39,12 @@ from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseG
 def dumps(obj) -> str:
     """The canonical text of ``obj``: the bytes of ``json.dumps(obj,
     indent=2, sort_keys=True)`` and a newline, written without the indenting
-    encoder, which runs in pure Python."""
-    return _encode(obj, "\n") + "\n"
+    encoder, which runs in pure Python.  An object nested past the frames
+    this emitter's recursion may take is written by that encoder."""
+    try:
+        return _encode(obj, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _encode(obj, newline: str) -> str:
@@ -444,12 +449,31 @@ def table_to_json(table: GuaranteeTable) -> dict:
     }
 
 
+# the most digits a payoff string may spell out, exponent expanded: the
+# difference of two payoffs, which ``discretize`` writes, then stays inside
+# the interpreter's limit of 4,300 digits on writing an integer
+PAYOFF_DIGITS = 2_000
+# the most decision levels a tree document may nest; every tree walker
+# recurses once or twice per level, within the interpreter's 1,000 frames
+TREE_DEPTH = 300
+
+
 def _payoff(x) -> Fraction:
     """A payoff given as a finite number or a fraction string such as ``"3/5"``."""
     if isinstance(x, float) and not math.isfinite(x):
         raise InvalidInputError(f"payoff {x!r} must be finite")
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise InvalidInputError(f"payoff {x!r} must be a number or a fraction string")
+    if isinstance(x, str):
+        # ``Fraction`` would work out the whole power of ten an exponent names
+        mantissa, _, exponent = x.lower().partition("e")
+        try:
+            digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
+        except ValueError:  # no exponent ``Fraction`` reads, or one of more digits than ``int`` reads
+            digits = len(x)
+        if digits > PAYOFF_DIGITS:
+            shown = x if len(x) <= 32 else x[:32] + "..."
+            raise InvalidInputError(f"payoff {shown!r} spells out more than {PAYOFF_DIGITS} digits, its exponent expanded")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -463,7 +487,7 @@ def tree_from_json(doc: Mapping) -> TreeGame:
     players = set()
     leaves = []
 
-    def parse(node):
+    def parse(node, depth: int):
         node = _object(node, "tree node")
         if "outcome" in node:
             leaves.append(Leaf(outcome=identifier(node["outcome"], "outcome")))
@@ -478,10 +502,12 @@ def tree_from_json(doc: Mapping) -> TreeGame:
                 raise InvalidInputError(f"children of {node['owner']!r} must be a list of tree nodes")
             owner = identifier(node["owner"], "owner")
             players.add(owner)
-            return Decision(owner, tuple(parse(c) for c in node["children"]))
+            if depth == TREE_DEPTH:
+                raise InvalidInputError(f"tree nests deeper than {TREE_DEPTH} decision levels")
+            return Decision(owner, tuple(parse(c, depth + 1) for c in node["children"]))
         raise InvalidInputError(f"bad tree node {node!r}")
 
-    root = parse(_object(doc, "tree document").get("tree", doc))
+    root = parse(_object(doc, "tree document").get("tree", doc), 0)
     prefs = None
     if "preferences" in doc:
         profile = preferences_from_json(doc["preferences"])

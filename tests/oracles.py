@@ -28,10 +28,10 @@ from graphgames.arena import (
     StrategyMachine,
     StrategyProfile,
     bits_for,
-    component_mask,
     explore,
     fallback_machine,
     minimize_machine,
+    reach_mask,
     skey,
     walk_configurations,
 )
@@ -594,6 +594,22 @@ class RecordProduct:
                 prio.append(2 * (self.n - h) + (frozenset(r[:h]) not in family))
         W0 = _solve_view(self.view, side, prio)[0]
         return frozenset(self.view.vertices[k][1][0] for k in W0 if self.view.vertices[k][0] == "m")
+
+
+def component_mask(start: int, adj: list, radj: list, within: int) -> int:
+    """Strongly connected component of the one-bit mask ``start`` inside ``within``."""
+    return reach_mask(start, adj, within) & reach_mask(start, radj, within)
+
+
+def closed_and_strongly_connected(mask: int, adj: list, radj: list) -> bool:
+    """Whether every member of ``mask`` has a successor in it and it is strongly connected."""
+    m = mask
+    while m:
+        b = m & -m
+        if not adj[b.bit_length() - 1] & mask:
+            return False
+        m ^= b
+    return component_mask(mask & -mask, adj, radj, mask) == mask
 
 
 def looping_components_by_component_masks(within: int, adj: list, radj: list):

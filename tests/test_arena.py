@@ -33,6 +33,7 @@ from oracles import (
     IndexByCallables,
     arena_index_by_skey,
     bfs_reachable,
+    closed_and_strongly_connected,
     feasible_sets_by_walk_search,
     looping_components_by_component_masks,
     minimize_machine_by_dicts,
@@ -307,10 +308,40 @@ def test_descent_agrees_with_mask_scan():
         assert closed_strongly_connected_sets(arena, source) == {s for s in everything if s <= reach}, seed
 
 
+def dangling_graph(rng) -> tuple:
+    """Successor and predecessor masks of a random core with chains hanging
+    into and out of it and vertices whose only cycle is a self-loop,
+    numbered in a random order."""
+    core = rng.randint(0, 6)
+    edges = {(u, w) for u in range(core) for w in range(core) if rng.random() < 0.3}
+    n = core
+    for _ in range(rng.randint(0, 3)):
+        chain = list(range(n, n + rng.randint(1, 4)))
+        n += len(chain)
+        edges.update(zip(chain, chain[1:]))
+        if core:
+            anchor = rng.randrange(core)
+            edges.add((chain[-1], anchor) if rng.random() < 0.5 else (anchor, chain[0]))
+    for _ in range(rng.randint(0, 3)):
+        edges.add((n, n))
+        if core:
+            anchor = rng.randrange(core)
+            edges.add((n, anchor) if rng.random() < 0.5 else (anchor, n))
+        n += 1
+    number = rng.sample(range(n), n)
+    adj, radj = [0] * n, [0] * n
+    for u, w in edges:
+        adj[number[u]] |= 1 << number[w]
+        radj[number[w]] |= 1 << number[u]
+    return adj, radj
+
+
 def test_peel_agrees_with_component_masks():
-    # the inline peel and the peel by forward and backward component masks
-    # give the same components in the same order, on 2,000 random graphs
-    # and masks inside them
+    # the peel, which drops a lowest vertex with no successor or no
+    # predecessor left, and the peel by forward and backward component
+    # masks give the same components in the same order, on 2,000 random
+    # graphs and masks inside them, and on 1,000 graphs with dangling
+    # chains and self-loop singletons
     rng = random.Random(4242)
     for _ in range(2000):
         n = rng.randint(1, 12)
@@ -318,6 +349,38 @@ def test_peel_agrees_with_component_masks():
         radj = [sum(1 << i for i in range(n) if adj[i] >> j & 1) for j in range(n)]
         within = rng.getrandbits(n) | rng.choice((0, (1 << n) - 1))
         assert looping_components(within, adj, radj) == list(looping_components_by_component_masks(within, adj, radj))
+    for _ in range(1000):
+        adj, radj = dangling_graph(rng)
+        for within in ((1 << len(adj)) - 1, rng.getrandbits(len(adj))):
+            want = list(looping_components_by_component_masks(within, adj, radj))
+            assert looping_components(within, adj, radj) == want
+
+
+def test_recurrence_mask_agrees_with_closed_and_strongly_connected():
+    # the index tests a vertex set by the peel; the reference checks that
+    # every member has a successor inside and that one forward and one
+    # backward reach cover it, on 2,000 random arenas and vertex sets
+    rng = random.Random(5151)
+    answers = []
+    for _ in range(2000):
+        arena = random_arena(rng, rng.randint(1, 9), ["A", "B"])
+        view = arena.view
+        vs = arena.sorted_vertices()
+        pick = rng.random()
+        if pick < 0.4:
+            s = frozenset(v for v in vs if rng.random() < 0.5)
+        else:
+            s = rng.choice(sorted(closed_strongly_connected_sets(arena), key=sorted))
+            if pick < 0.7:  # one vertex more or one less
+                s ^= {rng.choice(vs)}
+            if pick > 0.95:
+                s |= {"zz"}
+        mask = sum(1 << view.index[v] for v in s if v in view.index)
+        known = all(v in view.index for v in s)
+        want = mask if known and mask and closed_and_strongly_connected(mask, *view.masks()) else 0
+        assert view.recurrence_mask(frozenset(s)) == want, (sorted(arena.edges), sorted(s))
+        answers.append(want != 0)
+    assert 500 < sum(answers) < 1500, sum(answers)
 
 
 def test_configuration_steps_agree_with_machine_calls():

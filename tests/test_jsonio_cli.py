@@ -1,6 +1,8 @@
 import argparse
 import builtins
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import math
@@ -15,7 +17,8 @@ from graphgames import acceptance, cli, jsonio
 from graphgames.arena import validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
-from graphgames.gen import random_parity_game
+from graphgames.equilibria import synthesize_ne
+from graphgames.gen import random_graph_game, random_parity_game
 from graphgames.winlose import solve
 
 
@@ -365,6 +368,15 @@ PAYOFF_TREE = {
 }
 
 
+def payoff_chain(depth):
+    """A payoff tree ``depth`` decision levels deep, where a and b take
+    turns to stop or to go on."""
+    node = {"payoffs": {"a": "1/2", "b": "1/3"}}
+    for i in range(depth):
+        node = {"owner": "ab"[i % 2], "children": [node, {"payoffs": {"a": "1/4", "b": "1/5"}}]}
+    return {"tree": node}
+
+
 # memoryless: A stays at u, B stays at w
 STAY_PROFILE = {
     "machines": {
@@ -472,6 +484,13 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
          [("InvalidInputError", "payoff '1/0' has a zero denominator")]),
         ("discretize", with_changes(PAYOFF_TREE, ["tree", "children", 0, "payoffs", "a"], math.nan), None,
          [("InvalidInputError", "payoff nan must be finite")]),
+        ("discretize", with_changes(PAYOFF_TREE, ["tree", "children", 0, "payoffs", "a"], "1e20000"), None,
+         [("InvalidInputError", "payoff '1e20000' spells out more than 2000 digits, its exponent expanded")]),
+        ("discretize", with_changes(PAYOFF_TREE, ["tree", "children", 0, "payoffs", "a"], "0." + "0" * 1999 + "1"),
+         None, [("InvalidInputError",
+                 "payoff '0.000000000000000000000000000000...' spells out more than 2000 digits, its exponent expanded")]),
+        ("discretize", payoff_chain(jsonio.TREE_DEPTH + 1), None,
+         [("InvalidInputError", "tree nests deeper than 300 decision levels")]),
     ],
     ids=["duplicate-vertex", "duplicate-player", "objective-two-kinds", "objective-unknown-kind",
          "objective-bad-body", "objective-safe-body", "objective-muller-body", "objective-muller-set",
@@ -481,7 +500,7 @@ def test_cli_names_the_least_set_an_outcome_map_gives_two_outcomes(tmp_path, cap
          "energy-caps-list", "energy-caps-player-int", "energy-caps-triple", "energy-caps-missing",
          "energy-priorities-list", "machine-not-an-object", "machine-update-not-triples",
          "machine-choice-not-triples", "profile-no-machines", "payoff-not-a-fraction", "payoff-zero-denominator",
-         "payoff-nan"],
+         "payoff-nan", "payoff-huge-exponent", "payoff-too-many-digits", "tree-too-deep"],
 )
 def test_cli_names_what_a_malformed_document_gets_wrong(tmp_path, capsys, command, doc, profile, errors):
     argv = [command, write(tmp_path, "doc.json", doc)]
@@ -585,6 +604,36 @@ def test_cli_discretize_rejects_malformed_trees(tmp_path, capsys, path, value):
     captured = capsys.readouterr()
     assert [e["code"] for e in json.loads(captured.out)["errors"]] == ["InvalidInputError"]
     assert captured.err == ""
+
+
+def test_cli_discretize_refuses_a_huge_exponent_at_once(tmp_path, capsys):
+    # Fraction would work out all billion digits of the power
+    import time
+
+    tree_path = write(tmp_path, "tree.json", with_changes(PAYOFF_TREE, ["tree", "children", 1, "payoffs", "b"], "1e999999999"))
+    began = time.perf_counter()
+    assert main(["discretize", tree_path]) == 2
+    assert time.perf_counter() - began < 1.0
+    [error] = json.loads(capsys.readouterr().out)["errors"]
+    assert error == {
+        "code": "InvalidInputError",
+        "detail": "payoff '1e999999999' spells out more than 2000 digits, its exponent expanded",
+    }
+
+
+@pytest.mark.parametrize("depth", [250, jsonio.TREE_DEPTH])
+def test_cli_discretize_answers_on_deep_trees(tmp_path, capsys, depth):
+    # the output nests past the recursive emitter's frames; its bytes are
+    # still those of indented json
+    assert main(["discretize", write(tmp_path, "tree.json", payoff_chain(depth))]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["holds"] is True
+
+
+def test_dumps_writes_deep_documents_as_indented_json():
+    for depth in (100, 700):
+        assert_emits_as_indented_json(functools.reduce(lambda x, i: [x] if i % 2 else {"k": x}, range(depth), 0))
 
 
 @pytest.mark.parametrize(
@@ -757,10 +806,31 @@ def test_cli_options_do_not_leak_between_calls(tmp_path, capsys):
 def test_cli_acceptance_failure_exits_two(tmp_path, capsys, monkeypatch):
     # exit 1 means only "profitable deviation found"
     failed = acceptance.CriterionResult(1, "a criterion", False, "it failed")
-    monkeypatch.setattr(acceptance, "run_all", lambda seed: [failed])
+    seeds = []
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: seeds.append(seed) or [failed])
     out = tmp_path / "acceptance.json"
     assert main(["acceptance", "--out", str(out)]) == 2
     assert json.loads(out.read_text())["criterion_1"]["passed"] is False
+    assert main(["acceptance", "--seed", "7"]) == 2
+    assert seeds == [acceptance.DEFAULT_SEED, 7]
+
+
+def test_cli_import_leaves_the_acceptance_suite_unloaded():
+    # only the acceptance command loads the suite and its generators
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphgames
+
+    source = str(Path(graphgames.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    code = "import json, sys, graphgames.cli; print(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    loaded = json.loads(run.stdout)
+    assert "graphgames.cli" in loaded
+    assert "graphgames.acceptance" not in loaded and "graphgames.gen" not in loaded
 
 
 def test_cli_renders_dot_only_when_asked(tmp_path, capsys, monkeypatch):
@@ -957,6 +1027,18 @@ def test_cli_guarantee_on_a_sixty_vertex_ring(tmp_path, capsys):
     assert len(out["A"]) == 60
 
 
+def test_cli_verify_subgames_bytes_on_a_synthesized_ten_vertex_profile(tmp_path, capsys):
+    # the peels of its deviation products step over most states, which lie
+    # on no cycle; the witness bytes are pinned
+    game = random_graph_game(random.Random(10001), 10, ["A", "B", "C"], ["o1", "o2", "o3", "o4"])
+    game_path = write(tmp_path, "game.json", jsonio.graph_game_to_json(game))
+    profile_path = write(tmp_path, "profile.json", jsonio.profile_to_json(synthesize_ne(game).profile))
+    assert main(["verify", game_path, profile_path, "--subgames"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["at_vertex"] == "v7"
+    assert hashlib.sha256(out.encode()).hexdigest() == "e0dfa02f67963794aab20a46721839269c48ca1647c43dbd6d14bec647b0c9ec"
+
+
 def test_cli_guarantee_table(tmp_path, capsys):
     game_path = write(tmp_path, "game.json", GAME_DOC)
     assert main(["guarantee", game_path]) == 0
@@ -973,6 +1055,10 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
+# for discretize: payoff strings past the digits a payoff may spell out,
+# and payoff trees as deep as a tree may be and one level deeper
+HUGE_PAYOFFS = st.sampled_from(["1e999999999", "1e20000", "-1e-5000", "9" * 5000])
+DEEP_TREES = st.sampled_from([payoff_chain(250)["tree"], payoff_chain(jsonio.TREE_DEPTH + 1)["tree"]])
 
 
 def json_paths(doc, prefix=()):
@@ -984,10 +1070,10 @@ def json_paths(doc, prefix=()):
 
 
 @st.composite
-def mutated(draw, doc):
-    """``doc`` with one subtree replaced by an arbitrary JSON value."""
+def mutated(draw, doc, values=JSON_VALUES):
+    """``doc`` with one subtree replaced by one of ``values``."""
     path = draw(st.sampled_from(list(json_paths(doc))))
-    value = draw(JSON_VALUES)
+    value = draw(values)
     return with_changes(doc, list(path), value) if path else value
 
 
@@ -1012,7 +1098,8 @@ CPYTHON_WORDING = ("Invalid literal", "object is not", "cannot unpack", "has no 
 @pytest.mark.parametrize("argv, doc", [c[1:] for c in FUZZ_COMMANDS], ids=[c[0] for c in FUZZ_COMMANDS])
 def test_cli_fuzzed_documents_exit_cleanly(tmp_path, argv, doc):
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
-    @given(game=mutated(doc), profile=mutated(STAY_PROFILE))
+    @given(game=mutated(doc, JSON_VALUES | HUGE_PAYOFFS | DEEP_TREES if argv[0] == "discretize" else JSON_VALUES),
+           profile=mutated(STAY_PROFILE))
     def run(game, profile):
         files = [write(tmp_path, "game.json", game)]
         if argv[0] == "verify":
