@@ -34,15 +34,15 @@ class ArenaIndex:
     lists the successor indices of vertex ``i`` in the graph's successor
     order, ``pred[i]`` its predecessor indices in ascending order,
     ``owner[i]`` its owner label, and ``owned[label]`` the vertices of each
-    label in index order.  A product graph may label each state with its
-    arena vertex instead of an owner.  The bitmask facts
-    below are worked out on first use and kept, so every layer that reads
-    them shares one copy.
+    label in index order.  A product graph labels each node with the arena
+    vertex it stands at instead of an owner.  ``owned`` and the bitmask
+    facts below are worked out on first use and kept, so every layer that
+    reads them shares one copy.
     """
 
-    __slots__ = ("vertices", "index", "succ", "pred", "owner", "owned", "_masks", "_recurrence", "_splits")
+    __slots__ = ("vertices", "index", "succ", "pred", "owner", "_owned", "_masks", "_recurrence", "_splits")
 
-    def __init__(self, vertices: tuple, index: dict, succ: tuple, owner: tuple):
+    def __init__(self, vertices, index, succ, owner):
         self.vertices = vertices
         self.index = index
         self.succ = succ
@@ -52,21 +52,33 @@ class ArenaIndex:
                 pred[j].append(i)
         self.pred = tuple(map(tuple, pred))
         self.owner = owner
-        owned: dict = {}
-        for v, o in zip(vertices, owner):
-            owned.setdefault(o, []).append(v)
-        self.owned = {o: tuple(vs) for o, vs in owned.items()}
+        self._owned = None
         self._masks = None
         self._recurrence: dict = {}  # vertex set -> its mask, or 0 when it is no recurrence set
         self._splits: dict = {}  # mask -> distinct looping components of mask - v, over every member v
 
+    @property
+    def owned(self) -> dict:
+        if self._owned is None:
+            owned: dict = {}
+            for v, o in zip(self.vertices, self.owner):
+                owned.setdefault(o, []).append(v)
+            self._owned = {o: tuple(vs) for o, vs in owned.items()}
+        return self._owned
+
     def masks(self) -> tuple:
-        """``(adj, radj)``: the successor and predecessor bitmask of every index."""
+        """``(adj, radj)``: the successor and predecessor bitmask of every index, built in one pass."""
         if self._masks is None:
-            self._masks = (
-                [sum(1 << j for j in ws) for ws in self.succ],
-                [sum(1 << j for j in ws) for ws in self.pred],
-            )
+            adj: list = []
+            radj = [0] * len(self.succ)
+            for i, ws in enumerate(self.succ):
+                bit = 1 << i
+                out = 0
+                for j in ws:
+                    out |= 1 << j
+                    radj[j] |= bit
+                adj.append(out)
+            self._masks = (adj, radj)
         return self._masks
 
     def recurrence_mask(self, s) -> int:
@@ -188,17 +200,17 @@ def _sound_arena(players: tuple, vertices: tuple, edges: list, owner: dict, star
     """
     try:
         arena = Arena(players, vertices, frozenset(edges), owner, start)
+        view = arena.view
+        declared = set(players)
+        if (
+            len(view.index) < len(vertices)
+            or len(declared) < len(players)
+            or not declared.issuperset(view.owner)  # hashes every owner
+            or start not in view.index
+            or not all(view.succ)
+        ):
+            return None
     except (KeyError, TypeError):
-        return None
-    view = arena.view
-    declared = set(players)
-    if (
-        len(view.index) < len(vertices)
-        or len(declared) < len(players)
-        or not declared.issuperset(view.owned)
-        or start not in view.index
-        or not all(view.succ)
-    ):
         return None
     return arena
 
@@ -369,7 +381,7 @@ def fallback_machine(arena: Arena, player: Player, partial: Mapping) -> Strategy
     view = arena.view
     vs, index, succ = view.vertices, view.index, view.succ
     return memoryless_machine(
-        player, {v: partial[v] if v in partial else vs[succ[index[v]][0]] for v in arena.owned_by(player)}
+        player, {v: partial[v] if v in partial else vs[succ[index[v]][0]] for v in view.owned.get(player, ())}
     )
 
 

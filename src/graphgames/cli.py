@@ -171,6 +171,8 @@ def cmd_discretize(args) -> int:
 def cmd_gallery(args) -> int:
     if args.depth < 3:
         raise InvalidArenaError([("BadDepth", f"gallery depth must be >= 3, got {args.depth}")])
+    if args.depth > jsonio.TREE_DEPTH:  # deeper truncation trees outgrow the recursive tree walkers
+        raise InvalidArenaError([("BadDepth", f"gallery depth must be <= {jsonio.TREE_DEPTH}, got {args.depth}")])
     _write(gallery(args.depth), args)
     return 0
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .arena import (
     DEFAULT_PRODUCT_BOUND,
     Arena,
+    ArenaIndex,
     Lasso,
     StrategyMachine,
     StrategyProfile,
@@ -89,19 +90,6 @@ def induced_outcome_from(game: GraphGame, profile: StrategyProfile, vertex=None,
 # verification: one player free, everyone else fixed
 
 
-class _ProductIndex(NamedTuple):
-    """A deviation product's states in ``skey`` order, numbered by ``index``.
-
-    ``succ[i]`` lists the successor indices of state ``i`` and
-    ``owner[i]`` is its arena vertex.
-    """
-
-    vertices: tuple
-    index: dict
-    succ: tuple
-    owner: tuple
-
-
 class _DeviationProduct:
     """One player's deviation product, built once and searched from any start.
 
@@ -129,22 +117,12 @@ class _DeviationProduct:
         )
         vs = tuple(sorted(states, key=skey))
         index = {s: i for i, s in enumerate(vs)}
-        # successor and predecessor masks, and the states over each vertex, in one pass
-        self.adj = adj = []
-        self.radj = radj = [0] * len(vs)
-        self.over = over = {}
-        nexts = []
-        for i, s in enumerate(vs):
-            bit = 1 << i
-            over[s[0]] = over.get(s[0], 0) | bit
-            ws = tuple(map(index.__getitem__, succ[s]))
-            nexts.append(ws)
-            out = 0
-            for j in ws:
-                out |= 1 << j
-                radj[j] |= bit
-            adj.append(out)
-        self.view = _ProductIndex(vs, index, tuple(nexts), tuple(s[0] for s in vs))
+        self.view = ArenaIndex(
+            vs, index, tuple(tuple(map(index.__getitem__, succ[s])) for s in vs), tuple(s[0] for s in vs)
+        )
+        self.over = over = {}  # arena vertex -> mask of the states over it
+        for i, v in enumerate(self.view.owner):
+            over[v] = over.get(v, 0) | 1 << i
         self.everything = (1 << len(vs)) - 1
         self.outcome_map = game.outcome_map
         self.order = game.prefs.order_of(player)
@@ -175,9 +153,10 @@ class _DeviationProduct:
         found = self.covering.get(T)
         if found is None:
             parts = [self.over.get(v, 0) for v in T]
-            comps = looping_components(sum(parts), self.adj, self.radj) if all(parts) else ()
+            adj, radj = self.view.masks()
+            comps = looping_components(sum(parts), adj, radj) if all(parts) else ()
             found = self.covering[T] = [
-                (c, reach_mask(c, self.radj, self.everything))
+                (c, reach_mask(c, radj, self.everything))
                 for c in comps if all(c & part for part in parts)
             ]
         return found
@@ -242,6 +221,18 @@ def _cover_cycle(members, succ, entry: int) -> list:
         back = _bfs_path(firsts[0], {entry}, succ, inside)
     walk.extend(back)
     return walk[:-1]
+
+
+def _index_lasso(view: ArenaIndex, start: int, comp: int, labels, allowed: int = -1) -> tuple:
+    """``(stem, cycle)`` of the lasso from index ``start`` into the component mask ``comp``, as ``labels``.
+
+    The stem is a shortest path through ``allowed`` to the component's
+    lowest member, and the cycle covers the component from there.
+    """
+    members = [i for i in range(comp.bit_length()) if comp >> i & 1]
+    stem = _bfs_path(start, {members[0]}, view.succ, allowed)[:-1]
+    cycle = _cover_cycle(members, view.succ, members[0])
+    return [labels[i] for i in stem], [labels[i] for i in cycle]
 
 
 def _lasso_rows(arena: Arena, owned: tuple, seq, loop_at: int, off_play: list) -> tuple:
@@ -322,10 +313,8 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
                 continue
             improved, comp = found
             view = product.view
-            members = [i for i in range(len(view.vertices)) if comp >> i & 1]
-            stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
-            cycle = _cover_cycle(members, view.succ, members[0])
-            seq = [view.owner[i] for i in stem + cycle]
+            stem, cycle = _index_lasso(view, view.index[s0], comp, view.owner)
+            seq = stem + cycle
             machine = _position_machine(a, seq, len(stem), arena)
             if walked[0][0] != cfg:  # its outcome came from an earlier configuration's walk
                 walked = walk(cfg)
@@ -531,10 +520,8 @@ def muller_pareto_ne(game: GraphGame, table: GuaranteeTable | None = None) -> Sy
     # the set is strongly connected and meets ``reach``, so every member is
     # reachable inside the allowed vertices; enter at the lowest
     chosen = min(sets, key=lambda s: tuple(sorted(map(skey, s))))
-    members = sorted(view.index[v] for v in chosen)
-    path = _bfs_path(view.index[arena.start], {members[0]}, view.succ, allowed)
-    cycle = _cover_cycle(members, view.succ, members[0])
-    lasso = canonical_lasso((view.vertices[i] for i in path[:-1]), (view.vertices[i] for i in cycle))
+    stem, cycle = _index_lasso(view, view.index[arena.start], view.recurrence_mask(chosen), view.vertices, allowed)
+    lasso = canonical_lasso(stem, cycle)
     lasso.validate(arena)
     report = _report_from_lasso(game, table, lasso)
     if report.induced_outcome != target:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .arena import (
     DEFAULT_PRODUCT_BOUND,
@@ -441,7 +441,7 @@ class MullerSearch:
         self.by_name = sorted(range(n), key=str)
         self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
         self.masks: dict = {}  # family -> masks of its recurrence sets
-        self.single_leaf = None  # (view, label, move, moves, at, nxt) of a single-leaf product
+        self.single_leaf = None  # (view, move, moves, at, nxt) of a single-leaf product
 
     def recurrence_masks(self, family: frozenset) -> frozenset:
         """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped.
@@ -571,14 +571,6 @@ class ZielonkaTree:
         return hit
 
 
-class ProductGraph(NamedTuple):
-    """A product graph for the parity solver, over nodes ``0 .. len(vertices) - 1``."""
-
-    vertices: range
-    succ: list
-    pred: list
-
-
 class TreeProduct:
     """The parity product of an arena with the Zielonka trees of one Muller family.
 
@@ -589,8 +581,9 @@ class TreeProduct:
     through the transition node of ``(l, w)``, which carries the priority
     of reading ``w`` at ``l`` and leads to the move node of the new leaf.
     A move into another component enters that component's leftmost leaf.
-    Move nodes carry a priority above every transition.  ``label[k]`` is
-    the vertex node ``k`` stands at or moves to.
+    Move nodes carry a priority above every transition.  The product's
+    index ``view`` labels node ``k`` with the vertex it stands at or moves
+    to, ``view.owner[k]``.
 
     Nodes are numbered move nodes first, each kind ordered by the decimal
     names of its two numbers, ``(v, l)`` and ``(l, w)``.  The parity solver
@@ -624,7 +617,7 @@ class TreeProduct:
         # one leaf everywhere: a one-row memory table, so both machines are memoryless
         self.memoryless = max(width) == 1
         if self.memoryless and search.single_leaf is not None:
-            self.view, self.label, self.move, self.moves, self.at, self.nxt = search.single_leaf
+            self.view, self.move, self.moves, self.at, self.nxt = search.single_leaf
             # a one-leaf tree may still be a chain deeper than its root
             self.prio = [n + 1] * self.moves + [tree[w].step(0, w)[1] for w in cyclic]
             return
@@ -655,13 +648,8 @@ class TreeProduct:
             for leaf, k in enumerate(into[w]):
                 nxt, self.prio[k] = tree[w].step(leaf, w)
                 succ[k] = (move[w][nxt],)
-        pred: list = [[] for _ in label]
-        for k, ks in enumerate(succ):
-            for j in ks:
-                pred[j].append(k)
-        self.view = ProductGraph(range(len(label)), succ, pred)
+        self.view = ArenaIndex(range(len(label)), range(len(label)), succ, label)
         self.move = move
-        self.label = label
         # memory q is a leaf of the current vertex's tree; arriving at a
         # vertex reads it there, and a leaf number past the tree's width,
         # which no play produces, stands for leaf 0
@@ -670,13 +658,13 @@ class TreeProduct:
             [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(tree)] for row in self.at
         ]
         if self.memoryless:
-            search.single_leaf = (self.view, label, move, self.moves, self.at, self.nxt)
+            search.single_leaf = (self.view, move, self.moves, self.at, self.nxt)
 
     def parity_game(self, p0) -> tuple:
         """Side and priority of every node when ``p0`` plays for the family."""
-        owners = self.arena.view.owner
-        side = [0 if owners[v] == p0 else 1 for v in self.label[: self.moves]]
-        side += [1] * (len(self.label) - self.moves)
+        owners, label = self.arena.view.owner, self.view.owner
+        side = [0 if owners[v] == p0 else 1 for v in label[: self.moves]]
+        side += [1] * (len(label) - self.moves)
         return side, self.prio
 
     def regions(self, sides: tuple) -> tuple:
@@ -738,7 +726,7 @@ class TreeProduct:
         """
         vs = self.arena.view.vertices
         succ = self.arena.view.succ
-        move, label = self.move, self.label
+        move, label = self.move, self.view.owner
         choice = []
         for row in self.at:
             moves = []

@@ -103,10 +103,23 @@ class IndexByCallables(ArenaIndex):
         owned: dict = {}
         for v, o in zip(self.vertices, self.owner):
             owned.setdefault(o, []).append(v)
-        self.owned = {o: tuple(vs) for o, vs in owned.items()}
+        self._owned = {o: tuple(vs) for o, vs in owned.items()}
         self._masks = None
         self._recurrence = {}
         self._splits = {}
+
+
+def masks_by_sums(view: ArenaIndex) -> tuple:
+    """``ArenaIndex.masks``' answer, each mask summed over its index list on its own."""
+    return (
+        [sum(1 << j for j in ws) for ws in view.succ],
+        [sum(1 << j for j in ws) for ws in view.pred],
+    )
+
+
+def owned_is_built(view: ArenaIndex) -> bool:
+    """Whether ``view.owned`` has been worked out."""
+    return view._owned is not None
 
 
 def arena_index_by_skey(arena: Arena) -> ArenaIndex:
@@ -693,8 +706,7 @@ def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_p
     start alone and indexed and searched afresh."""
     from graphgames.equilibria import (
         DeviationWitness,
-        _bfs_path,
-        _cover_cycle,
+        _index_lasso,
         _position_machine,
     )
 
@@ -717,10 +729,8 @@ def deviation_by_fresh_products(game, profile, start=None, init_mems=None, max_p
         if found is None:
             continue
         improved, comp = found
-        members = [i for i in range(len(states)) if comp >> i & 1]
-        stem = _bfs_path(view.index[s0], {members[0]}, view.succ)[:-1]
-        cycle = _cover_cycle(members, view.succ, members[0])
-        seq = [view.owner[i] for i in stem + cycle]
+        stem, cycle = _index_lasso(view, view.index[s0], comp, view.owner)
+        seq = stem + cycle
         machine = _position_machine(a, seq, len(stem), arena)
         alt = StrategyProfile({**profile.machines, a: machine})
         mems_alt = dict(mems0)

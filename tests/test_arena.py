@@ -36,6 +36,7 @@ from oracles import (
     closed_and_strongly_connected,
     feasible_sets_by_walk_search,
     looping_components_by_component_masks,
+    masks_by_sums,
     minimize_machine_by_dicts,
     recurrence_sets_by_mask_scan,
     successors_by_machine_calls,
@@ -131,6 +132,7 @@ def test_arena_index_agrees_with_skey_sorted_index():
             assert view.pred == oracle.pred, seed
             assert view.owner == oracle.owner, seed
             assert view.owned == oracle.owned, seed
+            assert view.masks() == masks_by_sums(oracle), seed
             for i, v in enumerate(oracle.vertices):
                 assert arena.successors(v) == tuple(oracle.vertices[j] for j in oracle.succ[i]), seed
             assert "_succ" in vars(arena), seed

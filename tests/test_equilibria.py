@@ -4,9 +4,11 @@ import pytest
 
 import graphgames.arena as ar
 from graphgames.arena import (
+    ArenaIndex,
     StrategyMachine,
     StrategyProfile,
     bits_for,
+    explore,
     induced_lasso,
     inf_set,
     make_arena,
@@ -30,13 +32,17 @@ from graphgames.guarantees import GraphGame, guarantee_table, optimal_strategy
 from graphgames.jsonio import graph_game_from_json, graph_game_to_json, machine_to_json
 from graphgames.orders import PreferenceProfile, linear_order, pareto_front
 from oracles import (
+    IndexByCallables,
     conformance_machine_by_dicts,
     deviation_by_fresh_products,
     joint_configurations,
+    masks_by_sums,
     optimal_strategy_by_dicts,
+    owned_is_built,
     pareto_target_by_all_realizable,
     position_machine_by_dicts,
     spe_by_fresh_products,
+    successors_by_machine_calls,
 )
 
 
@@ -458,6 +464,42 @@ def test_verify_spe_fits_in_the_joint_product_bound(seed):
     if size > 1:
         with pytest.raises(TooLargeError, match="joint product"):
             verify_spe(game, profile, max_product_states=size - 1)
+
+
+def test_deviation_products_index_their_states_as_an_arena_index(monkeypatch):
+    # every deviation product verify_spe builds is an ArenaIndex equal to
+    # the index of a product explored afresh; its masks equal the summed
+    # formula, and searching it never works out ``owned``
+    built = []
+    init = equilibria._DeviationProduct.__init__
+
+    def recording(self, game, profile, player, configs, bound):
+        init(self, game, profile, player, configs, bound)
+        built.append((self, player, list(configs)))
+
+    monkeypatch.setattr(equilibria._DeviationProduct, "__init__", recording)
+    checked = 0
+    for seed in range(1000):
+        game, profile = random_profile_game(seed) if seed % 4 else synthesized_profile_game(seed // 4)
+        built.clear()
+        verify_spe(game, profile)
+        players = game.arena.sorted_players()
+        for product, player, configs in built:
+            view = product.view
+            assert type(view) is ArenaIndex and not owned_is_built(view), seed
+            fixed = [profile.machines[p] for p in players if p != player]
+            states, succ = explore(
+                [product.state(cfg) for cfg in configs],
+                successors_by_machine_calls(game.arena, (player,), fixed),
+                10**6,
+                "deviation product",
+            )
+            oracle = IndexByCallables(sorted(states, key=ar.skey), succ.__getitem__, lambda s: s[0])
+            for name in ("vertices", "index", "succ", "pred", "owner"):
+                assert getattr(view, name) == getattr(oracle, name), (seed, name)
+            assert view.masks() == masks_by_sums(oracle), seed
+            checked += 1
+    assert checked > 800  # 850 products over the 1,000 profiles
 
 
 # --- antagonistic subgame perfection ---------------------------------------------------

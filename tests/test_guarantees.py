@@ -7,6 +7,7 @@ import pytest
 from graphgames import jsonio
 from graphgames.arena import (
     DEFAULT_PRODUCT_BOUND,
+    ArenaIndex,
     StrategyProfile,
     bits_for,
     feasible_among,
@@ -29,12 +30,15 @@ from graphgames.orders import PreferenceProfile, linear_order
 from graphgames.winlose import MullerSearch, TreeProduct, ZielonkaTree, _SetSearch, solve_muller
 
 from oracles import (
+    IndexByCallables,
     RecordProduct,
     guarantee_row_by_fresh_solves,
     all_machines,
     feasible_sets_by_walk_search,
     machine_product_arena,
+    masks_by_sums,
     outcomes_against_machine,
+    owned_is_built,
 )
 
 
@@ -316,11 +320,11 @@ def test_single_leaf_products_share_one_graph_and_equal_fresh_ones():
             if not shared.memoryless:
                 continue
             fresh = TreeProduct(MullerSearch(arena, DEFAULT_PRODUCT_BOUND), family)
-            assert shared.view is first.view and shared.label is first.label
-            for field in ("moves", "move", "label", "at", "nxt", "prio"):
+            assert shared.view is first.view
+            for field in ("moves", "move", "at", "nxt", "prio"):
                 assert getattr(shared, field) == getattr(fresh, field), field
-            assert list(shared.view.vertices) == list(fresh.view.vertices)
-            assert shared.view.succ == fresh.view.succ and shared.view.pred == fresh.view.pred
+            for field in ("vertices", "succ", "pred", "owner"):
+                assert getattr(shared.view, field) == getattr(fresh.view, field), field
             for sides in (("A", "B"), ("B", "A")):
                 assert shared.regions(sides) == fresh.regions(sides)
                 assert shared.memory_bits(sides) == fresh.solve(sides).memory_bits_used == 0
@@ -329,6 +333,34 @@ def test_single_leaf_products_share_one_graph_and_equal_fresh_ones():
             tracker = _SetSearch(search, masks)
             deep_chain |= any(len(ZielonkaTree(c, tracker).leaves[0]) >= 1 for c in search.components)
     assert several_components and deep_chain
+
+
+def test_tree_products_index_their_nodes_as_an_arena_index():
+    # every tree product of a guarantee table, shared single-leaf ones
+    # among them, is an ArenaIndex equal to the index built node by node
+    # from its own successors; its masks equal the summed formula, and
+    # solving it never works out ``owned``
+    rng = random.Random(2323)
+    shared = 0
+    for seed in range(300):
+        players = ["A", "B", "C"][: rng.randint(2, 3)]
+        game = random_graph_game(rng, rng.randint(2, 6), players, [f"o{i}" for i in range(rng.randint(2, 4))])
+        table = guarantee_table(game)
+        products = {}
+        for row in table.rows.values():
+            for product in row.products:
+                product.solve(row.sides)
+                products[id(product)] = product
+        views = {id(product.view): product.view for product in products.values()}
+        shared += len(products) - len(views)
+        for view in views.values():
+            assert type(view) is ArenaIndex and not owned_is_built(view), seed
+            oracle = IndexByCallables(view.vertices, view.succ.__getitem__, view.owner.__getitem__)
+            for name in ("vertices", "succ", "owner"):
+                assert tuple(getattr(view, name)) == getattr(oracle, name), (seed, name)
+            assert view.pred == oracle.pred, seed
+            assert view.masks() == masks_by_sums(oracle), seed
+    assert shared > 0  # 396 of the 916 products share a single-leaf graph
 
 
 def test_guarantee_builds_no_machine_and_spe_only_its_own(tmp_path, capsys, monkeypatch):

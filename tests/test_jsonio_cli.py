@@ -512,6 +512,28 @@ def test_cli_names_what_a_malformed_document_gets_wrong(tmp_path, capsys, comman
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "guarantee", "verify"])
+@pytest.mark.parametrize(
+    "path, value, detail",
+    [
+        (["vertices", 0, "owner"], [], "owner [] must be a string or a number"),
+        (["vertices", 1, "id"], ["v1"], "vertex id ['v1'] must be a string or a number"),
+        (["edges", 0, 1], ["v1"], "edge end ['v1'] must be a string or a number"),
+    ],
+    ids=["owner", "vertex-id", "edge-end"],
+)
+def test_cli_names_an_unhashable_arena_part(tmp_path, capsys, command, path, value, detail):
+    # the loader words these itself, however late the arena's index hashes its parts
+    doc = PARITY_DOC if command == "solve" else GAME_DOC
+    argv = [command, write(tmp_path, "doc.json", with_changes(doc, ["arena", *path], value))]
+    if command == "verify":
+        argv.append(write(tmp_path, "profile.json", STAY_PROFILE))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [{"code": "InvalidInputError", "detail": detail}]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -961,6 +983,25 @@ def test_cli_gallery_refuses_a_depth_below_three(tmp_path, capsys):
         {"code": "BadDepth", "detail": "gallery depth must be >= 3, got 2"}
     ]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("depth", [jsonio.TREE_DEPTH + 1, 1000])
+def test_cli_gallery_refuses_a_depth_past_the_tree_walkers_at_once(capsys, monkeypatch, depth):
+    # the refusal comes before any truncation tree is built
+    built = []
+    monkeypatch.setattr(cli, "gallery", built.append)
+    assert main(["gallery", "--depth", str(depth)]) == 2
+    assert built == []
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [
+        {"code": "BadDepth", "detail": f"gallery depth must be <= 300, got {depth}"}
+    ]
+    assert captured.err == ""
+
+
+def test_cli_gallery_answers_at_the_deepest_depth(capsys):
+    assert main(["gallery", "--depth", str(jsonio.TREE_DEPTH)]) == 0
+    assert json.loads(capsys.readouterr().out)["stopping_values"]["300"] == "299/300"
 
 
 def test_cli_every_emitted_profile_reverifies(tmp_path, capsys):

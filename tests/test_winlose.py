@@ -298,7 +298,7 @@ def test_product_regions_are_record_independent(seed):
     W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(p0))
     verdicts = {}
     for k in range(product.moves):  # the move nodes come first
-        verdicts.setdefault(product.label[k], set()).add(k in W0)
+        verdicts.setdefault(product.view.owner[k], set()).add(k in W0)
     assert len(verdicts) == len(game.arena.vertices)
     assert all(len(vs) == 1 for vs in verdicts.values())
 
