@@ -151,7 +151,7 @@ class GuaranteeRow:
     @cached_property
     def solver_bits(self) -> int:
         """Memory bits of the largest machine over every threshold solve."""
-        return max(product.memory_bits(self.sides) for product in self.products)
+        return _widest_first_bits((product, self.sides) for product in self.products)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +165,28 @@ class GuaranteeTable:
     @cached_property
     def solver_bits(self) -> int:
         """Uniform bound over all threshold solves."""
-        return max((r.solver_bits for r in self.rows.values()), default=0)
+        return _widest_first_bits((product, r.sides) for r in self.rows.values() for product in r.products)
 
     def ne_memory_bound(self) -> int:
         n_players = len(self.rows)
         log_n = bits_for(self.piece_count)
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
+
+
+def _widest_first_bits(solves) -> int:
+    """Memory bits of the largest machine over ``(product, sides)`` solves.
+
+    A product's machines are bounded by ``bits_for`` of its widest tree's
+    leaf count (``len(product.at)``), so the products are read widest
+    first, and reading stops once no product left can beat the best.  A
+    product whose trees all have one leaf is bounded by 0 and never read.
+    """
+    best = 0
+    for product, sides in sorted(solves, key=lambda solve: -len(solve[0].at)):
+        if bits_for(len(product.at)) <= best:
+            break
+        best = max(best, product.memory_bits(sides))
+    return best
 
 
 def best_guarantee(game: GraphGame, player, search: MullerSearch | None = None) -> GuaranteeRow:

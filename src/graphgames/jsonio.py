@@ -545,13 +545,12 @@ def arena_to_dot(arena: Arena, name: str = "arena") -> str:
 
 
 def machine_to_dot(machine: StrategyMachine, name: str = "machine") -> str:
+    marks: dict = {}  # state -> its choices, in vertex order
+    for (v, q), w in sorted(machine.choice.items(), key=lambda kv: (skey(kv[0][0]), kv[0][1])):
+        marks.setdefault(q, []).append(f"\\n{v}->{w}")
     lines = [f"digraph {name} {{"]
     for q in machine.states():
-        marks = []
-        for (v, qq), w in sorted(machine.choice.items(), key=lambda kv: (skey(kv[0][0]), kv[0][1])):
-            if qq == q:
-                marks.append(f"{v}->{w}")
-        label = f"q{q}" + (("\\n" + "\\n".join(marks)) if marks else "")
+        label = f"q{q}" + "".join(marks.get(q, ()))
         shape = "doublecircle" if q == machine.init else "circle"
         lines.append(f'  "q{q}" [label="{label}", shape={shape}];')
     for (v, q), nq in sorted(machine.update.items(), key=lambda kv: (kv[0][1], skey(kv[0][0]))):

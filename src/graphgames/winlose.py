@@ -427,9 +427,7 @@ class MullerSearch:
     the arena's index, which keeps them for every layer.  ``product``
     builds one ``TreeProduct`` per distinct family of recurrence sets and
     hands it out again.  A tree search is refused past ``bound`` sets and a
-    product past ``bound`` states.  Every product whose trees all have one
-    leaf has the same graph, whatever its family; the first one built is
-    kept in ``single_leaf`` for the others.
+    product past ``bound`` states.
     """
 
     def __init__(self, arena: Arena, max_product_states: int):
@@ -440,26 +438,17 @@ class MullerSearch:
         self.components = tuple(looping_components((1 << n) - 1, *view.masks()))
         self.by_name = sorted(range(n), key=str)
         self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
-        self.masks: dict = {}  # family -> masks of its recurrence sets
-        self.single_leaf = None  # (view, move, moves, at, nxt) of a single-leaf product
-
-    def recurrence_masks(self, family: frozenset) -> frozenset:
-        """Masks of the recurrence sets in ``family``; sets naming an unknown vertex are skipped.
-
-        Worked out once per family: ``product`` and the ``TreeProduct`` it
-        builds both ask.
-        """
-        masks = self.masks.get(family)
-        if masks is None:
-            masks = self.masks[family] = frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
-        return masks
 
     def product(self, family: frozenset) -> TreeProduct:
-        """The tree product of ``family``, shared with every family of the same recurrence sets."""
-        key = self.recurrence_masks(family)
-        product = self.products.get(key)
+        """The tree product of ``family``, shared with every family of the same recurrence sets.
+
+        Sets of ``family`` that are not recurrence sets of the arena, or
+        that name an unknown vertex, are skipped.
+        """
+        good = frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
+        product = self.products.get(good)
         if product is None:
-            product = self.products[key] = TreeProduct(self, family)
+            product = self.products[good] = TreeProduct(self, good)
         return product
 
 
@@ -589,17 +578,16 @@ class TreeProduct:
     names of its two numbers, ``(v, l)`` and ``(l, w)``.  The parity solver
     breaks ties by node number, so this order fixes the machines it
     returns.  The bound of ``search``, whose arena the product is built
-    over, limits the search for the trees and the product's size.  When
-    every tree has one leaf, only the transition priorities depend on the
-    family, and the graph is the one ``search`` keeps for such products.
+    over, limits the search for the trees and the product's size.  The
+    family comes as ``good``, the masks of its recurrence sets.
 
     Each split into sides is solved once, positionally; its machines are
     pulled back when first asked for.
     """
 
-    def __init__(self, search: MullerSearch, family: frozenset):
+    def __init__(self, search: MullerSearch, good: frozenset):
         arena = search.arena
-        sets = _SetSearch(search, search.recurrence_masks(family))
+        sets = _SetSearch(search, good)
         n = len(arena.vertices)
         tree: list = [None] * n
         for comp in search.components:
@@ -614,13 +602,6 @@ class TreeProduct:
         self.arena = arena
         self.solved: dict = {}  # sides -> (win0, s0, s1) of the positional solve
         self.machines: dict = {}  # (sides, side) -> StrategyMachine
-        # one leaf everywhere: a one-row memory table, so both machines are memoryless
-        self.memoryless = max(width) == 1
-        if self.memoryless and search.single_leaf is not None:
-            self.view, self.move, self.moves, self.at, self.nxt = search.single_leaf
-            # a one-leaf tree may still be a chain deeper than its root
-            self.prio = [n + 1] * self.moves + [tree[w].step(0, w)[1] for w in cyclic]
-            return
         leaves_by_name = {wd: sorted(range(wd), key=str) for wd in set(width)}
         label: list = []
         move: list = [None] * n
@@ -657,8 +638,6 @@ class TreeProduct:
         self.nxt = [
             [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(tree)] for row in self.at
         ]
-        if self.memoryless:
-            search.single_leaf = (self.view, move, self.moves, self.at, self.nxt)
 
     def parity_game(self, p0) -> tuple:
         """Side and priority of every node when ``p0`` plays for the family."""
@@ -696,9 +675,12 @@ class TreeProduct:
         return machine
 
     def memory_bits(self, sides: tuple) -> int:
-        """Memory bits of the larger of the split's two machines; 0, unbuilt, when they are memoryless."""
-        if self.memoryless:
-            return 0
+        """Memory bits of the larger of the split's two machines.
+
+        Each machine has at most one state per row of the memory table
+        ``at``, one per leaf of the widest tree, so ``bits_for(len(at))``
+        bounds it before either is pulled back.
+        """
         return max(self.strategy(sides, 0).memory_bits, self.strategy(sides, 1).memory_bits)
 
     def solve(self, sides: tuple) -> SolveResult:
@@ -708,13 +690,12 @@ class TreeProduct:
         canonically numbered.
         """
         win0 = self.regions(sides)[0]
-        m0, m1 = self.strategy(sides, 0), self.strategy(sides, 1)
         return SolveResult(
             win0=win0,
             win1=frozenset(self.arena.vertices) - win0,
-            strategy0=m0,
-            strategy1=m1,
-            memory_bits_used=max(m0.memory_bits, m1.memory_bits),
+            strategy0=self.strategy(sides, 0),
+            strategy1=self.strategy(sides, 1),
+            memory_bits_used=self.memory_bits(sides),
         )
 
     def _machine(self, player, strategy: Mapping, owned: list) -> StrategyMachine:
@@ -748,7 +729,7 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BO
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
     family = frozenset(frozenset(s) for s in game.objective.family)
-    return TreeProduct(MullerSearch(game.arena, max_product_states), family).solve(game.sides())
+    return MullerSearch(game.arena, max_product_states).product(family).solve(game.sides())
 
 
 def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:

@@ -14,7 +14,8 @@ closures from a fixpoint that rescans every pair of pairs.  The Pareto target co
 realizable outcome for support before intersecting with the front.  The
 blocking preference pattern comes from asking the orders about every
 triple of outcomes.  Guarantee rows come from solving every threshold game
-afresh, regions and both machines, and reading every solve.
+afresh, regions and both machines, and reading every solve.  A machine's
+DOT text comes from rescanning every choice entry once per state.
 """
 
 from __future__ import annotations
@@ -433,6 +434,24 @@ def minimize_machine_by_dicts(machine: StrategyMachine, vertices, owned) -> Stra
             if w is not None:
                 choice[(v, order[b])] = w
     return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)
+
+
+def machine_to_dot_by_rescans(machine: StrategyMachine, name: str = "machine") -> str:
+    """``jsonio.machine_to_dot``'s text, re-sorting every choice entry once
+    per state and keeping the entries of that state."""
+    lines = [f"digraph {name} {{"]
+    for q in machine.states():
+        marks = []
+        for (v, qq), w in sorted(machine.choice.items(), key=lambda kv: (skey(kv[0][0]), kv[0][1])):
+            if qq == q:
+                marks.append(f"{v}->{w}")
+        label = f"q{q}" + (("\\n" + "\\n".join(marks)) if marks else "")
+        shape = "doublecircle" if q == machine.init else "circle"
+        lines.append(f'  "q{q}" [label="{label}", shape={shape}];')
+    for (v, q), nq in sorted(machine.update.items(), key=lambda kv: (kv[0][1], skey(kv[0][0]))):
+        lines.append(f'  "q{q}" -> "q{nq}" [label="{v}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # The composite machines built as dicts keyed by their own states, then

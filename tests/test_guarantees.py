@@ -1,7 +1,5 @@
 import json
 import random
-from itertools import combinations
-
 import pytest
 
 from graphgames import jsonio
@@ -27,7 +25,7 @@ from graphgames.guarantees import (
     threshold_game,
 )
 from graphgames.orders import PreferenceProfile, linear_order
-from graphgames.winlose import MullerSearch, TreeProduct, ZielonkaTree, _SetSearch, solve_muller
+from graphgames.winlose import MullerSearch, solve_muller
 
 from oracles import (
     IndexByCallables,
@@ -299,49 +297,50 @@ def test_shared_product_rows_match_fresh_threshold_solves():
     assert top_seen == {True, False}
 
 
-def test_single_leaf_products_share_one_graph_and_equal_fresh_ones():
-    # every product whose trees all have one leaf takes its graph from the
-    # first such product of its search and only its priorities from its
-    # own trees; field by field it must equal a product built alone
-    rng = random.Random(5151)
-    several_components = deep_chain = False
-    for _ in range(500):
-        game = random_graph_game(rng, rng.randint(2, 6), ["A", "B"], ["o1"])
-        arena = game.arena
-        search = MullerSearch(arena, DEFAULT_PRODUCT_BOUND)
-        first = search.product(frozenset())  # the empty family: one leaf everywhere
-        sets = sorted(game.outcome_map, key=lambda s: sorted(s))
-        if len(sets) <= 6:  # every family
-            families = [frozenset(f) for r in range(len(sets) + 1) for f in combinations(sets, r)]
-        else:
-            families = [frozenset(s for s in sets if rng.random() < 0.5) for _ in range(64)]
-        for family in families:
-            shared = TreeProduct(search, family)
-            if not shared.memoryless:
-                continue
-            fresh = TreeProduct(MullerSearch(arena, DEFAULT_PRODUCT_BOUND), family)
-            assert shared.view is first.view
-            for field in ("moves", "move", "at", "nxt", "prio"):
-                assert getattr(shared, field) == getattr(fresh, field), field
-            for field in ("vertices", "succ", "pred", "owner"):
-                assert getattr(shared.view, field) == getattr(fresh.view, field), field
-            for sides in (("A", "B"), ("B", "A")):
-                assert shared.regions(sides) == fresh.regions(sides)
-                assert shared.memory_bits(sides) == fresh.solve(sides).memory_bits_used == 0
-            several_components |= len(search.components) > 1
-            masks = search.recurrence_masks(family)
-            tracker = _SetSearch(search, masks)
-            deep_chain |= any(len(ZielonkaTree(c, tracker).leaves[0]) >= 1 for c in search.components)
-    assert several_components and deep_chain
+def test_solver_bits_read_the_widest_trees_first_and_skip_the_rest():
+    # a product's machines have at most one state per leaf of its widest
+    # tree, so solver_bits reads products widest first and stops once none
+    # left can beat the best.  On a fresh table read only for solver_bits,
+    # a product whose bound is below the result, or 0, has no machine
+    # pulled back, and one whose bound is above it has; the table's and
+    # every row's solver_bits equal the largest machine of their products,
+    # each worked out one by one
+    rng = random.Random(7373)
+    one_leaf_only = multi_leaf = skipped_above_zero = 0
+    for seed in range(300):
+        players = ["A", "B", "C"][: rng.randint(2, 3)]
+        game = random_graph_game(rng, rng.randint(2, 6), players, [f"o{i}" for i in range(rng.randint(2, 4))])
+        table = guarantee_table(game)
+        solves = [(product, row.sides) for row in table.rows.values() for product in row.products]
+        bits = table.solver_bits
+        for product, _ in solves:
+            bound = bits_for(len(product.at))
+            if bound > bits:
+                assert product.machines, seed
+            elif bound < bits or bound == 0:
+                assert not product.machines, seed
+                skipped_above_zero += bound > 0
+        widths = {len(product.at) for product, _ in solves}
+        one_leaf_only += widths == {1}
+        multi_leaf += max(widths) > 1
+        one_by_one = {
+            (id(product), sides): max(product.strategy(sides, 0).memory_bits, product.strategy(sides, 1).memory_bits)
+            for product, sides in solves
+        }
+        for product, sides in solves:  # one-leaf products included: 0 bits
+            assert one_by_one[(id(product), sides)] <= bits_for(len(product.at)), seed
+        for row in table.rows.values():
+            assert row.solver_bits == max(one_by_one[(id(p), row.sides)] for p in row.products), seed
+        assert bits == max(one_by_one.values()), seed
+    assert one_leaf_only and multi_leaf and skipped_above_zero
 
 
 def test_tree_products_index_their_nodes_as_an_arena_index():
-    # every tree product of a guarantee table, shared single-leaf ones
-    # among them, is an ArenaIndex equal to the index built node by node
-    # from its own successors; its masks equal the summed formula, and
-    # solving it never works out ``owned``
+    # every tree product of a guarantee table has a view of its own, an
+    # ArenaIndex equal to the index built node by node from its own
+    # successors; its masks equal the summed formula, and solving it never
+    # works out ``owned``
     rng = random.Random(2323)
-    shared = 0
     for seed in range(300):
         players = ["A", "B", "C"][: rng.randint(2, 3)]
         game = random_graph_game(rng, rng.randint(2, 6), players, [f"o{i}" for i in range(rng.randint(2, 4))])
@@ -352,7 +351,7 @@ def test_tree_products_index_their_nodes_as_an_arena_index():
                 product.solve(row.sides)
                 products[id(product)] = product
         views = {id(product.view): product.view for product in products.values()}
-        shared += len(products) - len(views)
+        assert len(views) == len(products), seed
         for view in views.values():
             assert type(view) is ArenaIndex and not owned_is_built(view), seed
             oracle = IndexByCallables(view.vertices, view.succ.__getitem__, view.owner.__getitem__)
@@ -360,7 +359,6 @@ def test_tree_products_index_their_nodes_as_an_arena_index():
                 assert tuple(getattr(view, name)) == getattr(oracle, name), (seed, name)
             assert view.pred == oracle.pred, seed
             assert view.masks() == masks_by_sums(oracle), seed
-    assert shared > 0  # 396 of the 916 products share a single-leaf graph
 
 
 def test_guarantee_builds_no_machine_and_spe_only_its_own(tmp_path, capsys, monkeypatch):
@@ -417,7 +415,7 @@ def threshold_families(game):
 def fresh_refusal(game, family, bound):
     """The message a product with a search of its own is refused with, or None."""
     try:
-        TreeProduct(MullerSearch(game.arena, bound), family)
+        MullerSearch(game.arena, bound).product(family)
     except TooLargeError as exc:
         return str(exc)
     return None

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgames import acceptance, cli, jsonio
-from graphgames.arena import validate_arena
+from graphgames.arena import StrategyMachine, validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
 from graphgames.equilibria import synthesize_ne
 from graphgames.gen import random_graph_game, random_parity_game
 from graphgames.winlose import solve
+
+from oracles import machine_to_dot_by_rescans
 
 
 GAME_DOC = {
@@ -873,6 +875,41 @@ def test_cli_emit_dot(tmp_path, capsys):
     dots = list(tmp_path.glob("*.dot"))
     assert dots and any("arena" in d.name for d in dots)
     assert "digraph" in dots[0].read_text()
+
+
+def random_dot_machine(rng):
+    """A machine of up to 60 sparse states over mixed vertex ids, with missing entries and any initial state."""
+    vertices = rng.sample([*range(8), *(f"v{i}" for i in range(8))], rng.randint(1, 8))
+    states = rng.sample(range(1000), rng.randint(1, 60))
+    update, choice = {}, {}
+    for q in states:
+        for v in vertices:
+            if rng.random() < 0.7:
+                update[(v, q)] = rng.choice(states)
+            if rng.random() < 0.5:
+                choice[(v, q)] = rng.choice(vertices)
+    return StrategyMachine("A", 10, update, choice, rng.choice(states))
+
+
+def test_machine_dot_matches_the_rescanning_formula(monkeypatch):
+    # the same bytes as the formula that re-sorts every choice entry once
+    # per state, on 300 seeded machines and on synthesised ones; each
+    # entry's sort key is worked out once, so the time grows with the
+    # machine's size, not its square
+    rng = random.Random(1717)
+    machines = [random_dot_machine(rng) for _ in range(300)]
+    for seed in range(12):
+        game = random_graph_game(random.Random(seed), 6, ["A", "B", "C"], ["o1", "o2", "o3", "o4"])
+        machines += synthesize_ne(game).profile.machines.values()
+    assert max(len(m.states()) for m in machines) >= 50
+    for i, machine in enumerate(machines):
+        name = f"machine_{i}"
+        assert jsonio.machine_to_dot(machine, name) == machine_to_dot_by_rescans(machine, name), i
+    keys, skey = [], jsonio.skey
+    monkeypatch.setattr(jsonio, "skey", lambda x: keys.append(x) or skey(x))
+    big = max(machines, key=lambda m: len(m.states()))
+    jsonio.machine_to_dot(big)
+    assert len(keys) == len(big.choice) + len(big.update)
 
 
 def test_cli_ne_then_verify_round_trip(tmp_path, capsys):

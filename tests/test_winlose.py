@@ -90,9 +90,7 @@ def test_attractor_agrees_with_the_deque_oracle():
             view = random_arena(rng, rng.randint(1, 14), ["P0", "P1"]).view
         else:
             game = random_muller_game(rng, rng.randint(2, 5))
-            view = winlose.TreeProduct(
-                winlose.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND), game.objective.family
-            ).view
+            view = winlose.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND).product(game.objective.family).view
         n = len(view.vertices)
         for _ in range(2):
             sub = {v for v in range(n) if rng.random() < 0.8}
@@ -294,7 +292,7 @@ def test_product_regions_are_record_independent(seed):
     rng = random.Random(seed)
     game = random_muller_game(rng, rng.randint(2, 4))
     p0, _ = game.sides()
-    product = wl.TreeProduct(wl.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND), game.objective.family)
+    product = wl.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND).product(game.objective.family)
     W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(p0))
     verdicts = {}
     for k in range(product.moves):  # the move nodes come first
@@ -377,7 +375,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
     assert calls <= bound * n
     # the family {V} has one leaf per 6-vertex set: 7 * 7 move and 7 * 7 transition nodes
     small = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
-    assert len(wl.TreeProduct(wl.MullerSearch(arena, 2 * n * n), small.objective.family).view.vertices) == 2 * n * n
+    assert len(wl.MullerSearch(arena, 2 * n * n).product(small.objective.family).view.vertices) == 2 * n * n
     with pytest.raises(TooLargeError, match="tree product exceeds 97 states"):
         solve_muller(small, 2 * n * n - 1)
 
