@@ -24,7 +24,6 @@ from .orders import (
     order_from_groups,
     pareto_front,
     slice_partition,
-    terminal_interval,
 )
 from .winlose import (
     Muller,
@@ -45,13 +44,11 @@ from .guarantees import (
     best_guarantee,
     guarantee_table,
     optimal_strategy,
-    threshold_game,
 )
 from .equilibria import (
     DeviationWitness,
     SynthesisReport,
     muller_pareto_ne,
-    punishment_strategy,
     synthesize_antagonistic_spe,
     synthesize_ne,
     verify_ne,

@@ -35,7 +35,7 @@ from .arena import (
     skey,
     walk_configurations,
 )
-from .errors import GraphGamesError, InvalidInputError, NotAntagonisticError
+from .errors import GraphGamesError, NotAntagonisticError
 from .guarantees import GraphGame, GuaranteeTable, guarantee_table
 from .orders import pareto_front, require_linear_pattern_free
 
@@ -63,27 +63,6 @@ class SynthesisReport:
     piece_count: int            # n: history pieces (vertices)
     piece_bits: int             # K: bits to track the piece (0 here)
     memory_bound: int           # |A| * (m + ceil(log2 n) + K) + 1
-
-
-def punishment_strategy(game: GraphGame, player, vertex, table: GuaranteeTable | None = None):
-    """Coalition machine holding ``player`` to her guarantee at ``vertex``.
-
-    Returns the machine together with the representative of the class the
-    deviator is held to.
-    """
-    if table is None:
-        table = guarantee_table(game)
-    row = table.rows[player]
-    if vertex not in row.class_rank:
-        raise InvalidInputError(f"unknown vertex {vertex!r}")
-    c = row.class_rank[vertex]
-    return row.punish[c], row.representative(vertex)
-
-
-def induced_outcome_from(game: GraphGame, profile: StrategyProfile, vertex=None, mems=None):
-    """Outcome of the profile's deterministic play from a configuration."""
-    cfgs, loop = walk_configurations(game.arena, profile, vertex, mems)
-    return game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .arena import skey
 from .errors import CapExceededError, InvalidInputError
-from .orders import PreferenceProfile, StrictWeakOrder, grid_discretize, linear_order, pareto_front
+from .orders import PreferenceProfile, grid_discretize, linear_order, pareto_front
 
 
 @dataclass(frozen=True)
@@ -370,19 +370,6 @@ def build_six_outcome_example() -> TreeGame:
     sub = Decision("a", (Leaf(outcome="x"), Leaf(outcome="y"),
                          Leaf(outcome="alpha"), Leaf(outcome="beta")))
     root = Decision("b", (sub, Leaf(outcome="z"), Leaf(outcome="gamma")))
-    return TreeGame(root, ("a", "b"), prefs=prefs)
-
-
-def build_four_outcome_example() -> TreeGame:
-    """Two-player game with tied preferences; the lone NE outcome is z."""
-    outcomes = ("x", "y", "z", "t")
-    prefs = {
-        "a": StrictWeakOrder(outcomes, {"t": 0, "z": 0, "x": 1, "y": 1}),
-        "b": linear_order(["x", "z", "y", "t"]),
-    }
-    deep = Decision("b", (Leaf(outcome="t"), Leaf(outcome="y")))
-    sub = Decision("a", (deep, Leaf(outcome="x")))
-    root = Decision("b", (sub, Leaf(outcome="z")))
     return TreeGame(root, ("a", "b"), prefs=prefs)
 
 

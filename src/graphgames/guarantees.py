@@ -29,7 +29,7 @@ from .arena import (
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import Muller, MullerSearch, WinLoseGame
+from .winlose import MullerSearch
 
 COALITION = "coalition-vs"
 
@@ -80,29 +80,6 @@ def coalition_tag(player):
     return (COALITION, player)
 
 
-def threshold_game(game: GraphGame, player, outcome) -> WinLoseGame:
-    """One-vs-all game: ``player`` tries to force an outcome above ``outcome``.
-
-    The protagonist owns her vertices; everyone else merges into a single
-    coalition side.  The winning family collects the recurrence sets whose
-    outcome she strictly prefers to the threshold.
-    """
-    order = game.prefs.order_of(player)
-    if outcome not in set(order.outcomes):
-        raise InvalidInputError(f"unknown threshold outcome {outcome!r}")
-    arena = game.arena
-    other = coalition_tag(player)
-    owner = {v: (player if arena.owner[v] == player else other) for v in arena.vertices}
-    two_sided = Arena(
-        players=(player, other),
-        vertices=tuple(arena.vertices),
-        edges=arena.edges,
-        owner=owner,
-        start=arena.start,
-    )
-    return WinLoseGame(two_sided, Muller(_threshold_family(game, order, outcome)), protagonist=player)
-
-
 def _threshold_family(game: GraphGame, order: StrictWeakOrder, outcome) -> frozenset:
     """Recurrence sets whose outcome ``order`` ranks strictly above ``outcome``."""
     return frozenset(s for s, o in game.outcome_map.items() if order.lt(outcome, o))
@@ -116,15 +93,15 @@ class GuaranteeRow:
     can force from each vertex.  ``machines[c]`` forces class >= c from
     every vertex of class >= c; ``punish[c]`` is the coalition machine that
     holds the player to class <= c from every vertex of class <= c.
-    ``products[j]`` is the tree product of the threshold game for class
-    ``j``, played by ``sides``; the machines and the memory bound are
-    pulled back from them when first read.
+    ``solves[j]`` is the solved threshold game for class ``j``, played by
+    ``sides``; the machines and the memory bound are flattened from them
+    when first read.
     """
 
     player: object
     order: StrictWeakOrder
     class_rank: Mapping   # vertex -> rank
-    products: tuple       # threshold rank -> TreeProduct
+    solves: tuple         # threshold rank -> ZielonkaRecursion
     sides: tuple          # (player, her coalition)
 
     def representative(self, v):
@@ -136,22 +113,22 @@ class GuaranteeRow:
     @cached_property
     def machines(self) -> dict:
         """Rank -> StrategyMachine of the player, for every rank some vertex has."""
-        arena = self.products[0].arena
+        arena = self.solves[0].arena
         return {
-            c: self.products[c - 1].strategy(self.sides, 0) if c >= 1 else fallback_machine(arena, self.player, {})
+            c: self.solves[c - 1].machine(0) if c >= 1 else fallback_machine(arena, self.player, {})
             for c in self._used()
         }
 
     @cached_property
     def punish(self) -> dict:
         """Rank -> StrategyMachine of the coalition, for every rank some vertex has."""
-        top = len(self.products) - 1
-        return {c: self.products[min(c, top)].strategy(self.sides, 1) for c in self._used()}
+        top = len(self.solves) - 1
+        return {c: self.solves[min(c, top)].machine(1) for c in self._used()}
 
     @cached_property
     def solver_bits(self) -> int:
         """Memory bits of the largest machine over every threshold solve."""
-        return _widest_first_bits((product, self.sides) for product in self.products)
+        return max(solve.memory_bits() for solve in self.solves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,28 +142,12 @@ class GuaranteeTable:
     @cached_property
     def solver_bits(self) -> int:
         """Uniform bound over all threshold solves."""
-        return _widest_first_bits((product, r.sides) for r in self.rows.values() for product in r.products)
+        return max(row.solver_bits for row in self.rows.values())
 
     def ne_memory_bound(self) -> int:
         n_players = len(self.rows)
         log_n = bits_for(self.piece_count)
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
-
-
-def _widest_first_bits(solves) -> int:
-    """Memory bits of the largest machine over ``(product, sides)`` solves.
-
-    A product's machines are bounded by ``bits_for`` of its widest tree's
-    leaf count (``len(product.at)``), so the products are read widest
-    first, and reading stops once no product left can beat the best.  A
-    product whose trees all have one leaf is bounded by 0 and never read.
-    """
-    best = 0
-    for product, sides in sorted(solves, key=lambda solve: -len(solve[0].at)):
-        if bits_for(len(product.at)) <= best:
-            break
-        best = max(best, product.memory_bits(sides))
-    return best
 
 
 def best_guarantee(game: GraphGame, player, search: MullerSearch | None = None) -> GuaranteeRow:
@@ -195,34 +156,32 @@ def best_guarantee(game: GraphGame, player, search: MullerSearch | None = None) 
     Thresholds ascend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
     class immediately below it (the bottom class needs no witness).  Every
-    threshold game is played on the Zielonka-tree product of its family
-    that ``search``, a ``MullerSearch`` of the game's arena, hands out;
-    without one, a search bounded by ``DEFAULT_PRODUCT_BOUND`` is made.
-    Every product is built first, so a size refusal comes from the lowest
-    threshold that has one.  The families shrink as the threshold rises,
-    and so do the winning regions: only the regions up to the first empty
-    one are solved, and no machine is built until the row's are read.
+    threshold game is solved by the Zielonka recursion that ``search``, a
+    ``MullerSearch`` of the game's arena, hands out; without one, a search
+    bounded by ``DEFAULT_PRODUCT_BOUND`` is made.  Every threshold is
+    solved, lowest first, so a size refusal comes from the lowest
+    threshold that has one; no machine is built until the row's are read.
     """
     order = game.prefs.order_of(player)
     arena = game.arena
     if search is None:
         search = MullerSearch(arena, DEFAULT_PRODUCT_BOUND)
     sides = (player, coalition_tag(player))
-    products = tuple(
-        search.product(_threshold_family(game, order, order.representative(j))) for j in range(order.num_classes())
+    solves = tuple(
+        search.game(_threshold_family(game, order, order.representative(j)), sides)
+        for j in range(order.num_classes())
     )
     class_rank = dict.fromkeys(arena.vertices, 0)
-    for j, product in enumerate(products):
-        win0 = product.regions(sides)[0]
-        if not win0:
+    for j, solve in enumerate(solves):
+        if not solve.win0:
             break
-        for v in win0:
+        for v in solve.win0:
             class_rank[v] = j + 1
-    return GuaranteeRow(player, order, class_rank, products, sides)
+    return GuaranteeRow(player, order, class_rank, solves, sides)
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
-    """Every player's guarantee row; all threshold games share one Muller search and its products."""
+    """Every player's guarantee row; all threshold games share one Muller search."""
     search = MullerSearch(game.arena, max_product_states)
     return GuaranteeTable(
         rows={p: best_guarantee(game, p, search) for p in game.arena.players},

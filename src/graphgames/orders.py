@@ -139,13 +139,6 @@ class PreferenceProfile:
         return self.orders[player]
 
 
-def terminal_interval(o, order: StrictWeakOrder) -> frozenset:
-    """Outcomes strictly preferred to ``o``."""
-    if o not in order.ranks:
-        raise InvalidInputError(f"unknown outcome {o!r}")
-    return frozenset(x for x in order.outcomes if order.lt(o, x))
-
-
 def _orders_of(prefs) -> Mapping:
     return prefs.orders if hasattr(prefs, "orders") else prefs
 

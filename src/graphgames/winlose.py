@@ -3,13 +3,14 @@
 Provides the reachability attractor, a recursive parity solver (min-parity:
 the protagonist wins iff the least priority seen infinitely often is even)
 that solves one strongly connected component at a time, a Muller solver
-through a Zielonka-tree reduction to parity, and an exhaustive
-machine-enumeration oracle that never asserts determinacy beyond the
-memory bound it was given.
+by McNaughton's and Zielonka's recursion memoised on (subgame, tree node),
+and an exhaustive machine-enumeration oracle that never asserts
+determinacy beyond the memory bound it was given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Mapping
@@ -21,7 +22,6 @@ from .arena import (
     StrategyMachine,
     explore,
     fallback_machine,
-    looping_components,
     memoryless_machine,
     minimize_table,
 )
@@ -175,19 +175,19 @@ def _regions(view: ArenaIndex, side, levels: list, buckets: list, sub: set, lo: 
     return W0b | B, W1b, s_opp, s_i
 
 
-def _drive(view: ArenaIndex, side, prio, sub, merge: bool):
+def _drive(view: ArenaIndex, side, prio, sub):
     """Regions and strategies of the parity subgame on ``sub``, over indices.
 
     ``sub`` lists the subgame's vertices in index order, and ``prio[v]`` is
-    the priority of vertex ``v``.  With ``merge``, consecutive priorities of
-    one parity share a level.  The levels of the decomposition wait on an
+    the priority of vertex ``v``.  Consecutive priorities of one parity
+    share a level.  The levels of the decomposition wait on an
     explicit stack for the subgames they yield, so its depth is bounded by
     memory alone.
     """
     levels: list = []
     rank = {}
     for p in sorted({prio[v] for v in sub}):
-        if not (merge and levels and (p - levels[-1]) % 2 == 0):
+        if not (levels and (p - levels[-1]) % 2 == 0):
             levels.append(p)
         rank[p] = len(levels) - 1
     buckets: list = [[] for _ in levels]
@@ -206,11 +206,6 @@ def _drive(view: ArenaIndex, side, prio, sub, merge: bool):
         else:
             stack.append(_regions(view, side, levels, buckets, *nested))
             result = None
-
-
-def _solve_view(view: ArenaIndex, side, prio):
-    """Parity regions and strategies of the whole graph in one decomposition, over indices."""
-    return _drive(view, side, prio, range(len(prio)), False)
 
 
 def _components(succ) -> list:
@@ -278,7 +273,7 @@ def _solve_by_components(view: ArenaIndex, side, prio):
         sub = [v for v in comp if v in left]
         if not sub:
             continue
-        w0, w1, s0, s1 = _drive(view, side, prio, sub, True)
+        w0, w1, s0, s1 = _drive(view, side, prio, sub)
         alone = len(sub) == len(left)
         for i, won, strategy in ((0, w0, s0), (1, w1, s1)):
             if not alone:
@@ -420,66 +415,139 @@ class LarContext:
 
 
 class MullerSearch:
-    """What every Muller game over one arena shares, whatever its family.
+    """The Muller games over one arena, each solved once.
 
-    Holds the arena's looping components and its vertex indices ordered by
-    their decimal names; recurrence tests and component splits come from
-    the arena's index, which keeps them for every layer.  ``product``
-    builds one ``TreeProduct`` per distinct family of recurrence sets and
-    hands it out again.  A tree search is refused past ``bound`` sets and a
-    product past ``bound`` states.
+    ``game`` hands out one ``ZielonkaRecursion`` per distinct family of
+    recurrence sets and split into sides, and hands it out again.  Every
+    recursion is refused past ``bound`` subgames and sets.
     """
 
     def __init__(self, arena: Arena, max_product_states: int):
-        view = arena.view
-        n = len(view.vertices)
         self.arena = arena
         self.bound = max_product_states
-        self.components = tuple(looping_components((1 << n) - 1, *view.masks()))
-        self.by_name = sorted(range(n), key=str)
-        self.products: dict = {}  # masks of a family's recurrence sets -> TreeProduct
+        self.games: dict = {}  # (masks of a family's recurrence sets, sides) -> ZielonkaRecursion
 
-    def product(self, family: frozenset) -> TreeProduct:
-        """The tree product of ``family``, shared with every family of the same recurrence sets.
+    def game(self, family: frozenset, sides: tuple) -> ZielonkaRecursion:
+        """The solved game of ``family`` with side 0 played by ``sides[0]`` and side 1 by ``sides[1]``.
 
+        Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
         Sets of ``family`` that are not recurrence sets of the arena, or
         that name an unknown vertex, are skipped.
         """
         good = frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
-        product = self.products.get(good)
-        if product is None:
-            product = self.products[good] = TreeProduct(self, good)
-        return product
+        game = self.games.get((good, sides))
+        if game is None:
+            game = self.games[(good, sides)] = ZielonkaRecursion(self.arena, good, sides, self.bound)
+        return game
 
 
-class _SetSearch:
-    """Children of one family's Zielonka-tree nodes, with every set met counted.
+def _attract(adj: list, radj: list, own: int, within: int, target: int) -> tuple:
+    """Attractor of the index mask ``target`` inside ``within`` for the side owning the mask ``own``.
 
-    Sets are index masks over one arena.  Below a node outside the family
-    the children are the family's maximal recurrence sets inside it.  Below
-    a node in the family they are the maximal recurrence sets outside it:
-    each such set misses some member ``v`` of the node, so it lies in a
-    looping component of the node minus ``v``, and the descent expands
-    only the components that are in the family.  Counting every set found
-    and every tree node against the bound refuses a tree while it grows;
-    the splits come from the arena's index, and the first time the family
-    meets one it counts each of its components.
+    Edges leaving ``within`` are ignored.  Returns the attractor's mask and
+    a strategy mapping each attracted vertex of that side outside
+    ``target`` to its lowest successor attracted one round before it or
+    earlier, so every move lowers the attractor level.
+    """
+    attr = frontier = target & within
+    strategy: dict = {}
+    while frontier:
+        near = 0
+        while frontier:
+            b = frontier & -frontier
+            near |= radj[b.bit_length() - 1]
+            frontier ^= b
+        near &= within & ~attr
+        new = 0
+        while near:
+            b = near & -near
+            near ^= b
+            v = b.bit_length() - 1
+            if own & b:
+                m = adj[v] & attr
+                strategy[v] = (m & -m).bit_length() - 1
+                new |= b
+            elif not adj[v] & within & ~attr:
+                new |= b
+        attr |= new
+        frontier = new
+    return attr, strategy
+
+
+class ZielonkaRecursion:
+    """McNaughton's and Zielonka's recursion for one Muller game, memoised on (subgame, tree node).
+
+    Vertex sets are index masks over the arena.  Side 0 owns the vertices
+    of player ``sides[0]``, side 1 all others, and side 0 wins a play whose
+    recurrence set is in ``good``.  The children of a Zielonka-tree node
+    (``children``) depend on its set alone, so the tree is a DAG over
+    recurrence sets and ``solve(G, X)`` is a function of the subgame ``G``
+    and the node ``X``.  Its side σ is 0 when ``X`` is in ``good`` and 1
+    otherwise:
+
+    - for each child ``Y`` of ``X`` that meets ``G``, ``H = G - Attr_σ(G, G - Y)``
+      is solved at ``(H, Y)``;
+    - if σ's opponent wins a non-empty part ``L`` of ``H``, the piece
+      ``Attr_opp(G, L)`` is removed from ``G`` and the children are tried
+      again;
+    - when no child yields anything, σ wins the rest of ``G``.
+
+    The root is the whole vertex set.  Each memo entry is
+    ``(σ, won, pieces, phases)``: σ's region ``won``, the opponent's pieces
+    ``(B, L, attractor strategy to L, child key)`` in the order removed,
+    and one phase ``(Y, H, attractor strategy out of Y, child key)`` per
+    child meeting ``won``.  Memo entries and the recurrence sets met while
+    children are listed are counted against ``bound`` as they grow.
+
+    Each side's machine is flattened from the entries.  On a region σ
+    cycles through its phases: in ``H`` it plays the child's machine, in
+    the rest of ``won`` it plays the attractor out of ``Y``, and arriving
+    outside ``Y`` starts a later phase with that child's memory fresh.  On
+    a piece the opponent attracts to ``L`` and there plays the child's
+    machine.  The piece is read off the vertex, so the opponent keeps only
+    the child's memory, and the memory a play brings into another piece's
+    ``L`` is read as a state of that piece's child.  Every choice checks
+    the phase or piece against the current vertex, so a machine wins from
+    every vertex of its region in every memory state.
     """
 
-    def __init__(self, search: MullerSearch, good: frozenset):
-        self.search = search
+    def __init__(self, arena: Arena, good: frozenset, sides: tuple, bound: int):
+        view = arena.view
+        n = len(view.vertices)
+        self.arena = arena
         self.good = good
+        self.sides = sides
+        self.bound = bound
         self.count = 0
-        self.met: set = set()  # masks whose split this family has counted
+        self.met: set = set()  # masks whose split this game has counted
         self.kids: dict = {}
+        self.memo: dict = {}  # (G, X) -> (σ, won, pieces, phases)
+        self.machines: list = [None, None]
+        everything = (1 << n) - 1
+        own0 = sum(1 << i for i, o in enumerate(view.owner) if o == sides[0])
+        self.own = (own0, everything & ~own0)
+        self.root = (everything, everything)
+        self._memoise(self.root)
+        sigma, won = self.memo[self.root][:2]
+        win0 = won if sigma == 0 else everything & ~won
+        self.win0 = frozenset(v for i, v in enumerate(view.vertices) if win0 >> i & 1)
 
-    def tick(self, sets: int) -> None:
-        self.count += sets
-        if self.count > self.search.bound:
-            raise TooLargeError(f"Zielonka tree exceeds {self.search.bound} sets")
+    def tick(self, count: int) -> None:
+        self.count += count
+        if self.count > self.bound:
+            raise TooLargeError(f"Zielonka recursion exceeds {self.bound} subgames and sets")
 
     def children(self, node: int) -> list:
-        """Maximal recurrence sets strictly inside ``node`` on the other side of the family, by mask."""
+        """Maximal recurrence sets strictly inside ``node`` on the other side of the family, by mask.
+
+        Below a node outside the family they are the family's maximal sets
+        inside it.  Below a node in the family they are the maximal
+        recurrence sets outside it: each such set misses some member ``v``
+        of the node, so it lies in a looping component of the node minus
+        ``v``, and the descent expands only the components that are in the
+        family.  The first time the game meets a split it counts each of
+        its components.
+        """
         kids = self.kids.get(node)
         if kids is None:
             if node in self.good:
@@ -503,233 +571,184 @@ class _SetSearch:
         return kids
 
     def _split(self, x: int) -> tuple:
-        parts = self.search.arena.view.splits(x)
+        parts = self.arena.view.splits(x)
         if x not in self.met:
             self.met.add(x)
             self.tick(len(parts))
         return parts
 
+    def _solve(self, G: int, X: int):
+        """``solve(G, X)`` as a generator: it yields each ``(H, Y)`` it needs and is sent that entry back."""
+        adj, radj = self.arena.view.masks()
+        sigma = 0 if X in self.good else 1
+        mine, theirs = self.own[sigma], self.own[1 - sigma]
+        pieces = []
+        while True:
+            phases = []
+            for Y in self.children(X):
+                if not Y & G:
+                    continue
+                A, leave = _attract(adj, radj, mine, G, G & ~Y)
+                H = G & ~A
+                lost = (yield H, Y)[1] if H else 0  # the child's σ is the opponent
+                if lost:
+                    B, to_lost = _attract(adj, radj, theirs, G, lost)
+                    pieces.append((B, lost, to_lost, (H, Y)))
+                    G &= ~B
+                    break
+                phases.append((Y, H, leave, (H, Y)))
+            else:
+                return sigma, G, tuple(pieces), tuple(phases)
 
-class ZielonkaTree:
-    """The Zielonka tree of a Muller family over one component's recurrence sets.
-
-    The root is the looping component ``root``; the children of a node are
-    the maximal recurrence sets strictly inside it whose membership in the
-    family differs from the node's, ordered by mask.  A node is named by
-    its path of child positions from the root, and leaves are numbered
-    left to right, so leaf 0 is the leftmost.  A node at depth ``d`` has
-    priority ``d`` when the root is in the family and ``d + 1`` otherwise,
-    which is even exactly for the nodes in the family.
-    """
-
-    def __init__(self, root: int, search: _SetSearch):
-        self.offset = 0 if root in search.good else 1
-        self.nodes: dict = {}  # path -> (mask, number of children)
-        self.leaves: list = []  # leaf paths, left to right
-        stack = [((), root)]
+    def _memoise(self, key: tuple) -> None:
+        """Solve ``key`` and every entry it needs, on an explicit stack, so depth is bounded by memory alone."""
+        self.tick(1)
+        stack = [(key, self._solve(*key))]
+        entry = None
         while stack:
-            path, mask = stack.pop()
-            search.tick(1)
-            kids = search.children(mask)
-            self.nodes[path] = (mask, len(kids))
-            if not kids:
-                self.leaves.append(path)
-            stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
-        self.number = {path: i for i, path in enumerate(self.leaves)}
-        self.steps: dict = {}
+            key, solving = stack[-1]
+            try:
+                need = solving.send(entry)
+            except StopIteration as done:
+                stack.pop()
+                entry = self.memo[key] = done.value
+            else:
+                entry = self.memo.get(need)
+                if entry is None:
+                    self.tick(1)
+                    stack.append((need, self._solve(*need)))
 
-    def step(self, leaf: int, w: int) -> tuple:
-        """Leaf and priority after reading the vertex of index ``w`` at ``leaf``.
+    @staticmethod
+    def _phase(phases: tuple, q: tuple) -> tuple:
+        """``(i, rest)``: the phase a memory ``q`` names, read as 0 past the last, and the child's memory."""
+        i, q = (q[0], q[1:]) if q else (0, ())
+        return (i if i < len(phases) else 0), q
 
-        The read climbs from the leaf to the deepest node holding ``w``; its
-        priority is that node's, and the new leaf is the leftmost one below
-        the node's next child, taken cyclically (the leaf itself when the
-        node is the leaf).
+    def _arrive(self, s: int, q: tuple, w: int) -> tuple:
+        """Side ``s``'s memory after arriving at the vertex of index ``w`` with memory ``q``.
+
+        A memory lists a phase number for every level from the root down
+        where ``s`` is σ; a piece is read off the vertex, so the levels
+        where ``s`` is the opponent add none.  A missing number is 0, which
+        is fresh, so trailing zeros are dropped.  Arriving outside ``Y``
+        skips to the next phase whose ``Y`` holds the vertex, or to phase 0
+        when none does: every phase passed over has seen a vertex outside
+        its ``Y``.
         """
-        hit = self.steps.get((leaf, w))
-        if hit is None:
-            path = self.leaves[leaf]
-            d = len(path)
-            while not self.nodes[path[:d]][0] >> w & 1:
-                d -= 1
-            if d < len(path):
-                path = path[:d] + ((path[d] + 1) % self.nodes[path[:d]][1],)
-                while self.nodes[path][1]:
-                    path += (0,)
-            hit = self.steps[(leaf, w)] = (self.number[path], d + self.offset)
-        return hit
+        bit = 1 << w
+        node = self.memo[self.root]
+        out = []
+        while True:
+            sigma, won, pieces, phases = node
+            if s == sigma:
+                if not (phases and won & bit):
+                    break
+                i, q = self._phase(phases, q)
+                Y, H, _, key = phases[i]
+                if not Y & bit:
+                    k = len(phases)
+                    out.append(next((j % k for j in range(i + 1, i + k) if phases[j % k][0] & bit), 0))
+                    break
+                out.append(i)
+                if not H & bit:
+                    break
+            else:
+                piece = next((piece for piece in pieces if piece[0] & bit), None)
+                if piece is None or not piece[1] & bit:
+                    break
+                key = piece[3]
+            node = self.memo[key]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
+    def _move(self, s: int, q: tuple, v: int) -> int:
+        """Side ``s``'s move at its vertex of index ``v`` with memory ``q``, as a vertex index.
 
-class TreeProduct:
-    """The parity product of an arena with the Zielonka trees of one Muller family.
-
-    Every looping component of the arena has its own tree.  The move node
-    ``move[v][l]`` pairs the vertex of index ``v`` with a leaf ``l`` of its
-    component's tree (leaf 0 for vertices on no cycle), and every such pair
-    is in the product.  A move to ``w`` in the same component passes
-    through the transition node of ``(l, w)``, which carries the priority
-    of reading ``w`` at ``l`` and leads to the move node of the new leaf.
-    A move into another component enters that component's leftmost leaf.
-    Move nodes carry a priority above every transition.  The product's
-    index ``view`` labels node ``k`` with the vertex it stands at or moves
-    to, ``view.owner[k]``.
-
-    Nodes are numbered move nodes first, each kind ordered by the decimal
-    names of its two numbers, ``(v, l)`` and ``(l, w)``.  The parity solver
-    breaks ties by node number, so this order fixes the machines it
-    returns.  The bound of ``search``, whose arena the product is built
-    over, limits the search for the trees and the product's size.  The
-    family comes as ``good``, the masks of its recurrence sets.
-
-    Each split into sides is solved once, positionally; its machines are
-    pulled back when first asked for.
-    """
-
-    def __init__(self, search: MullerSearch, good: frozenset):
-        arena = search.arena
-        sets = _SetSearch(search, good)
-        n = len(arena.vertices)
-        tree: list = [None] * n
-        for comp in search.components:
-            t = ZielonkaTree(comp, sets)
-            for i in range(n):
-                if comp >> i & 1:
-                    tree[i] = t
-        width = [len(t.leaves) if t is not None else 1 for t in tree]
-        cyclic = [w for w in search.by_name if tree[w] is not None]
-        if sum(width) + sum(width[w] for w in cyclic) > search.bound:
-            raise TooLargeError(f"tree product exceeds {search.bound} states")
-        self.arena = arena
-        self.solved: dict = {}  # sides -> (win0, s0, s1) of the positional solve
-        self.machines: dict = {}  # (sides, side) -> StrategyMachine
-        leaves_by_name = {wd: sorted(range(wd), key=str) for wd in set(width)}
-        label: list = []
-        move: list = [None] * n
-        for v in search.by_name:
-            row = move[v] = [0] * width[v]
-            for leaf in leaves_by_name[width[v]]:
-                row[leaf] = len(label)
-                label.append(v)
-        self.moves = len(label)
-        into: list = [None] * n  # into[w][l]: the transition node of (l, w)
-        for w in cyclic:
-            into[w] = [0] * width[w]
-        for leaf in leaves_by_name[max(width)]:
-            for w in cyclic:
-                if leaf < width[w]:
-                    into[w][leaf] = len(label)
-                    label.append(w)
-        succ: list = [None] * len(label)
-        self.prio = [n + 1] * len(label)
-        for v, ws in enumerate(arena.view.succ):
-            t = tree[v]
-            for leaf, k in enumerate(move[v]):
-                succ[k] = tuple(into[w][leaf] if t is not None and tree[w] is t else move[w][0] for w in ws)
-        for w in cyclic:
-            for leaf, k in enumerate(into[w]):
-                nxt, self.prio[k] = tree[w].step(leaf, w)
-                succ[k] = (move[w][nxt],)
-        self.view = ArenaIndex(range(len(label)), range(len(label)), succ, label)
-        self.move = move
-        # memory q is a leaf of the current vertex's tree; arriving at a
-        # vertex reads it there, and a leaf number past the tree's width,
-        # which no play produces, stands for leaf 0
-        self.at = [[q if q < wd else 0 for wd in width] for q in range(max(width))]
-        self.nxt = [
-            [t.step(row[i], i)[0] if t is not None else 0 for i, t in enumerate(tree)] for row in self.at
-        ]
-
-    def parity_game(self, p0) -> tuple:
-        """Side and priority of every node when ``p0`` plays for the family."""
-        owners, label = self.arena.view.owner, self.view.owner
-        side = [0 if owners[v] == p0 else 1 for v in label[: self.moves]]
-        side += [1] * (len(label) - self.moves)
-        return side, self.prio
-
-    def regions(self, sides: tuple) -> tuple:
-        """``(win0, s0, s1)`` of the family's game with side 0 played by ``sides[0]``.
-
-        Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
-        ``win0`` holds the arena vertices side 0 wins from with a fresh
-        memory; ``s0`` and ``s1`` are the positional product strategies.
-        Each split is solved once.
+        At a vertex outside the phase's ``Y`` it moves as the next phase
+        whose ``Y`` holds the vertex would, fresh.  Outside the region the
+        move is the first successor; inside, where no child or attractor
+        decides it, the first successor in the region.
         """
-        hit = self.solved.get(sides)
-        if hit is None:
-            W0, _, s0, s1 = _solve_view(self.view, *self.parity_game(sides[0]))
-            vs = self.arena.view.vertices
-            win0 = frozenset(v for i, v in enumerate(vs) if self.move[i][0] in W0)
-            hit = self.solved[sides] = (win0, s0, s1)
-        return hit
+        bit = 1 << v
+        node = self.memo[self.root]
+        stay = -1
+        while True:
+            sigma, won, pieces, phases = node
+            if s == sigma:
+                if not won & bit:
+                    break
+                stay = won
+                if not phases:
+                    break
+                i, q = self._phase(phases, q)
+                k = len(phases)
+                e = next((j % k for j in range(i, i + k) if phases[j % k][0] & bit), None)
+                if e is None:
+                    break
+                if e != i:
+                    q = ()
+                _, H, leave, key = phases[e]
+                if not H & bit:
+                    return leave[v]
+            else:
+                piece = next((piece for piece in pieces if piece[0] & bit), None)
+                if piece is None:
+                    break
+                _, L, to_lost, key = piece
+                if not L & bit:
+                    return to_lost[v]
+            node = self.memo[key]
+        m = self.arena.view.masks()[0][v] & stay
+        return (m & -m).bit_length() - 1
 
-    def strategy(self, sides: tuple, i: int) -> StrategyMachine:
-        """The leaf-memory machine of side ``i``, pulled back on first use.
+    def machine(self, s: int) -> StrategyMachine:
+        """Side ``s``'s machine, flattened from its fresh memory over the arena's vertices and minimised.
 
-        It is minimised and canonically numbered.
+        It is built on first use.  Its bytes depend only on its behaviour.
         """
-        machine = self.machines.get((sides, i))
+        machine = self.machines[s]
         if machine is None:
-            p0 = sides[0]
-            owned = [v for v, o in enumerate(self.arena.view.owner) if (o == p0) == (i == 0)]
-            machine = self.machines[(sides, i)] = self._machine(sides[i], self.regions(sides)[1 + i], owned)
+            vs = self.arena.view.vertices
+            states, succ = explore(
+                [()], lambda q: [self._arrive(s, q, w) for w in range(len(vs))], math.inf, "machine"
+            )
+            number = {q: k for k, q in enumerate(states)}
+            owned = [v for v in range(len(vs)) if self.own[s] >> v & 1]
+            machine = self.machines[s] = minimize_table(
+                self.sides[s],
+                vs,
+                tuple(vs[v] for v in owned),
+                [[number[t] for t in succ[q]] for q in states],
+                [tuple(vs[self._move(s, q, v)] for v in owned) for q in states],
+            )
         return machine
 
-    def memory_bits(self, sides: tuple) -> int:
-        """Memory bits of the larger of the split's two machines.
+    def memory_bits(self) -> int:
+        """Memory bits of the larger of the game's two machines."""
+        return max(self.machine(0).memory_bits, self.machine(1).memory_bits)
 
-        Each machine has at most one state per row of the memory table
-        ``at``, one per leaf of the widest tree, so ``bits_for(len(at))``
-        bounds it before either is pulled back.
-        """
-        return max(self.strategy(sides, 0).memory_bits, self.strategy(sides, 1).memory_bits)
-
-    def solve(self, sides: tuple) -> SolveResult:
-        """Solve the family's game with side 0 played by ``sides[0]``.
-
-        Strategies come back as leaf-memory machines, minimised and
-        canonically numbered.
-        """
-        win0 = self.regions(sides)[0]
+    def solve(self) -> SolveResult:
         return SolveResult(
-            win0=win0,
-            win1=frozenset(self.arena.vertices) - win0,
-            strategy0=self.strategy(sides, 0),
-            strategy1=self.strategy(sides, 1),
-            memory_bits_used=self.memory_bits(sides),
+            win0=self.win0,
+            win1=frozenset(self.arena.vertices) - self.win0,
+            strategy0=self.machine(0),
+            strategy1=self.machine(1),
+            memory_bits_used=self.memory_bits(),
         )
-
-    def _machine(self, player, strategy: Mapping, owned: list) -> StrategyMachine:
-        """Pull a positional product strategy back to a leaf-memory machine.
-
-        At an owned vertex in memory ``q`` the machine moves where the
-        strategy leaves the move node of that vertex and leaf, and to the
-        first successor where the strategy is silent.
-        """
-        vs = self.arena.view.vertices
-        succ = self.arena.view.succ
-        move, label = self.move, self.view.owner
-        choice = []
-        for row in self.at:
-            moves = []
-            for i in owned:
-                d = strategy.get(move[i][row[i]])
-                moves.append(vs[label[d] if d is not None else succ[i][0]])
-            choice.append(tuple(moves))
-        return minimize_table(player, vs, tuple(vs[i] for i in owned), self.nxt, choice)
 
 
 def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
-    """Solve a Muller game through the Zielonka-tree product of its family.
+    """Solve a Muller game by the memoised Zielonka recursion of its family.
 
-    Each move is routed through a transition node carrying the priority of
-    the tree node it climbs to, so the parity solver sees a plain
-    vertex-priority game.  Strategies come back as leaf-memory machines,
-    minimised and canonically numbered.
+    Strategies come back as finite-memory machines that win from every
+    vertex of their region in every memory state, minimised and
+    canonically numbered.
     """
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
     family = frozenset(frozenset(s) for s in game.objective.family)
-    return MullerSearch(game.arena, max_product_states).product(family).solve(game.sides())
+    return MullerSearch(game.arena, max_product_states).game(family, game.sides()).solve()
 
 
 def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:

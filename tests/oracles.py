@@ -4,7 +4,10 @@ These deliberately avoid the package's solver code paths: recurrence sets
 come from explicit closed-walk searches, values from plain recursion, and
 strategy quality from products built right here.  The Muller solver's
 regions are checked against the appearance-record product, which tracks
-the whole latest-appearance record instead of a Zielonka tree.  Subgame
+the whole latest-appearance record instead of a Zielonka tree, and against
+the parity product of the arena with the family's Zielonka trees.  Its
+machines, and every guarantee row's, are certified by looping components
+of the arena-by-machine product, without a tree or a parity solver.  Subgame
 verification, which shares one deviation product per player, is checked
 against a search that explores, indexes and searches a fresh product from
 every configuration, and places each witness where a second walk, of the
@@ -37,10 +40,16 @@ from graphgames.arena import (
     walk_configurations,
 )
 from graphgames.errors import GraphGamesError, InvalidInputError
-from graphgames.extensive import PartialPreference
-from graphgames.guarantees import threshold_game
-from graphgames.orders import SlicePartition, pareto_front, require_linear_pattern_free
-from graphgames.winlose import LarContext, _solve_view, solve_muller
+from graphgames.extensive import Decision, Leaf, PartialPreference, TreeGame
+from graphgames.guarantees import GraphGame, coalition_tag
+from graphgames.orders import (
+    SlicePartition,
+    StrictWeakOrder,
+    linear_order,
+    pareto_front,
+    require_linear_pattern_free,
+)
+from graphgames.winlose import LarContext, Muller, WinLoseGame, _drive, solve_muller
 
 
 def bfs_reachable(arena: Arena, source) -> set:
@@ -582,6 +591,12 @@ def conformance_machine_by_dicts(game, table, lasso, player) -> StrategyMachine:
     return minimize_machine(machine, vertices, owned)
 
 
+def parity_win0(view: ArenaIndex, side, prio) -> set:
+    """Indices side 0 wins in the min-parity game on the whole graph ``view``,
+    solved in one decomposition, without splitting it into components."""
+    return _drive(view, side, prio, range(len(prio)))[0]
+
+
 class RecordProduct:
     """The appearance-record parity product of one arena.
 
@@ -624,7 +639,7 @@ class RecordProduct:
                 h = r.index(w) + 1
                 side.append(1)
                 prio.append(2 * (self.n - h) + (frozenset(r[:h]) not in family))
-        W0 = _solve_view(self.view, side, prio)[0]
+        W0 = parity_win0(self.view, side, prio)
         return frozenset(self.view.vertices[k][1][0] for k in W0 if self.view.vertices[k][0] == "m")
 
 
@@ -698,6 +713,12 @@ def _first_improvement_in(game, order, induced, view: ArenaIndex):
             if all(comp & part for part in parts):
                 return o, comp
     return None
+
+
+def outcome_from(game, profile, vertex=None, mems=None):
+    """Outcome of the profile's deterministic play from a configuration."""
+    cfgs, loop = walk_configurations(game.arena, profile, vertex, mems)
+    return game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
 
 
 def _first_divergence(walk_a, walk_b):
@@ -946,3 +967,200 @@ def guarantee_row_by_fresh_solves(game, player) -> tuple:
     machines = {c: solves[c - 1].strategy0 if c else fallback_machine(game.arena, player, {}) for c in used}
     punish = {c: solves[min(c, k - 1)].strategy1 for c in used}
     return rank, machines, punish, max(r.memory_bits_used for r in solves)
+
+
+def threshold_game(game: GraphGame, player, outcome) -> WinLoseGame:
+    """One-vs-all game: ``player`` tries to force an outcome above ``outcome``.
+
+    The protagonist owns her vertices; everyone else merges into a single
+    coalition side.  The winning family collects the recurrence sets whose
+    outcome she strictly prefers to the threshold.
+    """
+    order = game.prefs.order_of(player)
+    if outcome not in set(order.outcomes):
+        raise InvalidInputError(f"unknown threshold outcome {outcome!r}")
+    arena = game.arena
+    other = coalition_tag(player)
+    owner = {v: (player if arena.owner[v] == player else other) for v in arena.vertices}
+    two_sided = Arena((player, other), tuple(arena.vertices), arena.edges, owner, arena.start)
+    family = frozenset(s for s, o in game.outcome_map.items() if order.lt(outcome, o))
+    return WinLoseGame(two_sided, Muller(family), protagonist=player)
+
+
+class TreeProduct:
+    """Regions reference for the Muller solver: the parity product of an
+    arena with the Zielonka trees of one family.
+
+    Every looping component of the arena, a maximal recurrence set, roots a
+    tree.  The children of a node are the maximal recurrence sets strictly
+    inside it whose membership in the family differs from the node's,
+    found by scanning every recurrence set (``recurrence``, the arena's
+    when not given); a node at depth ``d`` has priority ``d``, plus one
+    when the root is not in the family.  A move node ``("m", v, leaf)``
+    pairs a vertex with a leaf of its component's tree, a path of child
+    positions (the empty path on no cycle).  A move to ``w`` in the same
+    component passes through the transition node ``("t", leaf, w)``, which
+    carries the priority of the deepest node of the leaf's branch holding
+    ``w`` and leads to the leftmost leaf below that node's next child,
+    taken cyclically; a move into another component enters its leftmost
+    leaf.
+    """
+
+    def __init__(self, arena: Arena, family, recurrence=None):
+        if recurrence is None:
+            recurrence = recurrence_sets_by_mask_scan(arena)
+        family = {s for s in family if s in recurrence}
+        kids: dict = {}
+
+        def children(node):
+            if node not in kids:
+                inside = [s for s in recurrence if s < node and (s in family) != (node in family)]
+                kids[node] = sorted((s for s in inside if not any(s < t for t in inside)), key=lambda s: sorted(map(skey, s)))
+            return kids[node]
+
+        branches: dict = {}  # (root, leaf path) -> the nodes from the root down to the leaf
+
+        def leftmost(chain, path):
+            while children(chain[-1]):
+                chain, path = chain + [children(chain[-1])[0]], path + (0,)
+            branches[(chain[0], path)] = chain
+            return path
+
+        roots = [s for s in recurrence if not any(s < t for t in recurrence)]
+        root_of = {v: next((r for r in roots if v in r), None) for v in arena.vertices}
+        fresh = {r: leftmost([r], ()) for r in roots}
+        # the leaves of every tree that stepping from the leftmost one reaches
+        steps: dict = {}
+        leaves: dict = {}
+        for r in roots:
+            todo = [fresh[r]]
+            seen = leaves[r] = set(todo)
+            while todo:
+                path = todo.pop()
+                chain = branches[(r, path)]
+                for w in r:
+                    d = max(k for k, node in enumerate(chain) if w in node)
+                    nxt = path
+                    if d < len(path):
+                        below = children(chain[d])
+                        i = (path[d] + 1) % len(below)
+                        nxt = leftmost(chain[: d + 1] + [below[i]], path[:d] + (i,))
+                    steps[(r, path, w)] = nxt, d + (r not in family)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+        succ, prio, label = {}, {}, {}
+        top = 2 * len(arena.vertices) + 2
+        for v in arena.sorted_vertices():
+            r = root_of[v]
+            for leaf in sorted(leaves[r]) if r is not None else [()]:
+                outs = []
+                for w in arena.successors(v):
+                    if r is not None and root_of[w] == r:
+                        t = ("t", leaf, w)
+                        nxt, prio[t] = steps[(r, leaf, w)]
+                        succ[t] = (("m", w, nxt),)
+                        label[t] = w
+                        outs.append(t)
+                    else:
+                        outs.append(("m", w, fresh.get(root_of[w], ())))
+                node = ("m", v, leaf)
+                succ[node], prio[node], label[node] = tuple(outs), top, v
+        self.arena = arena
+        self.view = IndexByCallables(list(succ), succ.__getitem__, label.__getitem__)
+        self.prio = [prio[x] for x in self.view.vertices]
+        self.fresh = {v: ("m", v, fresh.get(root_of[v], ())) for v in arena.vertices}
+
+    def win0(self, p0) -> frozenset:
+        """Vertices from which ``p0``'s side wins with a fresh leaf."""
+        owner = self.arena.owner
+        side = [0 if x[0] == "m" and owner[x[1]] == p0 else 1 for x in self.view.vertices]
+        W0 = parity_win0(self.view, side, self.prio)
+        return frozenset(v for v, x in self.fresh.items() if self.view.index[x] in W0)
+
+
+def achieved_sets(arena: Arena, machine: StrategyMachine, owned, starts, candidates) -> list:
+    """The ``candidates`` some play achieves against ``machine`` from a start vertex in any memory state.
+
+    The product pairs every arena vertex with every memory state the
+    machine names.  At a vertex of ``owned`` the machine moves, and every
+    move must be an edge; elsewhere every edge is open.  A vertex set ``T``
+    is achieved when some looping component of the part reachable from the
+    starts, restricted to the states over ``T``, meets every vertex of
+    ``T``.  No Zielonka tree and no parity solver is used.
+    """
+    owned = set(owned)
+    states = machine.states()
+    start = [(v, q) for v in starts for q in states]
+    seen = set(start)
+    order = list(start)
+    for v, q in order:
+        if v in owned:
+            w = machine.choice.get((v, q))
+            if (v, w) not in arena.edges:
+                raise AssertionError(f"machine for {machine.player!r} moves {v!r} -> {w!r} in state {q}")
+            targets = (w,)
+        else:
+            targets = arena.successors(v)
+        for w in targets:
+            t = (w, machine.next_state(w, q))
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    number = {s: i for i, s in enumerate(order)}
+    adj, radj = [0] * len(order), [0] * len(order)
+    over: dict = {}
+    for (v, q), i in number.items():
+        over[v] = over.get(v, 0) | 1 << i
+        targets = (machine.choice[(v, q)],) if v in owned else arena.successors(v)
+        for w in targets:
+            j = number[(w, machine.next_state(w, q))]
+            adj[i] |= 1 << j
+            radj[j] |= 1 << i
+    found = []
+    for T in candidates:
+        parts = [over.get(v, 0) for v in T]
+        if all(parts) and any(
+            all(comp & part for part in parts)
+            for comp in looping_components_by_component_masks(sum(parts), adj, radj)
+        ):
+            found.append(T)
+    return found
+
+
+def row_certificate_violations(game, row) -> list:
+    """Where a guarantee row's machines let the player do better or worse than her class.
+
+    ``machines[c]`` must let no set ranked below ``c`` be achieved from any
+    vertex of class at least ``c``, and ``punish[c]`` no set ranked above
+    ``c`` from any vertex of class at most ``c``, in any memory state.
+    Returns ``(kind, c, set)`` for every set achieved that should not be.
+    """
+    arena = game.arena
+    vs = arena.sorted_vertices()
+    ranked = [(T, row.order.rank_of(o)) for T, o in game.outcome_map.items()]
+    mine = arena.owned_by(row.player)
+    others = [v for v in vs if arena.owner[v] != row.player]
+    bad = []
+    for c, machine in row.machines.items():
+        starts = [v for v in vs if row.class_rank[v] >= c]
+        losing = [T for T, r in ranked if r < c]
+        bad += [("machines", c, T) for T in achieved_sets(arena, machine, mine, starts, losing)]
+    for c, machine in row.punish.items():
+        starts = [v for v in vs if row.class_rank[v] <= c]
+        losing = [T for T, r in ranked if r > c]
+        bad += [("punish", c, T) for T in achieved_sets(arena, machine, others, starts, losing)]
+    return bad
+
+
+def build_four_outcome_example() -> TreeGame:
+    """Two-player game with tied preferences; the lone NE outcome is z."""
+    outcomes = ("x", "y", "z", "t")
+    prefs = {
+        "a": StrictWeakOrder(outcomes, {"t": 0, "z": 0, "x": 1, "y": 1}),
+        "b": linear_order(["x", "z", "y", "t"]),
+    }
+    deep = Decision("b", (Leaf(outcome="t"), Leaf(outcome="y")))
+    sub = Decision("a", (deep, Leaf(outcome="x")))
+    root = Decision("b", (sub, Leaf(outcome="z")))
+    return TreeGame(root, ("a", "b"), prefs=prefs)

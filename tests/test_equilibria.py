@@ -18,9 +18,7 @@ from graphgames.arena import (
 )
 import graphgames.equilibria as equilibria
 from graphgames.equilibria import (
-    induced_outcome_from,
     muller_pareto_ne,
-    punishment_strategy,
     synthesize_antagonistic_spe,
     synthesize_ne,
     verify_ne,
@@ -38,6 +36,7 @@ from oracles import (
     joint_configurations,
     masks_by_sums,
     optimal_strategy_by_dicts,
+    outcome_from,
     owned_is_built,
     pareto_target_by_all_realizable,
     position_machine_by_dicts,
@@ -165,8 +164,9 @@ def test_main_lassos_are_canonical_and_replay_the_profile():
 
 
 def test_punishment_trivial_vertex():
-    machine, held_to = punishment_strategy(single_vertex_game(), "A", "v")
-    assert held_to == "o1"
+    row = guarantee_table(single_vertex_game()).rows["A"]
+    machine = row.punish[row.class_rank["v"]]
+    assert row.representative("v") == "o1"
     assert machine.memory_bits == 0
 
 
@@ -180,13 +180,13 @@ def test_punishment_holds_deviator_down():
         ("o1", "o2"), {"A": linear_order(["o2", "o1"]), "B": linear_order(["o1", "o2"])}
     )
     game = GraphGame(arena, {frozenset({"u"}): "o1", frozenset({"w"}): "o2"}, prefs)
-    table = guarantee_table(game)
-    machine, held_to = punishment_strategy(game, "B", "u", table)
-    assert held_to == "o1"
+    row = guarantee_table(game).rows["B"]
+    machine = row.punish[row.class_rank["u"]]
+    assert row.representative("u") == "o1"
     profile = StrategyProfile(
         {"A": machine_as_player(machine, "A"), "B": memoryless_machine("B", {})}
     )
-    assert induced_outcome_from(game, profile, "u") == "o1"
+    assert outcome_from(game, profile, "u") == "o1"
 
 
 def machine_as_player(machine, player):
@@ -203,9 +203,9 @@ def test_punishment_memory_within_solver_bound(seed):
     game = random_graph_game(rng, rng.randint(1, 4), players, outcomes)
     table = guarantee_table(game)
     for b in players:
+        row = table.rows[b]
         for v in game.arena.vertices:
-            machine, _ = punishment_strategy(game, b, v, table)
-            assert machine.memory_bits <= table.rows[b].solver_bits
+            assert row.punish[row.class_rank[v]].memory_bits <= row.solver_bits
 
 
 # --- verification ------------------------------------------------------------------
@@ -346,8 +346,8 @@ def test_witnesses_replay_from_every_configuration(seed):
         a = witness.player
         alt = StrategyProfile({**profile.machines, a: witness.machine})
         alt_mems = {**mems, a: witness.machine.init}
-        induced = induced_outcome_from(game, profile, v, mems)
-        assert induced_outcome_from(game, alt, v, alt_mems) == witness.improved_outcome
+        induced = outcome_from(game, profile, v, mems)
+        assert outcome_from(game, alt, v, alt_mems) == witness.improved_outcome
         assert game.prefs.order_of(a).lt(induced, witness.improved_outcome)
         # both plays are ultimately periodic, so they part within as many
         # steps as their two walks have configurations
@@ -431,7 +431,7 @@ def tempted_players(game, profile) -> set:
     values = set(game.outcome_map.values())
     tempted = set()
     for v, mems in joint_configurations(game.arena, profile):
-        induced = induced_outcome_from(game, profile, v, mems)
+        induced = outcome_from(game, profile, v, mems)
         witness = deviation_by_fresh_products(game, profile, v, mems)
         for a in game.arena.sorted_players():
             if any(game.prefs.order_of(a).lt(induced, o) for o in values):
@@ -523,8 +523,8 @@ def test_spe_requires_two_inverse_players():
 def test_spe_parity_outcome_game():
     game = parity_outcome_game()
     profile = synthesize_antagonistic_spe(game)
-    assert induced_outcome_from(game, profile, "v0") == "win0"
-    assert induced_outcome_from(game, profile, "v1") == "win1"
+    assert outcome_from(game, profile, "v0") == "win0"
+    assert outcome_from(game, profile, "v1") == "win1"
     assert verify_spe(game, profile) is None
 
 
@@ -542,7 +542,7 @@ def test_spe_guarantees_meet_and_verify(seed):
     profile = synthesize_antagonistic_spe(game, table)
     assert verify_spe(game, profile) is None
     for v in game.arena.vertices:
-        induced = induced_outcome_from(game, profile, v)
+        induced = outcome_from(game, profile, v)
         expected = table.rows["A"].order.class_of(table.rows["A"].representative(v))
         assert induced in expected
 
@@ -557,7 +557,7 @@ def test_spe_at_larger_scale(seed):
     profile = synthesize_antagonistic_spe(game, table)
     assert verify_spe(game, profile) is None
     for v in game.arena.vertices:
-        induced = induced_outcome_from(game, profile, v)
+        induced = outcome_from(game, profile, v)
         assert induced in table.rows["A"].order.class_of(table.rows["A"].representative(v))
 
 

@@ -10,7 +10,6 @@ from graphgames.extensive import (
     TreeGame,
     backward_induction,
     build_escape_truncation,
-    build_four_outcome_example,
     build_nonash_truncation,
     build_six_outcome_example,
     build_three_leaf_example,
@@ -30,7 +29,7 @@ from graphgames.orders import (
     pareto_front,
 )
 
-from oracles import partial_from_chains_by_fixpoint, tree_value
+from oracles import build_four_outcome_example, partial_from_chains_by_fixpoint, tree_value
 
 
 # --- backward induction ----------------------------------------------------

@@ -1,11 +1,12 @@
+import importlib
 import json
 import random
+from pathlib import Path
+
 import pytest
 
 from graphgames import jsonio
 from graphgames.arena import (
-    DEFAULT_PRODUCT_BOUND,
-    ArenaIndex,
     StrategyProfile,
     bits_for,
     feasible_among,
@@ -13,30 +14,32 @@ from graphgames.arena import (
     inf_set,
     make_arena,
 )
+from graphgames.equilibria import synthesize_ne, verify_ne
 from graphgames.errors import TooLargeError
 from graphgames.cli import main
 from graphgames.gen import inverse_pair_profile, random_graph_game, random_linear, random_profile
 from graphgames.guarantees import (
     GraphGame,
     best_guarantee,
+    coalition_tag,
     guarantee_table,
     local_consistency_violations,
     optimal_strategy,
-    threshold_game,
 )
 from graphgames.orders import PreferenceProfile, linear_order
 from graphgames.winlose import MullerSearch, solve_muller
 
 from oracles import (
-    IndexByCallables,
     RecordProduct,
+    TreeProduct,
     guarantee_row_by_fresh_solves,
     all_machines,
     feasible_sets_by_walk_search,
     machine_product_arena,
-    masks_by_sums,
     outcomes_against_machine,
-    owned_is_built,
+    recurrence_sets_by_mask_scan,
+    row_certificate_violations,
+    threshold_game,
 )
 
 
@@ -297,81 +300,18 @@ def test_shared_product_rows_match_fresh_threshold_solves():
     assert top_seen == {True, False}
 
 
-def test_solver_bits_read_the_widest_trees_first_and_skip_the_rest():
-    # a product's machines have at most one state per leaf of its widest
-    # tree, so solver_bits reads products widest first and stops once none
-    # left can beat the best.  On a fresh table read only for solver_bits,
-    # a product whose bound is below the result, or 0, has no machine
-    # pulled back, and one whose bound is above it has; the table's and
-    # every row's solver_bits equal the largest machine of their products,
-    # each worked out one by one
-    rng = random.Random(7373)
-    one_leaf_only = multi_leaf = skipped_above_zero = 0
-    for seed in range(300):
-        players = ["A", "B", "C"][: rng.randint(2, 3)]
-        game = random_graph_game(rng, rng.randint(2, 6), players, [f"o{i}" for i in range(rng.randint(2, 4))])
-        table = guarantee_table(game)
-        solves = [(product, row.sides) for row in table.rows.values() for product in row.products]
-        bits = table.solver_bits
-        for product, _ in solves:
-            bound = bits_for(len(product.at))
-            if bound > bits:
-                assert product.machines, seed
-            elif bound < bits or bound == 0:
-                assert not product.machines, seed
-                skipped_above_zero += bound > 0
-        widths = {len(product.at) for product, _ in solves}
-        one_leaf_only += widths == {1}
-        multi_leaf += max(widths) > 1
-        one_by_one = {
-            (id(product), sides): max(product.strategy(sides, 0).memory_bits, product.strategy(sides, 1).memory_bits)
-            for product, sides in solves
-        }
-        for product, sides in solves:  # one-leaf products included: 0 bits
-            assert one_by_one[(id(product), sides)] <= bits_for(len(product.at)), seed
-        for row in table.rows.values():
-            assert row.solver_bits == max(one_by_one[(id(p), row.sides)] for p in row.products), seed
-        assert bits == max(one_by_one.values()), seed
-    assert one_leaf_only and multi_leaf and skipped_above_zero
-
-
-def test_tree_products_index_their_nodes_as_an_arena_index():
-    # every tree product of a guarantee table has a view of its own, an
-    # ArenaIndex equal to the index built node by node from its own
-    # successors; its masks equal the summed formula, and solving it never
-    # works out ``owned``
-    rng = random.Random(2323)
-    for seed in range(300):
-        players = ["A", "B", "C"][: rng.randint(2, 3)]
-        game = random_graph_game(rng, rng.randint(2, 6), players, [f"o{i}" for i in range(rng.randint(2, 4))])
-        table = guarantee_table(game)
-        products = {}
-        for row in table.rows.values():
-            for product in row.products:
-                product.solve(row.sides)
-                products[id(product)] = product
-        views = {id(product.view): product.view for product in products.values()}
-        assert len(views) == len(products), seed
-        for view in views.values():
-            assert type(view) is ArenaIndex and not owned_is_built(view), seed
-            oracle = IndexByCallables(view.vertices, view.succ.__getitem__, view.owner.__getitem__)
-            for name in ("vertices", "succ", "owner"):
-                assert tuple(getattr(view, name)) == getattr(oracle, name), (seed, name)
-            assert view.pred == oracle.pred, seed
-            assert view.masks() == masks_by_sums(oracle), seed
-
-
 def test_guarantee_builds_no_machine_and_spe_only_its_own(tmp_path, capsys, monkeypatch):
     import graphgames.winlose as wl
 
-    pulled = []
-    machine = wl.TreeProduct._machine
+    built = []
+    machine = wl.ZielonkaRecursion.machine
 
-    def counting(self, player, strategy, owned):
-        pulled.append(player)
-        return machine(self, player, strategy, owned)
+    def counting(self, s):
+        if self.machines[s] is None:
+            built.append(self.sides[s])
+        return machine(self, s)
 
-    monkeypatch.setattr(wl.TreeProduct, "_machine", counting)
+    monkeypatch.setattr(wl.ZielonkaRecursion, "machine", counting)
     rng = random.Random(6262)
     for i in range(20):
         outcomes = ["o1", "o2", "o3"]
@@ -379,10 +319,10 @@ def test_guarantee_builds_no_machine_and_spe_only_its_own(tmp_path, capsys, monk
         path = tmp_path / f"game{i}.json"
         path.write_text(json.dumps(jsonio.graph_game_to_json(game)))
         assert main(["guarantee", str(path)]) == 0
-        assert pulled == []
+        assert built == []
         assert main(["spe", str(path)]) == 0
-        assert all(not isinstance(p, tuple) for p in pulled)  # no coalition machine
-        pulled.clear()
+        assert all(not isinstance(p, tuple) for p in built)  # no coalition machine
+        built.clear()
     capsys.readouterr()
 
 
@@ -404,70 +344,190 @@ def test_threshold_regions_match_the_record_product_oracle():
                 assert oracle.win0(family, p) == above
 
 
-def threshold_families(game):
-    """Every threshold family of every player, in the order ``guarantee_table`` solves them."""
+@pytest.mark.parametrize("block", range(10))
+def test_threshold_regions_match_the_tree_product_oracle(block):
+    # every threshold of every player, at least 200 threshold games a block
+    # and 2,000 in all, n=3-10 with 2-4 players and 2-5 outcomes: the
+    # guarantee class is above the threshold exactly where the parity
+    # product over the family's Zielonka trees says the player wins
+    rng = random.Random(f"tree product regions {block}")
+    solved = 0
+    while solved < 200:
+        players = ["A", "B", "C", "D"][: rng.randint(2, 4)]
+        outcomes = [f"o{i}" for i in range(rng.randint(2, 5))]
+        game = random_graph_game(rng, rng.randint(3, 10), players, outcomes)
+        table = guarantee_table(game)
+        recurrence = recurrence_sets_by_mask_scan(game.arena)
+        for p in players:
+            order = game.prefs.order_of(p)
+            for j in range(order.num_classes()):
+                tg = threshold_game(game, p, order.representative(j))
+                above = {v for v, c in table.rows[p].class_rank.items() if c > j}
+                assert TreeProduct(tg.arena, tg.objective.family, recurrence).win0(p) == above
+                solved += 1
+
+
+def certified(game):
+    """The game's guarantee table, after every row passes the certificate."""
+    table = guarantee_table(game)
+    for row in table.rows.values():
+        assert row_certificate_violations(game, row) == []
+    return table
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_guarantee_rows_pass_the_certificate(block):
+    # 300 seeded games with 2-4 players: from every vertex of its class or
+    # above, in every memory state, machines[c] lets the player achieve no
+    # set ranked below c, and punish[c] lets her achieve none ranked above
+    rng = random.Random(f"certificate {block}")
+    for _ in range(50):
+        players = ["A", "B", "C", "D"][: rng.randint(2, 4)]
+        game = random_graph_game(rng, rng.randint(2, 8), players, [f"o{i}" for i in range(rng.randint(2, 5))])
+        certified(game)
+
+
+def test_synth_corpus_rows_pass_the_certificate(monkeypatch):
+    # the games of the seed-1 synth workload, generated as the benchmark
+    # generates them, from its seed and slot list
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    workloads = importlib.import_module("workloads")
+    rng = random.Random("synth:1")
+    for _ in range(workloads.SIZES["synth"]["full"]["rounds"]):
+        for _, n, players, outcomes, prefs in workloads.SYNTH_SLOTS:
+            doc = corpus.graph_game_doc(rng, n, ["A", "B", "C"][:players], outcomes, prefs)
+            certified(jsonio.graph_game_from_json(doc))
+
+
+@pytest.mark.parametrize("seed", [11000, 13000, 13001, 13003, 14000, 14001, 14002, 14004])
+def test_wall_games_answer_at_the_default_bound(seed):
+    # 3 players, 4 outcomes and 11-14 vertices: the tree products of these
+    # games outgrew the default bound; the recursion answers them, its rows
+    # pass the certificate, and the Nash profile built on them verifies
+    game = random_graph_game(random.Random(seed), seed // 1000, ["A", "B", "C"], ["o1", "o2", "o3", "o4"])
+    report = synthesize_ne(game, certified(game))
+    assert verify_ne(game, report.profile) is None
+
+
+def threshold_games(game):
+    """Every threshold family of every player with the player, in the order ``guarantee_table`` solves them."""
     for p in game.arena.players:
         order = game.prefs.order_of(p)
         for j in range(order.num_classes()):
-            yield frozenset(s for s, o in game.outcome_map.items() if order.lt(order.representative(j), o))
+            yield frozenset(s for s, o in game.outcome_map.items() if order.lt(order.representative(j), o)), p
 
 
-def fresh_refusal(game, family, bound):
-    """The message a product with a search of its own is refused with, or None."""
+def fresh_refusal(game, family, player, bound):
+    """The message a search of its own refuses the threshold game with, or None."""
     try:
-        MullerSearch(game.arena, bound).product(family)
+        MullerSearch(game.arena, bound).game(family, (player, coalition_tag(player)))
     except TooLargeError as exc:
         return str(exc)
     return None
 
 
-def test_shared_search_refuses_exactly_where_fresh_products_do():
-    # the products share the split memo, but each family counts every split
-    # it meets, so the table is refused at the first family a product of its
-    # own would refuse, with the same message.  Just below the largest bound
-    # any family needs, a family that counted only the splits no earlier
-    # family had met would slip through
+def test_shared_search_refuses_exactly_where_fresh_searches_do():
+    # the games share the arena's split memo, but each game counts every
+    # split and every subgame it meets, so the table is refused at the
+    # first game a search of its own would refuse, with the same message.
+    # Just below the largest bound any game needs, a game that counted only
+    # the splits no earlier game had met would slip through
     rng = random.Random(9090)
     refused = set()
     for _ in range(100):
         n = rng.randint(3, 6)
         players = ["A", "B", "C"][: rng.randint(1, 3)]
         game = random_graph_game(rng, n, players, [f"o{i}" for i in range(rng.randint(2, 4))])
-        families = list(threshold_families(game))
+        games = list(threshold_games(game))
         need = 1
-        for family in families:
+        for family, p in games:
             lo, hi = need, 1000
             while lo < hi:
                 mid = (lo + hi) // 2
-                lo, hi = (mid + 1, hi) if fresh_refusal(game, family, mid) else (lo, mid)
+                lo, hi = (mid + 1, hi) if fresh_refusal(game, family, p, mid) else (lo, mid)
             need = lo
         guarantee_table(game, need)
         for bound in (need - 1, rng.randint(1, need - 1)) if need > 1 else ():
-            expected = next(filter(None, (fresh_refusal(game, f, bound) for f in families)))
+            expected = next(filter(None, (fresh_refusal(game, f, p, bound) for f, p in games)))
             with pytest.raises(TooLargeError) as refusal:
                 guarantee_table(game, bound)
             assert str(refusal.value) == expected
             refused.add(expected.split(" exceeds")[0])
-    assert refused == {"Zielonka tree", "tree product"}
+    assert refused == {"Zielonka recursion"}
+
+
+def test_the_recursion_is_refused_while_its_memo_grows(monkeypatch):
+    # every memo entry and every set met is counted as it is made, so a
+    # refused game has never held more memo entries than its bound, and
+    # its count passes the bound at the step that refuses it
+    import graphgames.winlose as wl
+
+    seen = []
+    tick = wl.ZielonkaRecursion.tick
+
+    def recording(self, count):
+        try:
+            tick(self, count)
+        except TooLargeError:
+            seen.append((len(self.memo), self.count - count, self.bound))
+            raise
+
+    monkeypatch.setattr(wl.ZielonkaRecursion, "tick", recording)
+    rng = random.Random(5151)
+    refused = 0
+    for _ in range(200):
+        players = ["A", "B", "C"][: rng.randint(2, 3)]
+        game = random_graph_game(rng, rng.randint(4, 7), players, [f"o{i}" for i in range(rng.randint(2, 4))])
+        for family, p in threshold_games(game):
+            count = MullerSearch(game.arena, 10**6).game(family, (p, coalition_tag(p))).count
+            if count > 2:
+                seen.clear()
+                bound = rng.randint(1, count - 1)
+                assert fresh_refusal(game, family, p, bound) == f"Zielonka recursion exceeds {bound} subgames and sets"
+                ((entries, before, at),) = seen
+                assert entries <= bound and before <= bound == at
+                refused += 1
+    assert refused > 100
+
+
+def test_guarantee_table_solves_one_game_per_distinct_family_and_player(monkeypatch):
+    import graphgames.winlose as wl
+
+    built = []
+    init = wl.ZielonkaRecursion.__init__
+
+    def counting(self, arena, good, sides, bound):
+        built.append((good, sides))
+        init(self, arena, good, sides, bound)
+
+    monkeypatch.setattr(wl.ZielonkaRecursion, "__init__", counting)
+    rng = random.Random(7070)
+    for _ in range(100):
+        players = ["A", "B", "C"][: rng.randint(1, 3)]
+        game = random_graph_game(rng, rng.randint(1, 6), players, [f"o{i}" for i in range(rng.randint(1, 4))])
+        built.clear()
+        guarantee_table(game)
+        distinct = {(feasible_among(game.arena, family, None), p) for family, p in threshold_games(game)}
+        assert len(built) == len(distinct)
 
 
 @pytest.mark.parametrize(
     "bound, detail",
     [
         (1, "2 recurrence sets exceed the bound 1"),
-        (19, "Zielonka tree exceeds 19 sets"),
-        (86, "tree product exceeds 86 states"),
-        (96, "Zielonka tree exceeds 96 sets"),  # a later threshold's tree
-        (100, "tree product exceeds 100 states"),
-        (179, "tree product exceeds 179 states"),
+        (18, "19 recurrence sets exceed the bound 18"),
+        (19, "Zielonka recursion exceeds 19 subgames and sets"),
+        (30, "Zielonka recursion exceeds 30 subgames and sets"),
+        (43, "Zielonka recursion exceeds 43 subgames and sets"),
     ],
 )
 @pytest.mark.parametrize("command", ["guarantee", "ne", "spe", "pareto-ne"])
 def test_over_bound_games_are_refused_at_the_same_layer_with_the_same_payload(tmp_path, capsys, command, bound, detail):
-    # every threshold product is still built, lowest threshold first, before
-    # any is solved, so each refusal is the one the table gave when it solved
-    # every threshold as it built it.  Inverse linear orders pass the spe and
-    # pareto-ne pre-checks
+    # the document's recurrence sets are counted as it is read, then every
+    # threshold game is solved, lowest threshold first, before any machine
+    # is built, so every command is refused at the same game with the same
+    # words.  Inverse linear orders pass the spe and pareto-ne pre-checks
     rng = random.Random(3)
     outcomes = ["o1", "o2", "o3", "o4"]
     order = random_linear(rng, outcomes)
@@ -479,28 +539,7 @@ def test_over_bound_games_are_refused_at_the_same_layer_with_the_same_payload(tm
     captured = capsys.readouterr()
     assert captured.out == jsonio.dumps({"errors": [{"code": "TooLargeError", "detail": detail}]})
     assert captured.err == ""
-    assert main([command, str(path), "--max-product-states", "180"]) == 0
-
-
-def test_guarantee_table_builds_one_product_per_distinct_family(monkeypatch):
-    import graphgames.winlose as wl
-
-    built = []
-    init = wl.TreeProduct.__init__
-
-    def counting(self, search, family):
-        built.append(family)
-        init(self, search, family)
-
-    monkeypatch.setattr(wl.TreeProduct, "__init__", counting)
-    rng = random.Random(7070)
-    for _ in range(100):
-        players = ["A", "B", "C"][: rng.randint(1, 3)]
-        game = random_graph_game(rng, rng.randint(1, 6), players, [f"o{i}" for i in range(rng.randint(1, 4))])
-        built.clear()
-        guarantee_table(game)
-        distinct = {feasible_among(game.arena, family, None) for family in threshold_families(game)}
-        assert len(built) == len(distinct)
+    assert main([command, str(path), "--max-product-states", "44"]) == 0
 
 
 def test_complete_eight_vertex_arena_solves_within_the_default_bound():

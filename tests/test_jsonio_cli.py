@@ -1114,7 +1114,7 @@ def test_cli_verify_subgames_bytes_on_a_synthesized_ten_vertex_profile(tmp_path,
     assert main(["verify", game_path, profile_path, "--subgames"]) == 1
     out = capsys.readouterr().out
     assert json.loads(out)["at_vertex"] == "v7"
-    assert hashlib.sha256(out.encode()).hexdigest() == "e0dfa02f67963794aab20a46721839269c48ca1647c43dbd6d14bec647b0c9ec"
+    assert hashlib.sha256(out.encode()).hexdigest() == "da4f867436355b737e2dffaecc0317fdc3cb5e8cb3a2fa3403a6d58a5e27ceae"
 
 
 def test_cli_guarantee_table(tmp_path, capsys):

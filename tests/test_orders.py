@@ -23,7 +23,6 @@ from graphgames.orders import (
     order_from_groups,
     pareto_front,
     slice_partition,
-    terminal_interval,
 )
 
 from oracles import forbidden_pattern_by_lt, slice_partition_by_union_find
@@ -87,24 +86,6 @@ def test_checker_matches_axioms_exhaustively():
             for x in outcomes:
                 for y in outcomes:
                     assert ((x, y) in rel) == order.lt(x, y)
-
-
-# --- terminal intervals -------------------------------------------------------
-
-
-def test_terminal_interval_top_is_empty():
-    order = linear_order(["z", "y", "x"])
-    assert terminal_interval("x", order) == frozenset()
-
-
-def test_terminal_interval_bottom():
-    order = linear_order(["z", "y", "x"])
-    assert terminal_interval("z", order) == {"y", "x"}
-
-
-def test_terminal_interval_with_tie():
-    order = order_from_groups([["z"], ["y", "y2"], ["x"]])
-    assert terminal_interval("z", order) == {"y", "y2", "x"}
 
 
 # --- forbidden pattern ---------------------------------------------------------

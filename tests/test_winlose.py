@@ -4,7 +4,7 @@ import random
 import pytest
 
 from graphgames import winlose
-from graphgames.arena import DEFAULT_PRODUCT_BOUND, make_arena
+from graphgames.arena import make_arena
 from graphgames.errors import CapExceededError, TooLargeError
 from graphgames.gen import random_arena, random_muller_game, random_parity_game
 from graphgames.jsonio import machine_to_json
@@ -20,15 +20,18 @@ from graphgames.winlose import (
     solve_muller,
     solve_parity,
     _sides,
-    _solve_view,
 )
 
 from oracles import (
     RecordProduct,
+    TreeProduct,
+    achieved_sets,
     attractor_by_deque,
     minimize_machine_by_dicts,
     outcomes_against_machine,
     parity_strategy_wins,
+    parity_win0,
+    recurrence_sets_by_mask_scan,
 )
 
 
@@ -82,15 +85,15 @@ def test_attractor_levels_decrease():
 
 def test_attractor_agrees_with_the_deque_oracle():
     # the same set and the same strategy, in the same insertion order, on
-    # arena indices and on the tree products the Muller solver builds,
-    # over 4,000 seeded cases
+    # arena indices and on Zielonka-tree parity products, over 4,000
+    # seeded cases
     for seed in range(2000):
         rng = random.Random(seed)
         if seed % 5:
             view = random_arena(rng, rng.randint(1, 14), ["P0", "P1"]).view
         else:
             game = random_muller_game(rng, rng.randint(2, 5))
-            view = winlose.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND).product(game.objective.family).view
+            view = TreeProduct(game.arena, game.objective.family).view
         n = len(view.vertices)
         for _ in range(2):
             sub = {v for v in range(n) if rng.random() < 0.8}
@@ -105,6 +108,35 @@ def test_attractor_agrees_with_the_deque_oracle():
             assert list(strategy.items()) == list(want_strategy.items()), seed
 
 
+def test_mask_attractor_agrees_with_the_deque_oracle():
+    # the Muller recursion's attractor over successor and predecessor masks
+    # finds the same set as the oracle, and each strategy move goes to a
+    # vertex attracted in an earlier round, so every play following it
+    # reaches the target inside the subgame
+    for seed in range(2000):
+        rng = random.Random(seed)
+        view = random_arena(rng, rng.randint(1, 14), ["P0", "P1"]).view
+        adj, radj = view.masks()
+        n = len(view.vertices)
+        within = sum(1 << v for v in range(n) if rng.random() < 0.8)
+        side = [rng.randint(0, 1) for _ in range(n)]
+        own = sum(1 << v for v in range(n) if side[v] == 0)
+        target = sum(1 << v for v in range(n) if rng.random() < 0.3)
+        attr, strategy = winlose._attract(adj, radj, own, within, target)
+        sub = {v for v in range(n) if within >> v & 1}
+        want, _ = attractor_by_deque(view, sub, side, 0, [v for v in sub if target >> v & 1])
+        assert attr == sum(1 << v for v in want), seed
+        assert set(strategy) == {v for v in want if side[v] == 0 and not target >> v & 1}, seed
+        level = {v: 0 for v in sub if target >> v & 1}
+        while len(level) < len(want):
+            k = max(level.values()) + 1
+            level.update({v: k for v in want - set(level) if (
+                any(w in level for w in view.succ[v]) if side[v] == 0
+                else all(w in level for w in view.succ[v] if w in sub)
+            )})
+        assert all(level[w] < level[v] and w in view.succ[v] for v, w in strategy.items()), seed
+
+
 # --- parity -----------------------------------------------------------------
 
 
@@ -115,12 +147,11 @@ def test_parity_single_even_loop():
 
 
 def test_parity_solver_leaves_the_recursion_limit_alone(monkeypatch):
-    # 3,000 self-loops of distinct priorities nest the undecomposed core,
-    # which tree products still call, 3,000 levels deep, past the
-    # interpreter's default recursion limit.  Only the lowest priority is
-    # odd: with odd ones higher up, every level would also solve the
-    # subgame left after the other side's region, and the levels would
-    # number millions
+    # 3,000 self-loops of distinct priorities, each its own component.  Only
+    # the lowest priority is odd: with odd ones higher up, a decomposition
+    # of them all as one game would also solve the subgame left after the
+    # other side's region at every level, and the levels would number
+    # millions
     import sys
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse_recursion_limit)
@@ -130,8 +161,6 @@ def test_parity_solver_leaves_the_recursion_limit_alone(monkeypatch):
     game = WinLoseGame(arena, Parity(prio), protagonist="P0")
     even = {v for v in vs if prio[v] % 2 == 0}
     assert solve_parity(game).win0 == even
-    W0, _, _, _ = _solve_view(arena.view, _sides(game), [prio[v] for v in arena.view.vertices])
-    assert {arena.view.vertices[i] for i in W0} == even
 
 
 def refuse_recursion_limit(limit):
@@ -204,9 +233,9 @@ def test_parity_components_agree_with_the_undecomposed_core(block):
         game = layered_parity_game(seed)
         view = game.arena.view
         res = solve_parity(game)
-        W0, W1, _, _ = _solve_view(view, _sides(game), [game.objective.priority[v] for v in view.vertices])
+        W0 = parity_win0(view, _sides(game), [game.objective.priority[v] for v in view.vertices])
         assert res.win0 == {view.vertices[i] for i in W0}, seed
-        assert res.win1 == {view.vertices[i] for i in W1}, seed
+        assert res.win1 == {v for i, v in enumerate(view.vertices) if i not in W0}, seed
         assert parity_strategy_wins(game, 0, res.strategy0, res.win0), seed
         assert parity_strategy_wins(game, 1, res.strategy1, res.win1), seed
 
@@ -283,22 +312,22 @@ def test_muller_agrees_with_parity_on_encoded_conditions(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_product_regions_are_record_independent(seed):
-    # whether a product state is winning depends only on its vertex, not on
-    # the memory it pairs with (a tree leaf); machines built from these
-    # regions therefore stay winning from any memory content, which the
-    # composite strategies rely on
-    import graphgames.winlose as wl
-
+    # whether a vertex is won does not depend on the memory record the
+    # machine carries there: from every vertex of its region, in every
+    # memory state, each machine lets no recurrence set of the other side
+    # be achieved, which the composite strategies rely on when they
+    # restart a machine mid-play
     rng = random.Random(seed)
-    game = random_muller_game(rng, rng.randint(2, 4))
-    p0, _ = game.sides()
-    product = wl.MullerSearch(game.arena, DEFAULT_PRODUCT_BOUND).product(game.objective.family)
-    W0, _, _, _ = wl._solve_view(product.view, *product.parity_game(p0))
-    verdicts = {}
-    for k in range(product.moves):  # the move nodes come first
-        verdicts.setdefault(product.view.owner[k], set()).add(k in W0)
-    assert len(verdicts) == len(game.arena.vertices)
-    assert all(len(vs) == 1 for vs in verdicts.values())
+    game = random_muller_game(rng, rng.randint(2, 6))
+    res = solve_muller(game)
+    arena, family = game.arena, game.objective.family
+    sets = recurrence_sets_by_mask_scan(arena)
+    for machine, region, losing in (
+        (res.strategy0, res.win0, [s for s in sets if s not in family]),
+        (res.strategy1, res.win1, [s for s in sets if s in family]),
+    ):
+        owned = arena.owned_by(machine.player)
+        assert achieved_sets(arena, machine, owned, region, losing) == []
 
 
 def test_muller_regions_match_the_record_product_oracle():
@@ -345,13 +374,15 @@ def test_muller_refuses_over_bound_records_while_enumerating(monkeypatch):
 
 def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
     # on the complete 7-vertex arena the family of even-sized sets has a
-    # Zielonka tree with 7! leaves; the refusal must come while the tree
-    # is searched, after few component passes, and name the layer.  A
-    # bound the tree fits but the product does not refuses the product.
+    # Zielonka tree with 7! leaves, whose recursion meets 271 sets and
+    # subgames; the refusal must come while the recursion meets them,
+    # after few component passes and few memo entries, and name the layer.
+    # A bound the sets fit but the subgames do not refuses the recursion
+    # too.
     import graphgames.arena as ar
     import graphgames.winlose as wl
 
-    n, bound = 7, 500
+    n, bound = 7, 100
     vs = [f"v{i}" for i in range(n)]
     arena = two_sided(vs, [(u, w) for u in vs for w in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
     family = frozenset(
@@ -360,24 +391,34 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
         if bin(mask).count("1") % 2 == 0
     )
     game = WinLoseGame(arena, Muller(family), protagonist="P0")
+    assert wl.MullerSearch(arena, 10**6).game(game.objective.family, game.sides()).count == 271
     calls = 0
-    components = wl.looping_components
+    components = ar.looping_components
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return components(*args)
 
-    monkeypatch.setattr(wl, "looping_components", counting)
+    subgames = []
+    solve_at = wl.ZielonkaRecursion._solve
+
+    def entering(self, G, X):
+        subgames.append((G, X))
+        return solve_at(self, G, X)
+
     monkeypatch.setattr(ar, "looping_components", counting)  # the splits call it from arena
-    with pytest.raises(TooLargeError, match="Zielonka tree exceeds 500 sets"):
+    monkeypatch.setattr(wl.ZielonkaRecursion, "_solve", entering)
+    with pytest.raises(TooLargeError, match="Zielonka recursion exceeds 100 subgames and sets"):
         solve_muller(game, bound)
     assert calls <= bound * n
-    # the family {V} has one leaf per 6-vertex set: 7 * 7 move and 7 * 7 transition nodes
+    assert len(subgames) <= bound
+    # the family {V}: one bound short of its count is refused, its count is not
     small = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
-    assert len(wl.MullerSearch(arena, 2 * n * n).product(small.objective.family).view.vertices) == 2 * n * n
-    with pytest.raises(TooLargeError, match="tree product exceeds 97 states"):
-        solve_muller(small, 2 * n * n - 1)
+    count = wl.MullerSearch(arena, 10**6).game(small.objective.family, small.sides()).count
+    with pytest.raises(TooLargeError, match=f"Zielonka recursion exceeds {count - 1} subgames and sets"):
+        solve_muller(small, count - 1)
+    assert solve_muller(small, count).win1 == set(vs)  # side 1 stays on its own self-loop
 
 
 def test_muller_memory_within_record_bound():
