@@ -496,8 +496,9 @@ class ZielonkaRecursion:
     ``(σ, won, pieces, phases)``: σ's region ``won``, the opponent's pieces
     ``(B, L, attractor strategy to L, child key)`` in the order removed,
     and one phase ``(Y, H, attractor strategy out of Y, child key)`` per
-    child meeting ``won``.  Memo entries and the recurrence sets met while
-    children are listed are counted against ``bound`` as they grow.
+    child meeting ``won``.  Memo entries and the distinct sets whose split
+    the game expands while listing children (``_split``) are counted, one
+    each, against ``bound`` as they grow.
 
     Each side's machine is flattened from the entries.  On a region σ
     cycles through its phases: in ``H`` it plays the child's machine, in
@@ -540,42 +541,34 @@ class ZielonkaRecursion:
     def children(self, node: int) -> list:
         """Maximal recurrence sets strictly inside ``node`` on the other side of the family, by mask.
 
-        Below a node outside the family they are the family's maximal sets
-        inside it.  Below a node in the family they are the maximal
-        recurrence sets outside it: each such set misses some member ``v``
-        of the node, so it lies in a looping component of the node minus
-        ``v``, and the descent expands only the components that are in the
-        family.  The first time the game meets a split it counts each of
-        its components.
+        Each such set misses some member ``v`` of the node, so it lies in a
+        looping component of the node minus ``v``: either that component is
+        the set, or it is on the node's side and holds the set strictly.  So
+        the descent through splits expands the components on the node's
+        side, takes the others as candidates, and keeps a candidate unless
+        it lies inside one kept before it, largest first.
         """
         kids = self.kids.get(node)
         if kids is None:
-            if node in self.good:
-                found, seen, stack = set(), {node}, [node]
-                while stack:
-                    for c in self._split(stack.pop()):
-                        if c in seen:
-                            continue
+            side = node in self.good
+            found, seen, stack = [], {node}, [node]
+            while stack:
+                for c in self._split(stack.pop()):
+                    if c not in seen:
                         seen.add(c)
-                        if c in self.good:
-                            stack.append(c)
-                        else:
-                            found.add(c)
-            else:
-                found = set()
-                for m in self.good:
-                    if m & node == m and m != node:
-                        self.tick(1)
-                        found.add(m)
-            kids = self.kids[node] = sorted(c for c in found if not any(c & d == c and c != d for d in found))
+                        (stack if (c in self.good) == side else found).append(c)
+            kids = []
+            for c in sorted(found, key=int.bit_count, reverse=True):
+                if all(c & k != c for k in kids):
+                    kids.append(c)
+            kids = self.kids[node] = sorted(kids)
         return kids
 
     def _split(self, x: int) -> tuple:
-        parts = self.arena.view.splits(x)
         if x not in self.met:
             self.met.add(x)
-            self.tick(len(parts))
-        return parts
+            self.tick(1)
+        return self.arena.view.splits(x)
 
     def _solve(self, G: int, X: int):
         """``solve(G, X)`` as a generator: it yields each ``(H, Y)`` it needs and is sent that entry back."""

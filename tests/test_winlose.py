@@ -374,15 +374,15 @@ def test_muller_refuses_over_bound_records_while_enumerating(monkeypatch):
 
 def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
     # on the complete 7-vertex arena the family of even-sized sets has a
-    # Zielonka tree with 7! leaves, whose recursion meets 271 sets and
-    # subgames; the refusal must come while the recursion meets them,
-    # after few component passes and few memo entries, and name the layer.
-    # A bound the sets fit but the subgames do not refuses the recursion
-    # too.
+    # Zielonka tree with 7! leaves, whose recursion expands the splits of
+    # 31 sets and makes 36 memo entries; the refusal must come while the
+    # recursion meets them, after few component passes and few memo
+    # entries, and name the layer.  The family {V} is refused one short of
+    # its count too.
     import graphgames.arena as ar
     import graphgames.winlose as wl
 
-    n, bound = 7, 100
+    n, bound = 7, 30
     vs = [f"v{i}" for i in range(n)]
     arena = two_sided(vs, [(u, w) for u in vs for w in vs], {v: f"P{i % 2}" for i, v in enumerate(vs)})
     family = frozenset(
@@ -391,7 +391,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
         if bin(mask).count("1") % 2 == 0
     )
     game = WinLoseGame(arena, Muller(family), protagonist="P0")
-    assert wl.MullerSearch(arena, 10**6).game(game.objective.family, game.sides()).count == 271
+    assert wl.MullerSearch(arena, 10**6).game(game.objective.family, game.sides()).count == 67
     calls = 0
     components = ar.looping_components
 
@@ -409,7 +409,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
 
     monkeypatch.setattr(ar, "looping_components", counting)  # the splits call it from arena
     monkeypatch.setattr(wl.ZielonkaRecursion, "_solve", entering)
-    with pytest.raises(TooLargeError, match="Zielonka recursion exceeds 100 subgames and sets"):
+    with pytest.raises(TooLargeError, match="Zielonka recursion exceeds 30 subgames and sets"):
         solve_muller(game, bound)
     assert calls <= bound * n
     assert len(subgames) <= bound
