@@ -213,14 +213,18 @@ def optimal_strategy(game: GraphGame, player, row: GuaranteeRow | None = None) -
         base[c] = size
         size += max(machines[c].states()) + 1
     enter = [base[c] + machines[c].init for c in cls]
-    nxt, choice = [enter], [()]
+    nxt, choice, block = [enter], [()], [None]
     for c, b in base.items():
         rows, moves = machine_rows(arena, machines[c], owned, b)
         nxt += ([t if k == c else e for t, k, e in zip(r, cls, enter)] for r in rows)
         choice += moves
-    # fresh, it moves as the machine it enters at the current vertex would
+        block += [c] * len(moves)
+    # fresh, it moves as the state it enters at the current vertex would;
+    # a block is read only at its class's vertices, so elsewhere it does too
     index = arena.view.index
-    choice[0] = tuple(choice[enter[index[v]]][j] for j, v in enumerate(owned))
+    mine = [cls[index[v]] for v in owned]
+    fill = choice[0] = tuple(choice[enter[index[v]]][j] for j, v in enumerate(owned))
+    choice = [tuple(m if k == c else f for m, k, f in zip(r, mine, fill)) for r, c in zip(choice, block)]
     return minimize_table(player, vertices, owned, nxt, choice)
 
 

@@ -503,7 +503,8 @@ def optimal_strategy_by_dicts(game, player, row) -> StrategyMachine:
                 if sid[nxt] != s:
                     update[(w, s)] = sid[nxt]
             for v in owned:
-                choice[(v, s)] = m.choice.get((v, q), arena.successors(v)[0])
+                # read only at vertices of class c; elsewhere it moves as fresh
+                choice[(v, s)] = m.choice.get((v, q), arena.successors(v)[0]) if cls[v] == c else choice[(v, 0)]
     machine = StrategyMachine(player, bits_for(len(sid)), update, choice, 0)
     return minimize_machine(machine, vertices, owned)
 
