@@ -15,7 +15,6 @@ from .arena import (
 )
 from .orders import (
     PreferenceProfile,
-    SlicePartition,
     StrictWeakOrder,
     check_swo,
     forbidden_pattern,
@@ -23,7 +22,6 @@ from .orders import (
     linear_order,
     order_from_groups,
     pareto_front,
-    slice_partition,
 )
 from .winlose import (
     Muller,

@@ -168,20 +168,6 @@ def forbidden_pattern(profile) -> tuple | None:
     return None
 
 
-@dataclass(frozen=True)
-class SlicePartition:
-    """Ordered consensus slices with per-player orientation flags.
-
-    Every player strictly prefers anything in a later slice to anything in
-    an earlier one; within a slice each player's restriction equals the
-    reference player's restriction or its inverse.
-    """
-
-    slices: tuple          # of frozensets, worst to best
-    flags: tuple           # of {player: "aligned" | "reversed"}
-    reference: object
-
-
 def require_linear_pattern_free(profile: PreferenceProfile) -> None:
     """Refuse a profile with the blocking pattern, then one with tied outcomes."""
     witness = forbidden_pattern(profile)
@@ -190,49 +176,6 @@ def require_linear_pattern_free(profile: PreferenceProfile) -> None:
     for p in profile.players():
         if not profile.order_of(p).is_linear():
             raise LinearityRequired(f"player {p!r} has tied outcomes")
-
-
-def slice_partition(profile: PreferenceProfile) -> SlicePartition:
-    """Partition the outcomes into ordered consensus slices.
-
-    Requires linear orders without the forbidden pattern.  Every compatible
-    partition cuts the reference player's chain into intervals, and a cut is
-    valid exactly when every player ranks everything before it below
-    everything after it; cutting at every valid cut yields the finest
-    compatible partition.
-    """
-    require_linear_pattern_free(profile)
-    players = profile.players()
-    orders = [profile.order_of(p) for p in players]
-    reference = players[0]
-    ref = orders[0]
-    chain = sorted(ref.outcomes, key=ref.rank_of)
-    slices = []
-    start = 0
-    for cut in range(1, len(chain) + 1):
-        if cut == len(chain) or all(
-            max(map(order.rank_of, chain[:cut])) < min(map(order.rank_of, chain[cut:]))
-            for order in orders
-        ):
-            slices.append(frozenset(chain[start:cut]))
-            start = cut
-    flags = []
-    for sl in slices:
-        members = sorted(sl, key=ref.rank_of)
-        entry = {}
-        for p, order in zip(players, orders):
-            aligned = all(order.lt(a, b) for a, b in zip(members, members[1:]))
-            reversed_ = all(order.lt(b, a) for a, b in zip(members, members[1:]))
-            if aligned:
-                entry[p] = "aligned"
-            elif reversed_:
-                entry[p] = "reversed"
-            else:
-                raise InvalidInputError(
-                    f"player {p!r} is neither aligned nor reversed on slice {sorted(map(str, sl))}"
-                )
-        flags.append(entry)
-    return SlicePartition(tuple(slices), tuple(flags), reference)
 
 
 def _dominates(orders: Mapping, q, o) -> bool:

@@ -11,10 +11,10 @@ of the arena-by-machine product, without a tree or a parity solver.  Subgame
 verification, which shares one deviation product per player, is checked
 against a search that explores, indexes and searches a fresh product from
 every configuration, and places each witness where a second walk, of the
-deviating profile, first parts from the profile's own walk.  Consensus
-slices come from a union-find with a merge-until-stable loop, and chain
-closures from a fixpoint that rescans every pair of pairs.  The Pareto target comes from testing every
-realizable outcome for support before intersecting with the front.  The
+deviating profile, first parts from the profile's own walk.  Chain
+closures come from a fixpoint that rescans every pair of pairs.  The
+Pareto target comes from testing every realizable outcome for support
+before intersecting with the front.  The
 blocking preference pattern comes from asking the orders about every
 triple of outcomes.  Guarantee rows come from solving every threshold game
 afresh, regions and both machines, and reading every solve.  A machine's
@@ -43,11 +43,9 @@ from graphgames.errors import GraphGamesError, InvalidInputError
 from graphgames.extensive import Decision, Leaf, PartialPreference, TreeGame
 from graphgames.guarantees import GraphGame, coalition_tag
 from graphgames.orders import (
-    SlicePartition,
     StrictWeakOrder,
     linear_order,
     pareto_front,
-    require_linear_pattern_free,
 )
 from graphgames.winlose import LarContext, Muller, WinLoseGame, _drive, solve_muller
 
@@ -805,82 +803,6 @@ def spe_by_fresh_products(game, profile):
         if witness is not None:
             return (v, witness)
     return None
-
-
-def slice_partition_by_union_find(profile) -> SlicePartition:
-    """``slice_partition``'s answer by merging outcomes until every pair of
-    slices is ordered unanimously, then re-checking that order."""
-    require_linear_pattern_free(profile)
-    players = profile.players()
-    outcomes = sorted(profile.outcomes, key=skey)
-    parent = {o: o for o in outcomes}
-
-    def find(o):
-        while parent[o] != o:
-            parent[o] = parent[parent[o]]
-            o = parent[o]
-        return o
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=skey)] = min(ra, rb, key=skey)
-
-    def unanimous_below(x, y) -> bool:
-        return all(profile.order_of(p).lt(x, y) for p in players)
-
-    for i, x in enumerate(outcomes):
-        for y in outcomes[i + 1:]:
-            if not unanimous_below(x, y) and not unanimous_below(y, x):
-                union(x, y)
-    # merge components until all cross pairs agree on one direction
-    changed = True
-    while changed:
-        changed = False
-        comps: dict = {}
-        for o in outcomes:
-            comps.setdefault(find(o), []).append(o)
-        roots = sorted(comps, key=skey)
-        for i, ra in enumerate(roots):
-            for rb in roots[i + 1:]:
-                a_below = all(unanimous_below(x, y) for x in comps[ra] for y in comps[rb])
-                b_below = all(unanimous_below(y, x) for x in comps[ra] for y in comps[rb])
-                if not a_below and not b_below:
-                    union(ra, rb)
-                    changed = True
-    comps = {}
-    for o in outcomes:
-        comps.setdefault(find(o), []).append(o)
-    reference = players[0]
-    ref = profile.order_of(reference)
-    ordered = sorted(comps.values(), key=lambda c: min(ref.rank_of(o) for o in c))
-    slices = tuple(frozenset(c) for c in ordered)
-    for i, lo in enumerate(slices):
-        for hi in slices[i + 1:]:
-            for x in lo:
-                for y in hi:
-                    if not unanimous_below(x, y):
-                        raise InvalidInputError(
-                            f"no consensus between slices at ({x!r}, {y!r})"
-                        )
-    flags = []
-    for sl in slices:
-        members = sorted(sl, key=ref.rank_of)
-        entry = {}
-        for p in players:
-            order = profile.order_of(p)
-            aligned = all(order.lt(a, b) for a, b in zip(members, members[1:]))
-            reversed_ = all(order.lt(b, a) for a, b in zip(members, members[1:]))
-            if aligned:
-                entry[p] = "aligned"
-            elif reversed_:
-                entry[p] = "reversed"
-            else:
-                raise InvalidInputError(
-                    f"player {p!r} is neither aligned nor reversed on slice {sorted(map(str, sl))}"
-                )
-        flags.append(entry)
-    return SlicePartition(slices, tuple(flags), reference)
 
 
 def partial_from_chains_by_fixpoint(outcomes, chains) -> PartialPreference:

@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphgames.errors import (
-    GraphGamesError,
     InvalidInputError,
     LinearityRequired,
     OrderViolation,
@@ -19,13 +17,12 @@ from graphgames.orders import (
     check_swo,
     forbidden_pattern,
     grid_discretize,
-    linear_order,
     order_from_groups,
     pareto_front,
-    slice_partition,
+    require_linear_pattern_free,
 )
 
-from oracles import forbidden_pattern_by_lt, slice_partition_by_union_find
+from oracles import forbidden_pattern_by_lt
 
 
 def profile(**chains):
@@ -146,116 +143,20 @@ def test_pattern_matches_the_order_by_order_oracle():
     assert 0 < found < 2400
 
 
-# --- slice partition ------------------------------------------------------------
+# --- linear, pattern-free profiles -------------------------------------------------
 
 
-def test_slice_single_outcome():
-    p = profile(a=[["x"]], b=[["x"]])
-    result = slice_partition(p)
-    assert result.slices == (frozenset({"x"}),)
-
-
-def test_slice_shared_linear_order_fully_splits():
-    p = profile(a=[["z"], ["y"], ["x"]], b=[["z"], ["y"], ["x"]])
-    result = slice_partition(p)
-    assert result.slices == (frozenset({"z"}), frozenset({"y"}), frozenset({"x"}))
-    assert all(f == {"a": "aligned", "b": "aligned"} for f in result.flags)
-
-
-def test_slice_disagreement_merges_top():
-    p = profile(a=[["z"], ["y"], ["x"]], b=[["z"], ["x"], ["y"]])
-    result = slice_partition(p)
-    assert result.slices == (frozenset({"z"}), frozenset({"x", "y"}))
-    assert result.flags[1]["a"] == "aligned"
-    assert result.flags[1]["b"] == "reversed"
-
-
-def test_slice_requires_pattern_freedom():
+def test_require_linear_pattern_free_refuses_the_pattern():
+    require_linear_pattern_free(profile(a=[["z"], ["y"], ["x"]], b=[["z"], ["x"], ["y"]]))
     p = profile(a=[["z"], ["y"], ["x"]], b=[["x"], ["z"], ["y"]])
     with pytest.raises(PatternPresentError):
-        slice_partition(p)
+        require_linear_pattern_free(p)
 
 
-def test_slice_requires_linearity():
+def test_require_linear_pattern_free_refuses_ties():
     p = profile(a=[["z", "y"], ["x"]], b=[["z"], ["y"], ["x"]])
     with pytest.raises(LinearityRequired):
-        slice_partition(p)
-
-
-def _partition_is_valid(profile_, slices):
-    players = profile_.players()
-    for i, lo in enumerate(slices):
-        for hi in slices[i + 1:]:
-            for x in lo:
-                for y in hi:
-                    if not all(profile_.order_of(p).lt(x, y) for p in players):
-                        return False
-    ref = profile_.order_of(players[0])
-    for sl in slices:
-        members = sorted(sl, key=ref.rank_of)
-        for p in players:
-            order = profile_.order_of(p)
-            aligned = all(order.lt(a, b) for a, b in zip(members, members[1:]))
-            reversed_ = all(order.lt(b, a) for a, b in zip(members, members[1:]))
-            if not (aligned or reversed_):
-                return False
-    return True
-
-
-def _ordered_partitions(items):
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _ordered_partitions(rest):
-        for i, block in enumerate(sub):
-            yield sub[:i] + (block | {first},) + sub[i + 1:]
-        for i in range(len(sub) + 1):
-            yield sub[:i] + (frozenset({first}),) + sub[i:]
-
-
-def test_slice_partition_is_finest_valid_partition_on_small_profiles():
-    outcomes = ("o0", "o1", "o2", "o3")
-    rng = random.Random(7)
-    checked = 0
-    for trial in range(200):
-        chains = [list(outcomes), list(outcomes)]
-        rng.shuffle(chains[0])
-        rng.shuffle(chains[1])
-        p = profile(a=[[o] for o in chains[0]], b=[[o] for o in chains[1]])
-        if forbidden_pattern(p) is not None:
-            continue
-        checked += 1
-        result = slice_partition(p)
-        assert _partition_is_valid(p, result.slices)
-        best = max(
-            (len(sub) for sub in _ordered_partitions(outcomes) if _partition_is_valid(p, sub)),
-            default=0,
-        )
-        assert len(result.slices) == best
-    assert checked > 20
-
-
-def _answer(fn, prefs):
-    """The function's result, or its refusal as (type, message)."""
-    try:
-        return fn(prefs)
-    except GraphGamesError as exc:
-        return (type(exc), str(exc))
-
-
-@pytest.mark.parametrize("num_players, num_outcomes", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
-def test_slice_partition_matches_the_union_find_oracle(num_players, num_outcomes):
-    players = ("a", "b", "c")[:num_players]
-    outcomes = tuple(f"o{i}" for i in range(num_outcomes))
-    refused = 0
-    for chains in iproduct(permutations(outcomes), repeat=num_players):
-        p = PreferenceProfile(outcomes, {pl: linear_order(c) for pl, c in zip(players, chains)})
-        answer = _answer(slice_partition, p)
-        assert answer == _answer(slice_partition_by_union_find, p)
-        refused += isinstance(answer, tuple)
-    assert 0 < refused < len(list(permutations(outcomes))) ** num_players
+        require_linear_pattern_free(p)
 
 
 # --- Pareto fronts -----------------------------------------------------------------
