@@ -509,7 +509,11 @@ class ZielonkaRecursion:
     the child's memory, and the memory a play brings into another piece's
     ``L`` is read as a state of that piece's child.  Every choice checks
     the phase or piece against the current vertex, so a machine wins from
-    every vertex of its region in every memory state.
+    every vertex of its region in every memory state.  One walk down the
+    entries (``_step``) gives, per memory and vertex, both the memory after
+    arriving and the move: the two follow one path until arriving outside
+    ``Y`` starts a later phase, where the memory stops and the move goes
+    on below with fresh memory.
     """
 
     def __init__(self, arena: Arena, good: frozenset, sides: tuple, bound: int):
@@ -611,61 +615,26 @@ class ZielonkaRecursion:
                     self.tick(1)
                     stack.append((need, self._solve(*need)))
 
-    @staticmethod
-    def _phase(phases: tuple, q: tuple) -> tuple:
-        """``(i, rest)``: the phase a memory ``q`` names, read as 0 past the last, and the child's memory."""
-        i, q = (q[0], q[1:]) if q else (0, ())
-        return (i if i < len(phases) else 0), q
-
-    def _arrive(self, s: int, q: tuple, w: int) -> tuple:
-        """Side ``s``'s memory after arriving at the vertex of index ``w`` with memory ``q``.
+    def _step(self, s: int, q: tuple, v: int) -> tuple:
+        """``(memory, move)``: side ``s`` arrives at the vertex of index ``v`` with memory ``q``.
 
         A memory lists a phase number for every level from the root down
         where ``s`` is σ; a piece is read off the vertex, so the levels
-        where ``s`` is the opponent add none.  A missing number is 0, which
-        is fresh, so trailing zeros are dropped.  Arriving outside ``Y``
-        skips to the next phase whose ``Y`` holds the vertex, or to phase 0
-        when none does: every phase passed over has seen a vertex outside
-        its ``Y``.
-        """
-        bit = 1 << w
-        node = self.memo[self.root]
-        out = []
-        while True:
-            sigma, won, pieces, phases = node
-            if s == sigma:
-                if not (phases and won & bit):
-                    break
-                i, q = self._phase(phases, q)
-                Y, H, _, key = phases[i]
-                if not Y & bit:
-                    k = len(phases)
-                    out.append(next((j % k for j in range(i + 1, i + k) if phases[j % k][0] & bit), 0))
-                    break
-                out.append(i)
-                if not H & bit:
-                    break
-            else:
-                piece = next((piece for piece in pieces if piece[0] & bit), None)
-                if piece is None or not piece[1] & bit:
-                    break
-                key = piece[3]
-            node = self.memo[key]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-
-    def _move(self, s: int, q: tuple, v: int) -> int:
-        """Side ``s``'s move at its vertex of index ``v`` with memory ``q``, as a vertex index.
-
-        At a vertex outside the phase's ``Y`` it moves as the next phase
-        whose ``Y`` holds the vertex would, fresh.  Outside the region the
-        move is the first successor; inside, where no child or attractor
-        decides it, the first successor in the region.
+        where ``s`` is the opponent add none.  A missing number, or one
+        past the last phase, is 0, which is fresh, so trailing zeros are
+        dropped.  Arriving outside the phase's ``Y`` skips to the next
+        phase whose ``Y`` holds the vertex, or to phase 0 when none does:
+        every phase passed over has seen a vertex outside its ``Y``.  The
+        memory stops there, and the move goes on down with the levels below
+        fresh.  The move is a vertex index, or None at a vertex ``s`` does
+        not own.  Outside the region it is the first successor; inside,
+        where no child or attractor decides it, the first successor in the
+        region.
         """
         bit = 1 << v
+        mine = self.own[s] & bit
         node = self.memo[self.root]
-        stay = -1
+        out, arriving, stay, move = [], True, -1, None
         while True:
             sigma, won, pieces, phases = node
             if s == sigma:
@@ -674,26 +643,36 @@ class ZielonkaRecursion:
                 stay = won
                 if not phases:
                     break
-                i, q = self._phase(phases, q)
                 k = len(phases)
+                i = q[0] if q and q[0] < k else 0
+                q = q[1:]
                 e = next((j % k for j in range(i, i + k) if phases[j % k][0] & bit), None)
                 if e is None:
                     break
-                if e != i:
+                if arriving:
+                    out.append(e)
+                    arriving = e == i
+                if not arriving:
+                    if not mine:
+                        break
                     q = ()
-                _, H, leave, key = phases[e]
-                if not H & bit:
-                    return leave[v]
+                _, inside, strategy, key = phases[e]
             else:
                 piece = next((piece for piece in pieces if piece[0] & bit), None)
                 if piece is None:
                     break
-                _, L, to_lost, key = piece
-                if not L & bit:
-                    return to_lost[v]
+                _, inside, strategy, key = piece
+            if not inside & bit:
+                if mine:
+                    move = strategy[v]
+                break
             node = self.memo[key]
-        m = self.arena.view.masks()[0][v] & stay
-        return (m & -m).bit_length() - 1
+        if mine and move is None:
+            m = self.arena.view.masks()[0][v] & stay
+            move = (m & -m).bit_length() - 1
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out), move
 
     def machine(self, s: int) -> StrategyMachine:
         """Side ``s``'s machine, flattened from its fresh memory over the arena's vertices and minimised.
@@ -703,17 +682,21 @@ class ZielonkaRecursion:
         machine = self.machines[s]
         if machine is None:
             vs = self.arena.view.vertices
-            states, succ = explore(
-                [()], lambda q: [self._arrive(s, q, w) for w in range(len(vs))], math.inf, "machine"
-            )
+            moves = {}
+
+            def arrivals(q: tuple) -> list:
+                steps = [self._step(s, q, v) for v in range(len(vs))]
+                moves[q] = tuple(vs[w] for _, w in steps if w is not None)
+                return [t for t, _ in steps]
+
+            states, succ = explore([()], arrivals, math.inf, "machine")
             number = {q: k for k, q in enumerate(states)}
-            owned = [v for v in range(len(vs)) if self.own[s] >> v & 1]
             machine = self.machines[s] = minimize_table(
                 self.sides[s],
                 vs,
-                tuple(vs[v] for v in owned),
+                tuple(v for i, v in enumerate(vs) if self.own[s] >> i & 1),
                 [[number[t] for t in succ[q]] for q in states],
-                [tuple(vs[self._move(s, q, v)] for v in owned) for q in states],
+                [moves[q] for q in states],
             )
         return machine
 
