@@ -550,12 +550,14 @@ class ZielonkaRecursion:
         the set, or it is on the node's side and holds the set strictly.  So
         the descent through splits expands the components on the node's
         side, takes the others as candidates, and keeps a candidate unless
-        it lies inside one kept before it, largest first.
+        it lies inside one kept before it, largest first.  A node outside
+        the family has children only among its sets, so an empty family
+        starts no descent.
         """
         kids = self.kids.get(node)
         if kids is None:
             side = node in self.good
-            found, seen, stack = [], {node}, [node]
+            found, seen, stack = [], {node}, [node] if self.good else []
             while stack:
                 for c in self._split(stack.pop()):
                     if c not in seen:

@@ -549,21 +549,25 @@ def test_guarantee_table_solves_one_game_per_distinct_family_and_player(monkeypa
 
 
 @pytest.mark.parametrize(
-    "bound, detail",
+    "seed, bound, detail, answers",
     [
-        (1, "2 recurrence sets exceed the bound 1"),
-        (18, "19 recurrence sets exceed the bound 18"),
-        (19, "Zielonka recursion exceeds 19 subgames and sets"),
+        (3, 1, "2 recurrence sets exceed the bound 1", 19),
+        (3, 18, "19 recurrence sets exceed the bound 18", 19),
+        (1, 4, "Zielonka recursion exceeds 4 subgames and sets", 9),
     ],
 )
 @pytest.mark.parametrize("command", ["guarantee", "ne", "spe", "pareto-ne"])
-def test_over_bound_games_are_refused_at_the_same_layer_with_the_same_payload(tmp_path, capsys, command, bound, detail):
+def test_over_bound_games_are_refused_at_the_same_layer_with_the_same_payload(
+    tmp_path, capsys, command, seed, bound, detail, answers
+):
     # the document's recurrence sets are counted as it is read, then every
     # threshold game is solved, lowest threshold first, before any machine
     # is built, so every command is refused at the same game with the same
-    # words.  The empty family's game expands all 19 sets, so 20 answers.
-    # Inverse linear orders pass the spe and pareto-ne pre-checks
-    rng = random.Random(3)
+    # words.  Seed 3's 19 sets bound every game's count, as the empty
+    # family's game expands none; seed 1's 4 sets load at 4, and its first
+    # game counts 5 and its largest 9.  Inverse linear orders pass the spe
+    # and pareto-ne pre-checks
+    rng = random.Random(seed)
     outcomes = ["o1", "o2", "o3", "o4"]
     order = random_linear(rng, outcomes)
     prefs = PreferenceProfile(tuple(outcomes), {"A": order, "B": order.inverse()})
@@ -574,7 +578,8 @@ def test_over_bound_games_are_refused_at_the_same_layer_with_the_same_payload(tm
     captured = capsys.readouterr()
     assert captured.out == jsonio.dumps({"errors": [{"code": "TooLargeError", "detail": detail}]})
     assert captured.err == ""
-    assert main([command, str(path), "--max-product-states", "20"]) == 0
+    assert main([command, str(path), "--max-product-states", str(answers - 1)]) == 2
+    assert main([command, str(path), "--max-product-states", str(answers)]) == 0
 
 
 def test_complete_eight_vertex_arena_solves_within_the_default_bound():
