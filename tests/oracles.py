@@ -7,11 +7,13 @@ regions are checked against the appearance-record product, which tracks
 the whole latest-appearance record instead of a Zielonka tree, and against
 the parity product of the arena with the family's Zielonka trees.  Its
 machines, and every guarantee row's, are certified by looping components
-of the arena-by-machine product, without a tree or a parity solver.  Subgame
-verification, which shares one deviation product per player, is checked
-against a search that explores, indexes and searches a fresh product from
-every configuration, and places each witness where a second walk, of the
-deviating profile, first parts from the profile's own walk.  Chain
+of the arena-by-machine product, without a tree or a parity solver, and
+the threshold machines' states are held to the memory bound read off the
+recursion's Zielonka DAG.  Subgame verification, which shares one deviation product
+per player, is checked against a search that explores, indexes and
+searches a fresh product from every configuration, and places each
+witness where a second walk, of the deviating profile, first parts from
+the profile's own walk.  Chain
 closures come from a fixpoint that rescans every pair of pairs.  The
 Pareto target comes from testing every realizable outcome for support
 before intersecting with the front.  The
@@ -1002,15 +1004,15 @@ class TreeProduct:
         return frozenset(v for v, x in self.fresh.items() if self.view.index[x] in W0)
 
 
-def achieved_sets(arena: Arena, machine: StrategyMachine, owned, starts, candidates) -> list:
-    """The ``candidates`` some play achieves against ``machine`` from a start vertex in any memory state.
+def _machine_product(arena: Arena, machine: StrategyMachine, owned, starts) -> tuple:
+    """``(over, adj, radj)``: the part of the arena-by-machine product reachable from the starts.
 
     The product pairs every arena vertex with every memory state the
-    machine names.  At a vertex of ``owned`` the machine moves, and every
-    move must be an edge; elsewhere every edge is open.  A vertex set ``T``
-    is achieved when some looping component of the part reachable from the
-    starts, restricted to the states over ``T``, meets every vertex of
-    ``T``.  No Zielonka tree and no parity solver is used.
+    machine names, and starts from every start vertex in every state.  At
+    a vertex of ``owned`` the machine moves, and every move must be an
+    edge; elsewhere every edge is open.  ``over[v]`` is the mask of the
+    product states over vertex ``v``, and ``adj`` and ``radj`` the
+    successor and predecessor masks of every product state.
     """
     owned = set(owned)
     states = machine.states()
@@ -1040,6 +1042,17 @@ def achieved_sets(arena: Arena, machine: StrategyMachine, owned, starts, candida
             j = number[(w, machine.next_state(w, q))]
             adj[i] |= 1 << j
             radj[j] |= 1 << i
+    return over, adj, radj
+
+
+def achieved_sets_by_candidate(arena: Arena, machine: StrategyMachine, owned, starts, candidates) -> list:
+    """``achieved_sets``, one search of the product per candidate.
+
+    A vertex set ``T`` is achieved when some looping component of the
+    reachable product, restricted to the states over ``T``, meets every
+    vertex of ``T``.
+    """
+    over, adj, radj = _machine_product(arena, machine, owned, starts)
     found = []
     for T in candidates:
         parts = [over.get(v, 0) for v in T]
@@ -1049,6 +1062,39 @@ def achieved_sets(arena: Arena, machine: StrategyMachine, owned, starts, candida
         ):
             found.append(T)
     return found
+
+
+def achieved_sets(arena: Arena, machine: StrategyMachine, owned, starts, candidates) -> list:
+    """The ``candidates`` some play achieves against ``machine`` from a start vertex in any memory state.
+
+    One descent through the reachable product (``_machine_product``)
+    answers every candidate: from the product's looping components into
+    the looping components of each component minus the states over one
+    vertex of its projection, once per component, while some candidate not
+    yet found lies strictly inside the projection.  A candidate is achieved
+    exactly when some component met projects onto it.  No Zielonka tree and
+    no parity solver is used.
+    """
+    over, adj, radj = _machine_product(arena, machine, owned, starts)
+    bit = {v: 1 << i for i, v in enumerate(arena.sorted_vertices())}
+    parts = [(states, bit[v]) for v, states in over.items()]
+    beyond = 1 << len(bit)  # in no projection, for a candidate naming an unknown vertex
+    wanted = [sum(bit[v] for v in T) if T and all(v in bit for v in T) else beyond for T in candidates]
+    missing = set(wanted) - {beyond}
+    stack = list(looping_components_by_component_masks((1 << len(adj)) - 1, adj, radj))
+    seen = set(stack)
+    while stack and missing:
+        comp = stack.pop()
+        projection = sum(b for states, b in parts if states & comp)
+        missing.discard(projection)
+        if any(T & projection == T != projection for T in missing):
+            for states, _ in parts:
+                if states & comp:
+                    for c in looping_components_by_component_masks(comp & ~states, adj, radj):
+                        if c not in seen:
+                            seen.add(c)
+                            stack.append(c)
+    return [T for T, m in zip(candidates, wanted) if m != beyond and m not in missing]
 
 
 def row_certificate_violations(game, row) -> list:
@@ -1074,6 +1120,26 @@ def row_certificate_violations(game, row) -> list:
         losing = [T for T, r in ranked if r > c]
         bad += [("punish", c, T) for T in achieved_sets(arena, machine, others, starts, losing)]
     return bad
+
+
+def zielonka_memory_bound(recursion, s: int) -> int:
+    """``m_s`` at the root of a ``ZielonkaRecursion``'s Zielonka DAG: a bound on side ``s``'s states.
+
+    ``m_s(X)`` is 1 at a leaf.  Where ``X``'s side (0 when ``X`` is in the
+    family) is ``s``, it is the sum over ``X``'s children; elsewhere it is
+    their maximum.  This is the memory bound of Dziembowski, Jurdziński and
+    Walukiewicz (LICS 1997), taken over the arena's recurrence sets.  The
+    DAG is read through ``children``, which lists every node's children.
+    """
+    bound: dict = {}
+
+    def m(x: int) -> int:
+        if x not in bound:
+            kids = [m(c) for c in recursion.children(x)]
+            bound[x] = (sum(kids) if (x not in recursion.good) == s else max(kids)) if kids else 1
+        return bound[x]
+
+    return m(recursion.root[1])
 
 
 def build_four_outcome_example() -> TreeGame:

@@ -41,6 +41,7 @@ from oracles import (
     recurrence_sets_by_mask_scan,
     row_certificate_violations,
     threshold_game,
+    zielonka_memory_bound,
 )
 
 
@@ -368,11 +369,18 @@ def test_threshold_regions_match_the_tree_product_oracle(block):
                 solved += 1
 
 
-def certified(game):
-    """The game's guarantee table, after every row passes the certificate."""
+def certified(game, bounded=True):
+    """The game's guarantee table, after every row passes the certificate.
+
+    When ``bounded``, both sides' machines of every threshold solve have at
+    most the states of the memory bound read off the solve's Zielonka DAG.
+    """
     table = guarantee_table(game)
     for row in table.rows.values():
         assert row_certificate_violations(game, row) == []
+        for solve in row.solves if bounded else ():
+            for s in (0, 1):
+                assert solve.machine(s).state_count() <= zielonka_memory_bound(solve, s)
     return table
 
 
@@ -380,7 +388,8 @@ def certified(game):
 def test_guarantee_rows_pass_the_certificate(block):
     # 300 seeded games with 2-4 players: from every vertex of its class or
     # above, in every memory state, machines[c] lets the player achieve no
-    # set ranked below c, and punish[c] lets her achieve none ranked above
+    # set ranked below c, and punish[c] lets her achieve none ranked above;
+    # no threshold machine outgrows the memory bound
     rng = random.Random(f"certificate {block}")
     for _ in range(50):
         players = ["A", "B", "C", "D"][: rng.randint(2, 4)]
@@ -410,17 +419,18 @@ def test_wall_games_answer_at_the_default_bound(seed):
     # 3 players, 4 outcomes and 11-14 vertices: the tree products of these
     # games outgrew the default bound; at 18 vertices, a count of the sets
     # met per scan of the family did.  The recursion answers them, its rows
-    # pass the certificate, and the Nash profile built on them verifies
+    # pass the certificate, and the Nash profile built on them verifies.
+    # The memory bound is not read here: its DAG is most of these games'
+    # recurrence sets, and the machines lie far inside it
     game = wall_game(seed)
-    report = synthesize_ne(game, certified(game))
+    report = synthesize_ne(game, certified(game, bounded=False))
     assert verify_ne(game, report.profile) is None
 
 
 def test_the_largest_wall_game_answers_at_the_default_bound():
-    # seed 18002 has 37,988 recurrence sets; its certificate takes longer
-    # than the rest of this module, so only its Nash profile is verified
+    # seed 18002 has 37,988 recurrence sets
     game = wall_game(18002)
-    report = synthesize_ne(game, guarantee_table(game))
+    report = synthesize_ne(game, certified(game, bounded=False))
     assert verify_ne(game, report.profile) is None
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from graphgames import winlose
-from graphgames.arena import make_arena
+from graphgames.arena import StrategyMachine, make_arena
 from graphgames.errors import CapExceededError, TooLargeError
 from graphgames.gen import random_arena, random_muller_game, random_parity_game
 from graphgames.jsonio import machine_to_json
@@ -26,6 +26,7 @@ from oracles import (
     RecordProduct,
     TreeProduct,
     achieved_sets,
+    achieved_sets_by_candidate,
     attractor_by_deque,
     minimize_machine_by_dicts,
     outcomes_against_machine,
@@ -328,6 +329,34 @@ def test_product_regions_are_record_independent(seed):
     ):
         owned = arena.owned_by(machine.player)
         assert achieved_sets(arena, machine, owned, region, losing) == []
+
+
+def test_one_descent_achieves_the_sets_that_per_candidate_searches_do():
+    # 600 seeded games, n=1-7, each against a random machine of up to 3
+    # bits for one side, from random starts: the candidates are every
+    # recurrence set in a random order, random vertex sets and one set
+    # naming an unknown vertex, and the descent through the product finds
+    # the same ones, in the same order, as one search per candidate
+    rng = random.Random(4242)
+    nonempty = 0
+    for _ in range(600):
+        arena = random_arena(rng, rng.randint(1, 7), ["P0", "P1"])
+        vs = arena.sorted_vertices()
+        player = rng.choice(["P0", "P1"])
+        states = range(2 ** rng.randint(0, 3))
+        update = {(v, q): rng.choice(states) for v in vs for q in states if rng.random() < 0.5}
+        choice = {(v, q): rng.choice(arena.successors(v)) for v in arena.owned_by(player) for q in states}
+        machine = StrategyMachine(player, max(states).bit_length(), update, choice)
+        candidates = list(recurrence_sets_by_mask_scan(arena))
+        candidates += [frozenset(rng.sample(vs, rng.randint(1, len(vs)))) for _ in range(3)]
+        candidates.append(frozenset({vs[0], "ghost"}))
+        rng.shuffle(candidates)
+        starts = rng.sample(vs, rng.randint(1, len(vs)))
+        owned = arena.owned_by(player)
+        found = achieved_sets(arena, machine, owned, starts, candidates)
+        assert found == achieved_sets_by_candidate(arena, machine, owned, starts, candidates)
+        nonempty += bool(found)
+    assert nonempty > 500
 
 
 def test_muller_regions_match_the_record_product_oracle():
