@@ -347,7 +347,7 @@ def test_one_descent_achieves_the_sets_that_per_candidate_searches_do():
         update = {(v, q): rng.choice(states) for v in vs for q in states if rng.random() < 0.5}
         choice = {(v, q): rng.choice(arena.successors(v)) for v in arena.owned_by(player) for q in states}
         machine = StrategyMachine(player, max(states).bit_length(), update, choice)
-        candidates = list(recurrence_sets_by_mask_scan(arena))
+        candidates = sorted(recurrence_sets_by_mask_scan(arena), key=sorted)
         candidates += [frozenset(rng.sample(vs, rng.randint(1, len(vs)))) for _ in range(3)]
         candidates.append(frozenset({vs[0], "ghost"}))
         rng.shuffle(candidates)
