@@ -500,20 +500,19 @@ class ZielonkaRecursion:
     the game expands while listing children (``_split``) are counted, one
     each, against ``bound`` as they grow.
 
-    Each side's machine is flattened from the entries.  On a region σ
-    cycles through its phases: in ``H`` it plays the child's machine, in
-    the rest of ``won`` it plays the attractor out of ``Y``, and arriving
-    outside ``Y`` starts a later phase with that child's memory fresh.  On
-    a piece the opponent attracts to ``L`` and there plays the child's
-    machine.  The piece is read off the vertex, so the opponent keeps only
-    the child's memory, and the memory a play brings into another piece's
-    ``L`` is read as a state of that piece's child.  Every choice checks
-    the phase or piece against the current vertex, so a machine wins from
-    every vertex of its region in every memory state.  One walk down the
-    entries (``_step``) gives, per memory and vertex, both the memory after
-    arriving and the move: the two follow one path until arriving outside
-    ``Y`` starts a later phase, where the memory stops and the move goes
-    on below with fresh memory.
+    Each side's machine is flattened from the entries by one walk down
+    them per memory and vertex (``_step``), which gives both the memory
+    after arriving there and the move there.  On a region σ cycles through
+    its phases: in ``H`` it plays the child's machine, in the rest of
+    ``won`` it plays the attractor out of ``Y``, and arriving outside ``Y``
+    starts a later phase, where the memory stops and the move goes on with
+    that child's memory fresh.  On a piece the opponent attracts to ``L``
+    and there plays the child's machine.  The piece is read off the vertex,
+    so the opponent keeps only the child's memory, and the memory a play
+    brings into another piece's ``L`` is read as a state of that piece's
+    child.  Every choice checks the phase or piece against the current
+    vertex, so a machine wins from every vertex of its region in every
+    memory state.
     """
 
     def __init__(self, arena: Arena, good: frozenset, sides: tuple, bound: int):
