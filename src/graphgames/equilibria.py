@@ -263,9 +263,9 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
     them, on first use: when some outcome of the map beats, in her order,
     the outcome a configuration's play settles on.  A player no outcome
     tempts has no profitable deviation, so her product is never built.
-    Every configuration a walk meets settles on that walk's outcome, so a
-    configuration is walked only when no earlier walk met it, or to place
-    a witness.
+    A configuration an earlier walk met is skipped: the walk's start
+    reaches it along the play in every player's product and settles on
+    the same outcome, so the start's search already answered it.
     """
     arena = game.arena
     players = arena.sorted_players()
@@ -273,15 +273,13 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
     values = set(game.outcome_map.values())
     tempted = functools.cache(lambda a, induced: any(game.prefs.order_of(a).lt(induced, o) for o in values))
 
-    def walk(cfg):
-        return walk_configurations(arena, profile, cfg[0], dict(zip(players, cfg[1])))
-
-    outcome: dict = {}  # configuration -> the outcome its play settles on
+    met: set = set()  # configurations an earlier walk met
     for cfg in configs:
-        if cfg not in outcome:
-            cfgs, loop = walked = walk(cfg)
-            outcome.update(dict.fromkeys(cfgs, game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))))
-        induced = outcome[cfg]
+        if cfg in met:
+            continue
+        cfgs, loop = walked = walk_configurations(arena, profile, cfg[0], dict(zip(players, cfg[1])))
+        met.update(cfgs)
+        induced = game.outcome_of(frozenset(v for v, _ in cfgs[loop:]))
         for a in players:
             if not tempted(a, induced):
                 continue
@@ -295,8 +293,6 @@ def _first_deviation(game: GraphGame, profile: StrategyProfile, configs: list, m
             stem, cycle = _index_lasso(view, view.index[s0], comp, view.owner)
             seq = stem + cycle
             machine = _position_machine(a, seq, len(stem), arena)
-            if walked[0][0] != cfg:  # its outcome came from an earlier configuration's walk
-                walked = walk(cfg)
             vertex = _leaving_vertex(*walked, seq, len(stem))
             return cfg[0], DeviationWitness(a, vertex, machine, improved)
     return None

@@ -121,9 +121,10 @@ class GuaranteeRow:
 
     @cached_property
     def punish(self) -> dict:
-        """Rank -> StrategyMachine of the coalition, for every rank some vertex has."""
-        top = len(self.solves) - 1
-        return {c: self.solves[min(c, top)].machine(1) for c in self._used()}
+        """Rank -> StrategyMachine of the coalition, for every rank some vertex has.
+
+        None is above the top threshold, whose family is empty."""
+        return {c: self.solves[c].machine(1) for c in self._used()}
 
     @cached_property
     def solver_bits(self) -> int:

@@ -37,13 +37,14 @@ from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseG
 
 
 def dumps(obj) -> str:
-    """The canonical text of ``obj``: the bytes of ``json.dumps(obj,
-    indent=2, sort_keys=True)`` and a newline, written without the indenting
-    encoder, which runs in pure Python.  An object nested past the frames
-    this emitter's recursion may take is written by that encoder."""
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
+    newline.  What commands write (str, int, bool, None, lists, tuples and
+    str-keyed dicts) skips that encoder, whose indenting runs in pure Python;
+    anything else, or an object nested past this emitter's recursion, goes
+    to it whole."""
     try:
         return _encode(obj, "\n") + "\n"
-    except RecursionError:
+    except (RecursionError, TypeError):
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -79,7 +80,7 @@ def _encode(obj, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         return "{" + inner + ("," + inner).join(
-            [_escape(k if type(k) is str else _key(k)) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+            [_escape(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
         ) + newline + "}"
     if obj is None:
         return "null"
@@ -89,29 +90,7 @@ def _encode(obj, newline: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    """A non-string object key as ``json`` writes it: a number, a bool or null, spelt as a value."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _float(x: float) -> str:
-    """A float as ``json`` writes it, with the names it gives NaN and the infinities."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _object(doc, what: str) -> Mapping:
