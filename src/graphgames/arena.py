@@ -40,7 +40,7 @@ class ArenaIndex:
     reads them shares one copy.
     """
 
-    __slots__ = ("vertices", "index", "succ", "pred", "owner", "_owned", "_masks", "_recurrence", "_splits")
+    __slots__ = ("vertices", "index", "succ", "pred", "owner", "_owned", "_masks", "_recurrence", "_splits", "set_count")
 
     def __init__(self, vertices, index, succ, owner):
         self.vertices = vertices
@@ -56,6 +56,7 @@ class ArenaIndex:
         self._masks = None
         self._recurrence: dict = {}  # vertex set -> its mask, or 0 when it is no recurrence set
         self._splits: dict = {}  # mask -> distinct looping components of mask - v, over every member v
+        self.set_count = None  # how many recurrence sets the graph has, once they are all listed
 
     @property
     def owned(self) -> dict:
@@ -603,6 +604,8 @@ def closed_strongly_connected_sets(
                 if len(found) > max_product_states:
                     raise TooLargeError(f"{len(found)} recurrence sets exceed the bound {max_product_states}")
                 stack.append(view.splits(x))
+    if source is None:
+        view.set_count = len(found)
     vs = view.vertices
 
     def members(x: int) -> frozenset:

@@ -123,7 +123,7 @@ class GuaranteeRow:
     def punish(self) -> dict:
         """Rank -> StrategyMachine of the coalition, for every rank some vertex has.
 
-        None is above the top threshold, whose family is empty."""
+        No vertex is ranked above the top threshold, whose family is empty."""
         return {c: self.solves[c].machine(1) for c in self._used()}
 
     @cached_property

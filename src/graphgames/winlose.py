@@ -550,13 +550,16 @@ class ZielonkaRecursion:
         the descent through splits expands the components on the node's
         side, takes the others as candidates, and keeps a candidate unless
         it lies inside one kept before it, largest first.  A node outside
-        the family has children only among its sets, so an empty family
-        starts no descent.
+        the family has children only among its sets, and a node in it only
+        among the others, so an empty family starts no descent, nor does a
+        family node when the family holds every recurrence set the arena's
+        index has counted.
         """
         kids = self.kids.get(node)
         if kids is None:
             side = node in self.good
-            found, seen, stack = [], {node}, [node] if self.good else []
+            others = self.arena.view.set_count != len(self.good) if side else self.good
+            found, seen, stack = [], {node}, [node] if others else []
             while stack:
                 for c in self._split(stack.pop()):
                     if c not in seen:

@@ -453,6 +453,43 @@ def test_verify_spe_builds_one_deviation_product_per_player(seed, monkeypatch):
     assert built.count("deviation product") == len(expected)
 
 
+def searched_configurations(monkeypatch) -> list:
+    """Patch the deviation product to log the configuration each ``first_improvement`` search starts from."""
+    searched, last = [], []
+    state, search = equilibria._DeviationProduct.state, equilibria._DeviationProduct.first_improvement
+
+    def recording_state(self, cfg):
+        last[:] = [cfg]
+        return state(self, cfg)
+
+    def recording_search(self, start, induced):
+        assert state(self, last[0]) == start
+        searched.append(last[0])
+        return search(self, start, induced)
+
+    monkeypatch.setattr(equilibria._DeviationProduct, "state", recording_state)
+    monkeypatch.setattr(equilibria._DeviationProduct, "first_improvement", recording_search)
+    return searched
+
+
+def test_verify_spe_searches_no_configuration_an_earlier_play_met(monkeypatch):
+    # a configuration on the play of one searched before it has that one's
+    # outcome, and its deviations are that one's, so it is not searched;
+    # the seeded random and synthesised profiles of the tests above
+    searched = searched_configurations(monkeypatch)
+    starts = 0
+    for game, profile in [*map(random_profile_game, range(1400)), *map(synthesized_profile_game, range(600))]:
+        searched.clear()
+        verify_spe(game, profile)
+        players = game.arena.sorted_players()
+        met = set()
+        for cfg in dict.fromkeys(searched):  # one search per tempted player
+            assert cfg not in met
+            met.update(walk_configurations(game.arena, profile, cfg[0], dict(zip(players, cfg[1])))[0])
+            starts += 1
+    assert starts > 2000
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_spe_fits_in_the_joint_product_bound(seed):
     # every deviation product state projects a joint configuration, so a

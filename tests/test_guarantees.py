@@ -14,6 +14,7 @@ from graphgames.arena import (
     induced_lasso,
     inf_set,
     make_arena,
+    validate_arena,
 )
 from graphgames.equilibria import synthesize_ne, verify_ne
 from graphgames.errors import TooLargeError
@@ -501,6 +502,34 @@ def test_listed_children_are_the_maximal_sets_on_the_other_side(block):
                 assert kids == sorted(m for m in inside if not any(m & k == m != k for k in inside))
                 listed += 1
     assert listed > 1500
+
+
+def test_a_family_of_every_recurrence_set_expands_none_of_them():
+    # 300 seeded documents, n=3-8 with 3 players and 4 outcomes: loading
+    # counts the arena's recurrence sets, and a threshold game whose family
+    # holds all of them splits no set of the family, as an empty family's
+    # game splits none.  The regions and both machines are those of the
+    # same game on an arena whose sets were never counted
+    rng = random.Random("full family")
+    full = 0
+    for _ in range(300):
+        game = random_graph_game(rng, rng.randint(3, 8), ["A", "B", "C"], ["o1", "o2", "o3", "o4"])
+        doc = jsonio.graph_game_to_json(game)
+        game, uncounted = jsonio.graph_game_from_json(doc), validate_arena(doc["arena"])
+        count = len(recurrence_sets_by_mask_scan(game.arena))
+        search, plain = MullerSearch(game.arena, 10**6), MullerSearch(uncounted, 10**6)
+        for family, p in threshold_games(game):
+            sides = (p, coalition_tag(p))
+            zg, zp = search.game(family, sides), plain.game(family, sides)
+            assert zg.win0 == zp.win0
+            assert [jsonio.machine_to_json(zg.machine(s)) for s in (0, 1)] == [
+                jsonio.machine_to_json(zp.machine(s)) for s in (0, 1)
+            ]
+            if len(zg.good) == count:
+                assert not zg.met & zg.good
+                full += 1
+        assert uncounted.view.set_count is None
+    assert full > 150
 
 
 def test_the_recursion_is_refused_while_its_memo_grows(monkeypatch):

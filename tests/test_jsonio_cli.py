@@ -1291,6 +1291,49 @@ def test_dumps_raises_type_error_where_json_does(doc, key):
         assert_emits_as_indented_json(obj)
 
 
+def test_every_command_writes_its_output_without_the_json_encoder(tmp_path, capsys, monkeypatch):
+    # no output holds a float, a non-string key or anything else the
+    # emitter hands to json.dumps, so every command's answer, verdict and
+    # refusal is written by the emitter itself
+    handed = []
+
+    class NoEncoder:
+        @staticmethod
+        def dumps(obj, **kwargs):
+            handed.append(obj)
+            raise AssertionError("an output was handed to json.dumps")
+
+    monkeypatch.setattr(jsonio, "json", NoEncoder)
+    game = write(tmp_path, "game.json", GAME_DOC)
+    lazy = write(tmp_path, "lazy.json", LAZY_PROFILE)
+    single = write(tmp_path, "single.json", SINGLE_PLAYER_DOC)
+    spe = str(tmp_path / "spe.json")
+    pattern = with_changes(GAME_DOC, ["preferences"], {"A": [["z"], ["y"], ["x"]], "B": [["x"], ["z"], ["y"]]})
+    pattern = with_changes(pattern, ["outcomes"], {"map": [[["u"], "x"], [["w"], "y"], [["u", "w"], "z"]]})
+    objectives = {"parity": {"v0": 0, "v1": 1}, "muller": [["v0"], ["v0", "v1"]], "reach": ["v1"], "safe": ["v0"]}
+    runs = [
+        *((["solve", write(tmp_path, f"{k}.json", with_changes(PARITY_DOC, ["objective"], {k: o}))], 0)
+          for k, o in objectives.items()),
+        (["guarantee", game], 0),
+        (["ne", game], 0),
+        (["spe", game, "--out", spe], 0),
+        (["pareto-ne", game], 0),
+        (["verify", single, lazy], 1),
+        (["verify", single, lazy, "--subgames"], 1),
+        (["verify", game, spe], 0),
+        (["verify", game, spe, "--subgames"], 0),
+        (["gallery", "--depth", "10"], 0),
+        (["discretize", write(tmp_path, "tree.json", payoff_chain(3)), "--k", "3"], 0),
+        (["solve", write(tmp_path, "dead.json", with_changes(PARITY_DOC, ["arena", "edges"], [["v0", "v1"]]))], 2),
+        (["pareto-ne", write(tmp_path, "pattern.json", pattern)], 3),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code, argv
+        assert handed == [], argv
+    out = capsys.readouterr().out
+    assert '"deviation": null' in out and '"errors"' in out and '"witness"' in out
+
+
 def test_parity_solve_leaves_the_successor_table_unbuilt():
     for seed in range(50):
         game = random_parity_game(random.Random(seed), 12, 12)
