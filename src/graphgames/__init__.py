@@ -24,6 +24,7 @@ from .orders import (
     pareto_front,
 )
 from .winlose import (
+    MemorylessResult,
     Muller,
     Parity,
     Reachability,

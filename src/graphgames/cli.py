@@ -30,7 +30,7 @@ from .errors import InvalidArenaError, PatternPresentError
 from .extensive import epsilon_grid_game, gallery
 from .guarantees import guarantee_table
 from .orders import require_linear_pattern_free
-from .winlose import solve as solve_winlose
+from .winlose import MemorylessResult, solve as solve_winlose
 
 
 def _read_json(path: str):
@@ -62,7 +62,10 @@ def _write_file(path, text: str) -> None:
 
 
 def _write(payload: dict, args) -> None:
-    text = jsonio.dumps(payload)
+    _write_text(jsonio.dumps(payload), args)
+
+
+def _write_text(text: str, args) -> None:
     if args.out:
         _write_file(args.out, text)
     else:
@@ -90,10 +93,14 @@ def _graph_game(args):
 def cmd_solve(args) -> int:
     game = jsonio.winlose_from_json(_read_json(args.game), args.max_product_states)
     result = solve_winlose(game, max_product_states=args.max_product_states)
-    _write(jsonio.solve_result_to_json(result), args)
+    if isinstance(result, MemorylessResult):
+        _write_text(jsonio.memoryless_result_to_json(result), args)
+    else:
+        _write(jsonio.solve_result_to_json(result), args)
     _write_dot("arena", jsonio.arena_to_dot, game.arena, args)
-    _write_dot("strategy0", jsonio.machine_to_dot, result.strategy0, args)
-    _write_dot("strategy1", jsonio.machine_to_dot, result.strategy1, args)
+    if args.emit_dot:  # a memoryless result builds its machines only here
+        _write_dot("strategy0", jsonio.machine_to_dot, result.strategy0, args)
+        _write_dot("strategy1", jsonio.machine_to_dot, result.strategy1, args)
     return 0
 
 

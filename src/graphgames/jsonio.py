@@ -33,7 +33,7 @@ from .errors import InvalidInputError
 from .extensive import Decision, Leaf, TreeGame
 from .guarantees import GraphGame, GuaranteeTable, require_covered
 from .orders import PreferenceProfile, order_from_groups
-from .winlose import Muller, Parity, Reachability, Safety, SolveResult, WinLoseGame
+from .winlose import MemorylessResult, Muller, Parity, Reachability, Safety, SolveResult, WinLoseGame
 
 
 def dumps(obj) -> str:
@@ -211,7 +211,8 @@ def _lift_objective(objective, base: Mapping, arena: Arena, max_product_states: 
 
 def _require_in_arena(arena: Arena, named: set, what: str) -> None:
     """Refuse the least vertex of ``named``, in ``skey`` order, that the arena lacks."""
-    unknown = sorted(named - set(arena.vertices), key=skey)
+    index = arena.view.index
+    unknown = sorted([v for v in named if v not in index], key=skey)
     if unknown:
         raise InvalidInputError(f"{what} vertex {unknown[0]!r} not in arena")
 
@@ -391,6 +392,44 @@ def solve_result_to_json(result: SolveResult) -> dict:
     }
 
 
+def memoryless_result_to_json(result: MemorylessResult) -> str:
+    """The text ``dumps(solve_result_to_json(result))`` gives, written straight from the result's index.
+
+    Each vertex name is escaped once.  Rows and regions follow the names'
+    ``str`` order, which is index order when every vertex is a string; the
+    sort is stable, so vertices that print alike keep their index order, as
+    ``machine_to_json``'s rows do.
+    """
+    names = result.arena.view.vertices
+    if set(map(type, names)) <= {str}:
+        order = range(len(names))
+    else:
+        names = list(map(str, names))
+        order = sorted(range(len(names)), key=names.__getitem__)
+    quoted = list(map(_escape, names))
+    parts = ['"memory_bits_used": 0']
+    for s in (0, 1):
+        rows = [f"[\n        {quoted[v]},\n        0,\n        {quoted[w]}\n      ]" for v, w in result.moves(s, order)]
+        choice = _list_text(rows, "\n    ")
+        player = _escape(str(result.players[s]))
+        parts.append(
+            f'"strategy{s}": {{\n    "choice": {choice},\n    "init": 0,\n    "memory_bits": 0,'
+            f'\n    "player": {player},\n    "update": []\n  }}'
+        )
+    region0 = result.region0
+    parts.append('"win0": ' + _list_text([quoted[v] for v in order if v in region0], "\n  "))
+    parts.append('"win1": ' + _list_text([quoted[v] for v in order if v not in region0], "\n  "))
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+
+
+def _list_text(items: list, newline: str) -> str:
+    """The encoded ``items`` as ``dumps`` writes a list whose lines start ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
 def report_to_json(report: SynthesisReport) -> dict:
     return {
         "machines": {
@@ -512,13 +551,18 @@ def tree_to_json(game: TreeGame) -> dict:
     return {"tree": unparse(game.root)}
 
 
+def _dot(name) -> str:
+    """``name`` as it may stand inside a quoted DOT ID or label: ``\\`` and ``"`` escaped."""
+    return str(name).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def arena_to_dot(arena: Arena, name: str = "arena") -> str:
     lines = [f"digraph {name} {{"]
     for v in arena.sorted_vertices():
         shape = "doublecircle" if v == arena.start else "circle"
-        lines.append(f'  "{v}" [label="{v}|{arena.owner[v]}", shape={shape}];')
+        lines.append(f'  "{_dot(v)}" [label="{_dot(v)}|{_dot(arena.owner[v])}", shape={shape}];')
     for (u, w) in sorted(arena.edges, key=lambda e: (skey(e[0]), skey(e[1]))):
-        lines.append(f'  "{u}" -> "{w}";')
+        lines.append(f'  "{_dot(u)}" -> "{_dot(w)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -526,13 +570,13 @@ def arena_to_dot(arena: Arena, name: str = "arena") -> str:
 def machine_to_dot(machine: StrategyMachine, name: str = "machine") -> str:
     marks: dict = {}  # state -> its choices, in vertex order
     for (v, q), w in sorted(machine.choice.items(), key=lambda kv: (skey(kv[0][0]), kv[0][1])):
-        marks.setdefault(q, []).append(f"\\n{v}->{w}")
+        marks.setdefault(q, []).append(f"\\n{_dot(v)}->{_dot(w)}")
     lines = [f"digraph {name} {{"]
     for q in machine.states():
         label = f"q{q}" + "".join(marks.get(q, ()))
         shape = "doublecircle" if q == machine.init else "circle"
         lines.append(f'  "q{q}" [label="{label}", shape={shape}];')
     for (v, q), nq in sorted(machine.update.items(), key=lambda kv: (kv[0][1], skey(kv[0][0]))):
-        lines.append(f'  "q{q}" -> "q{nq}" [label="{v}"];')
+        lines.append(f'  "q{q}" -> "q{nq}" [label="{_dot(v)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

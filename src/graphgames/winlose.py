@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Mapping
 
@@ -87,6 +88,53 @@ class SolveResult:
     strategy0: StrategyMachine
     strategy1: StrategyMachine
     memory_bits_used: int
+
+
+class MemorylessResult:
+    """A memoryless solver's answer, kept on the arena's index.
+
+    ``region0`` is the set of indices side 0 wins, and side 1 wins the
+    rest.  ``side[i]`` is the side owning vertex ``i``, and ``choices[s]``
+    maps indices side ``s`` owns to the index it moves to; an owned vertex
+    the map lacks moves to its first successor.  The attributes of a
+    ``SolveResult`` are built on first read, with the same values.
+    """
+
+    memory_bits_used = 0
+
+    def __init__(self, arena: Arena, players: tuple, side: list, region0: set, choices: tuple):
+        self.arena = arena
+        self.players = players
+        self.side = side
+        self.region0 = region0
+        self.choices = choices
+
+    def moves(self, s: int, order: Iterable) -> list:
+        """``(vertex, successor)`` index pairs of side ``s`` at the vertices it owns, taken in ``order``."""
+        side, choice, succ = self.side, self.choices[s], self.arena.view.succ
+        return [(v, choice[v] if v in choice else succ[v][0]) for v in order if side[v] == s]
+
+    def _machine(self, s: int) -> StrategyMachine:
+        vs = self.arena.view.vertices
+        return memoryless_machine(self.players[s], {vs[v]: vs[w] for v, w in self.moves(s, range(len(vs)))})
+
+    @cached_property
+    def win0(self) -> frozenset:
+        vs = self.arena.view.vertices
+        return frozenset(vs[v] for v in self.region0)
+
+    @cached_property
+    def win1(self) -> frozenset:
+        region0 = self.region0
+        return frozenset(v for i, v in enumerate(self.arena.view.vertices) if i not in region0)
+
+    @cached_property
+    def strategy0(self) -> StrategyMachine:
+        return self._machine(0)
+
+    @cached_property
+    def strategy1(self) -> StrategyMachine:
+        return self._machine(1)
 
 
 @dataclass(frozen=True)
@@ -285,11 +333,6 @@ def _solve_by_components(view: ArenaIndex, side, prio):
     return (*regions, *strategies)
 
 
-def _to_vertices(view: ArenaIndex, strategy: Mapping) -> dict:
-    vs = view.vertices
-    return {vs[v]: vs[w] for v, w in strategy.items()}
-
-
 def _sides(game: WinLoseGame) -> list:
     """Side (0 or 1) of every vertex of the game's arena, by index."""
     p0, _ = game.sides()
@@ -311,11 +354,11 @@ def attractor(arena: Arena, side, target: Iterable):
     attr, strategy = _attractor(
         view, set(range(len(view.vertices))), sides, 0, [view.index[t] for t in target]
     )
-    region = frozenset(view.vertices[v] for v in attr)
-    return region, memoryless_machine(side, _to_vertices(view, strategy))
+    vs = view.vertices
+    return frozenset(vs[v] for v in attr), memoryless_machine(side, {vs[v]: vs[w] for v, w in strategy.items()})
 
 
-def solve_parity(game: WinLoseGame) -> SolveResult:
+def solve_parity(game: WinLoseGame) -> MemorylessResult:
     """Solve a parity game one strongly connected component at a time.
 
     Components are taken sinks first, as in the generic solver of Friedmann
@@ -331,57 +374,38 @@ def solve_parity(game: WinLoseGame) -> SolveResult:
     arena = game.arena
     prio = game.objective.priority
     game.objective.require_total(arena)
-    p0, p1 = game.sides()
-    view = arena.view
-    W0, W1, s0, s1 = _solve_by_components(view, _sides(game), [prio[v] for v in view.vertices])
-    return SolveResult(
-        win0=frozenset(view.vertices[v] for v in W0),
-        win1=frozenset(view.vertices[v] for v in W1),
-        strategy0=fallback_machine(arena, p0, _to_vertices(view, s0)),
-        strategy1=fallback_machine(arena, p1, _to_vertices(view, s1)),
-        memory_bits_used=0,
-    )
+    side = _sides(game)
+    W0, _, s0, s1 = _solve_by_components(arena.view, side, [prio[v] for v in arena.view.vertices])
+    return MemorylessResult(arena, game.sides(), side, W0, (s0, s1))
 
 
-def _forced_visit(game: WinLoseGame, reacher: int, target: Iterable) -> SolveResult:
-    """Side ``reacher`` forces a visit to ``target``; the other side avoids it.
+def _forced_visit(game: WinLoseGame, reacher: int, target: Iterable) -> MemorylessResult:
+    """Side ``reacher`` forces a visit to the indices ``target``; the other side avoids them.
 
     The avoiding side keeps to the first successor outside the attractor.
     """
-    arena = game.arena
-    players = game.sides()
-    view = arena.view
+    view = game.arena.view
     side = _sides(game)
     everything = range(len(view.vertices))
-    attr, force = _attractor(
-        view, set(everything), side, reacher, [view.index[t] for t in target if t in view.index]
-    )
+    attr, force = _attractor(view, set(everything), side, reacher, target)
     avoid = {
         v: next(w for w in view.succ[v] if w not in attr)
         for v in everything
         if side[v] != reacher and v not in attr
     }
-    win = frozenset(view.vertices[v] for v in attr)
-    lose = frozenset(arena.vertices) - win
-    strategies = [_to_vertices(view, force), _to_vertices(view, avoid)]
     if reacher == 1:
-        win, lose = lose, win
-        strategies.reverse()
-    return SolveResult(
-        win0=win,
-        win1=lose,
-        strategy0=fallback_machine(arena, players[0], strategies[0]),
-        strategy1=fallback_machine(arena, players[1], strategies[1]),
-        memory_bits_used=0,
-    )
+        return MemorylessResult(game.arena, game.sides(), side, set(everything) - attr, (avoid, force))
+    return MemorylessResult(game.arena, game.sides(), side, attr, (force, avoid))
 
 
-def solve_reachability(game: WinLoseGame) -> SolveResult:
-    return _forced_visit(game, 0, game.objective.targets)
+def solve_reachability(game: WinLoseGame) -> MemorylessResult:
+    index = game.arena.view.index
+    return _forced_visit(game, 0, [index[t] for t in game.objective.targets if t in index])
 
 
-def solve_safety(game: WinLoseGame) -> SolveResult:
-    return _forced_visit(game, 1, set(game.arena.vertices) - set(game.objective.safe))
+def solve_safety(game: WinLoseGame) -> MemorylessResult:
+    safe = game.objective.safe
+    return _forced_visit(game, 1, [i for i, v in enumerate(game.arena.view.vertices) if v not in safe])
 
 
 class LarContext:
@@ -704,9 +728,18 @@ class ZielonkaRecursion:
             )
         return machine
 
+    def keeps_memory(self, s: int) -> bool:
+        """Whether some memo entry where side ``s`` is σ has two phases or more.
+
+        ``_step`` writes a phase number for ``s`` only at such an entry, and
+        every other number is 0 and dropped, so without one the machine of
+        ``s`` has the one memory ``()`` and 0 bits.
+        """
+        return any(sigma == s and len(phases) > 1 for sigma, _, _, phases in self.memo.values())
+
     def memory_bits(self) -> int:
-        """Memory bits of the larger of the game's two machines."""
-        return max(self.machine(0).memory_bits, self.machine(1).memory_bits)
+        """Memory bits of the larger of the game's two machines, built only for a side that keeps memory."""
+        return max(self.machine(s).memory_bits if self.keeps_memory(s) else 0 for s in (0, 1))
 
     def solve(self) -> SolveResult:
         return SolveResult(
@@ -731,7 +764,7 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BO
     return MullerSearch(game.arena, max_product_states).game(family, game.sides()).solve()
 
 
-def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
+def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult | MemorylessResult:
     """Dispatch on the objective kind."""
     obj = game.objective
     if isinstance(obj, Parity):

@@ -20,7 +20,9 @@ before intersecting with the front.  The
 blocking preference pattern comes from asking the orders about every
 triple of outcomes.  Guarantee rows come from solving every threshold game
 afresh, regions and both machines, and reading every solve.  A machine's
-DOT text comes from rescanning every choice entry once per state.
+DOT text comes from rescanning every choice entry once per state.  A
+memoryless solve's attributes come from name maps of its index answer,
+completed by ``fallback_machine``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from graphgames.orders import (
     linear_order,
     pareto_front,
 )
-from graphgames.winlose import LarContext, Muller, WinLoseGame, _drive, solve_muller
+from graphgames.winlose import LarContext, MemorylessResult, Muller, SolveResult, WinLoseGame, _drive, solve_muller
 
 
 def bfs_reachable(arena: Arena, source) -> set:
@@ -443,6 +445,19 @@ def minimize_machine_by_dicts(machine: StrategyMachine, vertices, owned) -> Stra
             if w is not None:
                 choice[(v, order[b])] = w
     return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)
+
+
+def solve_result_by_names(result: MemorylessResult) -> SolveResult:
+    """The eager ``SolveResult`` of a memoryless answer: both regions as
+    frozensets of names, and each side's index choices turned into a name
+    map that ``fallback_machine`` completes."""
+    arena, vs = result.arena, result.arena.view.vertices
+    win0 = frozenset(vs[v] for v in result.region0)
+    strategies = [
+        fallback_machine(arena, player, {vs[v]: vs[w] for v, w in choice.items()})
+        for player, choice in zip(result.players, result.choices)
+    ]
+    return SolveResult(win0, frozenset(arena.vertices) - win0, *strategies, 0)
 
 
 def machine_to_dot_by_rescans(machine: StrategyMachine, name: str = "machine") -> str:

@@ -411,6 +411,37 @@ def test_synth_corpus_rows_pass_the_certificate(monkeypatch):
             certified(jsonio.graph_game_from_json(doc))
 
 
+def test_memory_bits_build_no_machine_for_a_side_without_phases(monkeypatch):
+    # the 300 certificate games and the seed-1 synth corpus: a side that is
+    # σ at no memo entry of two phases is answered 0 bits without its
+    # machine, which, built afterwards, has one state; every answer is the
+    # larger machine's bits
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    workloads = importlib.import_module("workloads")
+    games = []
+    for block in range(6):
+        rng = random.Random(f"certificate {block}")
+        for _ in range(50):
+            players = ["A", "B", "C", "D"][: rng.randint(2, 4)]
+            games.append(random_graph_game(rng, rng.randint(2, 8), players, [f"o{i}" for i in range(rng.randint(2, 5))]))
+    rng = random.Random("synth:1")
+    for _ in range(workloads.SIZES["synth"]["full"]["rounds"]):
+        for _, n, players, outcomes, prefs in workloads.SYNTH_SLOTS:
+            games.append(jsonio.graph_game_from_json(corpus.graph_game_doc(rng, n, ["A", "B", "C"][:players], outcomes, prefs)))
+    lean = 0
+    for game in games:
+        solves = {id(solve): solve for row in guarantee_table(game).rows.values() for solve in row.solves}
+        for solve in solves.values():
+            sides = [s for s in (0, 1) if not solve.keeps_memory(s)]
+            bits = solve.memory_bits()
+            assert all(solve.machines[s] is None for s in sides)
+            assert bits == max(solve.machine(0).memory_bits, solve.machine(1).memory_bits)
+            assert all(solve.machine(s).state_count() == 1 for s in sides)
+            lean += len(sides)
+    assert lean
+
+
 def wall_game(seed):
     return random_graph_game(random.Random(seed), seed // 1000, ["A", "B", "C"], ["o1", "o2", "o3", "o4"])
 

@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgames import acceptance, cli, jsonio
-from graphgames.arena import StrategyMachine, validate_arena
+from graphgames import arena as arena_module
+from graphgames.arena import StrategyMachine, make_arena, validate_arena
 from graphgames.cli import build_parser, main
 from graphgames.extensive import Leaf
 from graphgames.equilibria import synthesize_ne
 from graphgames.gen import random_graph_game, random_parity_game
-from graphgames.winlose import solve
+from graphgames.winlose import MemorylessResult, solve
 
-from oracles import machine_to_dot_by_rescans
+from oracles import machine_to_dot_by_rescans, solve_result_by_names
 
 
 GAME_DOC = {
@@ -1422,3 +1423,117 @@ def test_cli_refuses_undecodable_bytes_as_a_bad_document(tmp_path):
     errors = json.loads(run.stdout)["errors"]
     assert [e["code"] for e in errors] == ["BadDocument"]
     assert "can't decode byte 0xe9" in errors[0]["detail"]
+
+
+# --- memoryless solve text ----------------------------------------------------
+
+# vertex names of each kind: integers whose string order is not their
+# numeric order, integers next to strings that print alike, and strings
+# holding a quote, a backslash, a newline or non-ASCII text
+SOLVE_IDS = {
+    "str": [f"v{i}" for i in range(8)],
+    "int": [10, 9, 2, 100, 1, 21, -3, 0],
+    "mixed": [1, "1", 10, "10", 2, "2", -1, "-1"],
+    "odd": ['x"y', "z\\n", "a\nb", "é", "中", "\U0001f600", "q\\\"", " "],
+}
+SOLVE_PLAYERS = [["A", "B"], [0, 1], [1, "1"], ['p"q', "é"]]
+
+
+def random_solve_doc(rng):
+    """A win/lose document of 1-7 vertices with a parity, reach or safe
+    objective, either protagonist and now and then an energy block, whose
+    product names ids that print alike would make collide; in one document
+    of five a single player owns every vertex."""
+    ids = rng.choice(sorted(SOLVE_IDS))
+    vs = rng.sample(SOLVE_IDS[ids], rng.randint(1, 7))
+    players = rng.choice(SOLVE_PLAYERS)
+    only = rng.choice(players) if rng.random() < 0.2 else None
+    arena = {
+        "players": players,
+        "vertices": [{"id": v, "owner": only if only is not None else rng.choice(players)} for v in vs],
+        "edges": [[v, w] for v in vs for w in rng.sample(vs, rng.randint(1, min(3, len(vs))))],
+        "start": rng.choice(vs),
+    }
+    kind = rng.choice(["parity", "reach", "safe"])
+    if kind == "parity":
+        objective = {v: rng.randint(0, 4) for v in vs}
+    else:
+        objective = rng.sample(vs, rng.randint(0, len(vs)))
+    if ids != "mixed" and rng.random() < 0.3:
+        arena["energy"] = {
+            "weights": {p: {v: rng.randint(-1, 1) for v in vs} for p in players},
+            "caps": {p: [rng.randint(-2, 0), rng.randint(0, 2)] for p in players},
+            "priorities": {v: rng.randint(0, 3) for v in vs},
+        }
+    return {"arena": arena, "objective": {kind: objective}, "protagonist": rng.choice(players)}
+
+
+def machine_fields(machine):
+    return machine.player, machine.memory_bits, machine.update, machine.choice, machine.init
+
+
+def test_memoryless_text_and_attributes_match_the_eager_result():
+    # 1,500 seeded documents: the text written from the index is the text
+    # of the eager result's payload, and the attributes built on read are
+    # the eager result's
+    rng = random.Random("memoryless text")
+    seen = set()
+    for i in range(1500):
+        doc = random_solve_doc(rng)
+        result = solve(jsonio.winlose_from_json(doc))
+        eager = solve_result_by_names(result)
+        want = json.dumps(jsonio.solve_result_to_json(eager), indent=2, sort_keys=True) + "\n"
+        assert jsonio.memoryless_result_to_json(result) == want, i
+        assert (result.win0, result.win1, result.memory_bits_used) == (eager.win0, eager.win1, 0), i
+        assert machine_fields(result.strategy0) == machine_fields(eager.strategy0), i
+        assert machine_fields(result.strategy1) == machine_fields(eager.strategy1), i
+        seen.add(next(iter(doc["objective"])))
+        seen.update({"energy"} & doc["arena"].keys())
+        seen.update(name for name, region in (("no win0", result.win0), ("no win1", result.win1)) if not region)
+        if not all(result.arena.owned_by(p) for p in result.players):
+            seen.add("idle player")
+    assert seen == {"parity", "reach", "safe", "energy", "no win0", "no win1", "idle player"}
+
+
+@pytest.mark.parametrize(
+    "objective", [{"parity": {"v0": 0, "v1": 1}}, {"reach": ["v1"]}, {"safe": ["v0"]}], ids=["parity", "reach", "safe"]
+)
+def test_memoryless_solve_builds_no_payload_region_or_machine(tmp_path, capsys, monkeypatch, objective):
+    doc = with_changes(PARITY_DOC, ["objective"], objective)
+    want = jsonio.dumps(jsonio.solve_result_to_json(solve(jsonio.winlose_from_json(doc))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in ("dumps", "machine_to_json", "solve_result_to_json"):
+        monkeypatch.setattr(jsonio, name, refuse)
+    monkeypatch.setattr(arena_module, "StrategyMachine", refuse)
+    for name in ("win0", "win1", "strategy0", "strategy1"):
+        monkeypatch.setattr(MemorylessResult, name, property(refuse))
+    assert main(["solve", write(tmp_path, "doc.json", doc)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    # x"y and z\n (a backslash, then n), owned by a and b"q: each name is
+    # written inside its quotes with \ and " escaped, and the \n between a
+    # machine label's choices stays a line break
+    arena = make_arena(["a", 'b"q'], ['x"y', "z\\n"], [('x"y', "z\\n"), ("z\\n", 'x"y'), ("z\\n", "z\\n")],
+                       {'x"y': "a", "z\\n": 'b"q'}, 'x"y')
+    assert jsonio.arena_to_dot(arena) == (
+        "digraph arena {\n"
+        '  "x\\"y" [label="x\\"y|a", shape=doublecircle];\n'
+        '  "z\\\\n" [label="z\\\\n|b\\"q", shape=circle];\n'
+        '  "x\\"y" -> "z\\\\n";\n'
+        '  "z\\\\n" -> "x\\"y";\n'
+        '  "z\\\\n" -> "z\\\\n";\n'
+        "}\n"
+    )
+    machine = StrategyMachine('b"q', 1, {('x"y', 0): 1}, {("z\\n", 0): 'x"y', ("z\\n", 1): "z\\n"})
+    assert jsonio.machine_to_dot(machine) == (
+        "digraph machine {\n"
+        '  "q0" [label="q0\\nz\\\\n->x\\"y", shape=doublecircle];\n'
+        '  "q1" [label="q1\\nz\\\\n->z\\\\n", shape=circle];\n'
+        '  "q0" -> "q1" [label="x\\"y"];\n'
+        "}\n"
+    )
