@@ -29,7 +29,6 @@ from .winlose import (
     Parity,
     Reachability,
     Safety,
-    SolveResult,
     WinLoseGame,
     attractor,
     brute_force_solve,

@@ -29,7 +29,7 @@ from .arena import (
 )
 from .errors import InvalidInputError
 from .orders import PreferenceProfile, StrictWeakOrder
-from .winlose import MullerSearch
+from .winlose import ZielonkaRecursion
 
 COALITION = "coalition-vs"
 
@@ -94,15 +94,14 @@ class GuaranteeRow:
     every vertex of class >= c; ``punish[c]`` is the coalition machine that
     holds the player to class <= c from every vertex of class <= c.
     ``solves[j]`` is the solved threshold game for class ``j``, played by
-    ``sides``; the machines and the memory bound are flattened from them
-    when first read.
+    the player against her coalition; the machines and the memory bound
+    are flattened from them when first read.
     """
 
     player: object
     order: StrictWeakOrder
     class_rank: Mapping   # vertex -> rank
     solves: tuple         # threshold rank -> ZielonkaRecursion
-    sides: tuple          # (player, her coalition)
 
     def representative(self, v):
         return self.order.representative(self.class_rank[v])
@@ -129,7 +128,7 @@ class GuaranteeRow:
     @cached_property
     def solver_bits(self) -> int:
         """Memory bits of the largest machine over every threshold solve."""
-        return max(solve.memory_bits() for solve in self.solves)
+        return max(solve.memory_bits_used for solve in self.solves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,41 +150,41 @@ class GuaranteeTable:
         return n_players * (self.solver_bits + log_n + self.piece_bits) + 1
 
 
-def best_guarantee(game: GraphGame, player, search: MullerSearch | None = None) -> GuaranteeRow:
+def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeRow:
     """Guarantee classes of one player at every vertex.
 
     Thresholds ascend through the player's classes: the guarantee at a
     vertex is the best class such that she wins the threshold game for the
     class immediately below it (the bottom class needs no witness).  Every
-    threshold game is solved by the Zielonka recursion that ``search``, a
-    ``MullerSearch`` of the game's arena, hands out; without one, a search
-    bounded by ``DEFAULT_PRODUCT_BOUND`` is made.  Every threshold is
-    solved, lowest first, so a size refusal comes from the lowest
-    threshold that has one; no machine is built until the row's are read.
+    threshold game is one ``ZielonkaRecursion``, refused past
+    ``max_product_states`` subgames and sets.  Families only shrink as the
+    threshold rises, so a threshold whose recurrence sets are the previous
+    one's reuses its game.  Every threshold is solved, lowest first, so a
+    size refusal comes from the lowest threshold that has one; no machine
+    is built until the row's are read.
     """
     order = game.prefs.order_of(player)
     arena = game.arena
-    if search is None:
-        search = MullerSearch(arena, DEFAULT_PRODUCT_BOUND)
     sides = (player, coalition_tag(player))
-    solves = tuple(
-        search.game(_threshold_family(game, order, order.representative(j)), sides)
-        for j in range(order.num_classes())
-    )
+    solves, solve = [], None
+    for j in range(order.num_classes()):
+        family = _threshold_family(game, order, order.representative(j))
+        if solve is None or frozenset(filter(None, map(arena.view.recurrence_mask, family))) != solve.good:
+            solve = ZielonkaRecursion(arena, family, sides, max_product_states)
+        solves.append(solve)
     class_rank = dict.fromkeys(arena.vertices, 0)
     for j, solve in enumerate(solves):
         if not solve.win0:
             break
         for v in solve.win0:
             class_rank[v] = j + 1
-    return GuaranteeRow(player, order, class_rank, solves, sides)
+    return GuaranteeRow(player, order, class_rank, tuple(solves))
 
 
 def guarantee_table(game: GraphGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> GuaranteeTable:
-    """Every player's guarantee row; all threshold games share one Muller search."""
-    search = MullerSearch(game.arena, max_product_states)
+    """Every player's guarantee row, each threshold game refused past ``max_product_states``."""
     return GuaranteeTable(
-        rows={p: best_guarantee(game, p, search) for p in game.arena.players},
+        rows={p: best_guarantee(game, p, max_product_states) for p in game.arena.players},
         piece_count=len(game.arena.vertices),
         piece_bits=0,
     )

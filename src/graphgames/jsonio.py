@@ -33,7 +33,7 @@ from .errors import InvalidInputError
 from .extensive import Decision, Leaf, TreeGame
 from .guarantees import GraphGame, GuaranteeTable, require_covered
 from .orders import PreferenceProfile, order_from_groups
-from .winlose import MemorylessResult, Muller, Parity, Reachability, Safety, SolveResult, WinLoseGame
+from .winlose import MemorylessResult, Muller, Parity, Reachability, Safety, WinLoseGame, ZielonkaRecursion
 
 
 def dumps(obj) -> str:
@@ -382,7 +382,7 @@ def lasso_to_json(lasso: Lasso) -> dict:
     return {"stem": [str(v) for v in lasso.stem], "cycle": [str(v) for v in lasso.cycle]}
 
 
-def solve_result_to_json(result: SolveResult) -> dict:
+def solve_result_to_json(result: ZielonkaRecursion | MemorylessResult) -> dict:
     return {
         "win0": sorted(map(str, result.win0)),
         "win1": sorted(map(str, result.win1)),

@@ -79,25 +79,15 @@ class WinLoseGame:
         return 0 if self.arena.owner[v] == p0 else 1
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Winning regions with finite-memory witnesses; the regions partition V."""
-
-    win0: frozenset
-    win1: frozenset
-    strategy0: StrategyMachine
-    strategy1: StrategyMachine
-    memory_bits_used: int
-
-
 class MemorylessResult:
     """A memoryless solver's answer, kept on the arena's index.
 
     ``region0`` is the set of indices side 0 wins, and side 1 wins the
     rest.  ``side[i]`` is the side owning vertex ``i``, and ``choices[s]``
     maps indices side ``s`` owns to the index it moves to; an owned vertex
-    the map lacks moves to its first successor.  The attributes of a
-    ``SolveResult`` are built on first read, with the same values.
+    the map lacks moves to its first successor.  The regions ``win0`` and
+    ``win1`` and the machines ``strategy0`` and ``strategy1`` are built on
+    first read.
     """
 
     memory_bits_used = 0
@@ -398,16 +388,6 @@ def _forced_visit(game: WinLoseGame, reacher: int, target: Iterable) -> Memoryle
     return MemorylessResult(game.arena, game.sides(), side, attr, (force, avoid))
 
 
-def solve_reachability(game: WinLoseGame) -> MemorylessResult:
-    index = game.arena.view.index
-    return _forced_visit(game, 0, [index[t] for t in game.objective.targets if t in index])
-
-
-def solve_safety(game: WinLoseGame) -> MemorylessResult:
-    safe = game.objective.safe
-    return _forced_visit(game, 1, [i for i, v in enumerate(game.arena.view.vertices) if v not in safe])
-
-
 class LarContext:
     """Latest-appearance records over an arena's vertex set.
 
@@ -436,33 +416,6 @@ class LarContext:
             "record product",
         )
         return tuple(sorted(records))
-
-
-class MullerSearch:
-    """The Muller games over one arena, each solved once.
-
-    ``game`` hands out one ``ZielonkaRecursion`` per distinct family of
-    recurrence sets and split into sides, and hands it out again.  Every
-    recursion is refused past ``bound`` subgames and sets.
-    """
-
-    def __init__(self, arena: Arena, max_product_states: int):
-        self.arena = arena
-        self.bound = max_product_states
-        self.games: dict = {}  # (masks of a family's recurrence sets, sides) -> ZielonkaRecursion
-
-    def game(self, family: frozenset, sides: tuple) -> ZielonkaRecursion:
-        """The solved game of ``family`` with side 0 played by ``sides[0]`` and side 1 by ``sides[1]``.
-
-        Side 0 owns the vertices of player ``sides[0]``, side 1 all others.
-        Sets of ``family`` that are not recurrence sets of the arena, or
-        that name an unknown vertex, are skipped.
-        """
-        good = frozenset(filter(None, map(self.arena.view.recurrence_mask, family)))
-        game = self.games.get((good, sides))
-        if game is None:
-            game = self.games[(good, sides)] = ZielonkaRecursion(self.arena, good, sides, self.bound)
-        return game
 
 
 def _attract(adj: list, radj: list, own: int, within: int, target: int) -> tuple:
@@ -501,10 +454,15 @@ def _attract(adj: list, radj: list, own: int, within: int, target: int) -> tuple
 class ZielonkaRecursion:
     """McNaughton's and Zielonka's recursion for one Muller game, memoised on (subgame, tree node).
 
-    Vertex sets are index masks over the arena.  Side 0 owns the vertices
-    of player ``sides[0]``, side 1 all others, and side 0 wins a play whose
-    recurrence set is in ``good``.  The children of a Zielonka-tree node
-    (``children``) depend on its set alone, so the tree is a DAG over
+    Side 0 owns the vertices of player ``sides[0]``, side 1 all others, and
+    side 0 wins a play whose recurrence set is in ``family``; ``good`` keeps
+    its recurrence sets as index masks and skips its other sets.  The game
+    is solved on construction and is its own answer: ``win0`` is side 0's
+    region, and ``win1``, the machines ``strategy0`` and ``strategy1`` and
+    ``memory_bits_used`` are built on first read, as a ``MemorylessResult``'s.
+
+    Below, vertex sets are index masks.  The children of a Zielonka-tree
+    node (``children``) depend on its set alone, so the tree is a DAG over
     recurrence sets and ``solve(G, X)`` is a function of the subgame ``G``
     and the node ``X``.  Its side σ is 0 when ``X`` is in ``good`` and 1
     otherwise:
@@ -539,11 +497,11 @@ class ZielonkaRecursion:
     memory state.
     """
 
-    def __init__(self, arena: Arena, good: frozenset, sides: tuple, bound: int):
+    def __init__(self, arena: Arena, family: Iterable, sides: tuple, bound: int):
         view = arena.view
         n = len(view.vertices)
         self.arena = arena
-        self.good = good
+        self.good = frozenset(filter(None, map(view.recurrence_mask, family)))
         self.sides = sides
         self.bound = bound
         self.count = 0
@@ -737,44 +695,44 @@ class ZielonkaRecursion:
         """
         return any(sigma == s and len(phases) > 1 for sigma, _, _, phases in self.memo.values())
 
-    def memory_bits(self) -> int:
+    @cached_property
+    def memory_bits_used(self) -> int:
         """Memory bits of the larger of the game's two machines, built only for a side that keeps memory."""
         return max(self.machine(s).memory_bits if self.keeps_memory(s) else 0 for s in (0, 1))
 
-    def solve(self) -> SolveResult:
-        return SolveResult(
-            win0=self.win0,
-            win1=frozenset(self.arena.vertices) - self.win0,
-            strategy0=self.machine(0),
-            strategy1=self.machine(1),
-            memory_bits_used=self.memory_bits(),
-        )
+    @cached_property
+    def win1(self) -> frozenset:
+        return frozenset(self.arena.vertices) - self.win0
+
+    strategy0 = property(lambda self: self.machine(0))
+    strategy1 = property(lambda self: self.machine(1))
 
 
-def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult:
+def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> ZielonkaRecursion:
     """Solve a Muller game by the memoised Zielonka recursion of its family.
 
-    Strategies come back as finite-memory machines that win from every
-    vertex of their region in every memory state, minimised and
+    Strategies are finite-memory machines, built when first read, that win
+    from every vertex of their region in every memory state, minimised and
     canonically numbered.
     """
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
     family = frozenset(frozenset(s) for s in game.objective.family)
-    return MullerSearch(game.arena, max_product_states).game(family, game.sides()).solve()
+    return ZielonkaRecursion(game.arena, family, game.sides(), max_product_states)
 
 
-def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> SolveResult | MemorylessResult:
-    """Dispatch on the objective kind."""
+def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> ZielonkaRecursion | MemorylessResult:
+    """Dispatch on the objective kind; unknown reach targets are skipped."""
     obj = game.objective
     if isinstance(obj, Parity):
         return solve_parity(game)
     if isinstance(obj, Muller):
         return solve_muller(game, max_product_states)
+    view = game.arena.view
     if isinstance(obj, Reachability):
-        return solve_reachability(game)
+        return _forced_visit(game, 0, [view.index[t] for t in obj.targets if t in view.index])
     if isinstance(obj, Safety):
-        return solve_safety(game)
+        return _forced_visit(game, 1, [i for i, v in enumerate(view.vertices) if v not in obj.safe])
     raise InvalidInputError(f"unknown objective {obj!r}")
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import permutations, product as iproduct
+from types import SimpleNamespace
 
 from graphgames.arena import (
     Arena,
@@ -51,7 +52,7 @@ from graphgames.orders import (
     linear_order,
     pareto_front,
 )
-from graphgames.winlose import LarContext, MemorylessResult, Muller, SolveResult, WinLoseGame, _drive, solve_muller
+from graphgames.winlose import LarContext, MemorylessResult, Muller, WinLoseGame, _drive, solve_muller
 
 
 def bfs_reachable(arena: Arena, source) -> set:
@@ -447,17 +448,23 @@ def minimize_machine_by_dicts(machine: StrategyMachine, vertices, owned) -> Stra
     return StrategyMachine(machine.player, bits_for(len(order)), update, choice, 0)
 
 
-def solve_result_by_names(result: MemorylessResult) -> SolveResult:
-    """The eager ``SolveResult`` of a memoryless answer: both regions as
-    frozensets of names, and each side's index choices turned into a name
-    map that ``fallback_machine`` completes."""
+def solve_result_by_names(result: MemorylessResult) -> SimpleNamespace:
+    """The eager answer of a memoryless solve, under the names a result
+    reads: both regions as frozensets of names, and each side's index
+    choices turned into a name map that ``fallback_machine`` completes."""
     arena, vs = result.arena, result.arena.view.vertices
     win0 = frozenset(vs[v] for v in result.region0)
     strategies = [
         fallback_machine(arena, player, {vs[v]: vs[w] for v, w in choice.items()})
         for player, choice in zip(result.players, result.choices)
     ]
-    return SolveResult(win0, frozenset(arena.vertices) - win0, *strategies, 0)
+    return SimpleNamespace(
+        win0=win0,
+        win1=frozenset(arena.vertices) - win0,
+        strategy0=strategies[0],
+        strategy1=strategies[1],
+        memory_bits_used=0,
+    )
 
 
 def machine_to_dot_by_rescans(machine: StrategyMachine, name: str = "machine") -> str:

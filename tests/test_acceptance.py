@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines; the same
 checks back the ``graphgames acceptance`` command.
 """
 
-from graphgames import acceptance
+from graphgames import acceptance, winlose
 
 
 def _run(fn, **kwargs):
@@ -14,12 +14,31 @@ def _run(fn, **kwargs):
     return result
 
 
-def test_criterion_1_determinacy_partition():
+def _machines_built(monkeypatch) -> list:
+    """The sides whose Muller machines are built from here on, in order."""
+    built = []
+    machine = winlose.ZielonkaRecursion.machine
+
+    def counting(self, s):
+        if self.machines[s] is None:
+            built.append(s)
+        return machine(self, s)
+
+    monkeypatch.setattr(winlose.ZielonkaRecursion, "machine", counting)
+    return built
+
+
+def test_criterion_1_determinacy_partition(monkeypatch):
+    # the criterion reads regions only, so no Muller machine is built
+    built = _machines_built(monkeypatch)
     _run(acceptance.criterion_1_determinacy)
+    assert built == []
 
 
-def test_criterion_2_solver_oracle_agreement():
+def test_criterion_2_solver_oracle_agreement(monkeypatch):
+    built = _machines_built(monkeypatch)
     _run(acceptance.criterion_2_solver_oracle)
+    assert built == []
 
 
 def test_criterion_3_ne_synthesis_soundness():

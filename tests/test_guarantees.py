@@ -29,7 +29,7 @@ from graphgames.guarantees import (
     optimal_strategy,
 )
 from graphgames.orders import PreferenceProfile, linear_order
-from graphgames.winlose import MullerSearch, solve_muller
+from graphgames.winlose import ZielonkaRecursion, solve_muller
 
 from oracles import (
     RecordProduct,
@@ -434,7 +434,7 @@ def test_memory_bits_build_no_machine_for_a_side_without_phases(monkeypatch):
         solves = {id(solve): solve for row in guarantee_table(game).rows.values() for solve in row.solves}
         for solve in solves.values():
             sides = [s for s in (0, 1) if not solve.keeps_memory(s)]
-            bits = solve.memory_bits()
+            bits = solve.memory_bits_used
             assert all(solve.machines[s] is None for s in sides)
             assert bits == max(solve.machine(0).memory_bits, solve.machine(1).memory_bits)
             assert all(solve.machine(s).state_count() == 1 for s in sides)
@@ -475,9 +475,9 @@ def threshold_games(game):
 
 
 def fresh_refusal(game, family, player, bound):
-    """The message a search of its own refuses the threshold game with, or None."""
+    """The message a recursion of its own refuses the threshold game with, or None."""
     try:
-        MullerSearch(game.arena, bound).game(family, (player, coalition_tag(player)))
+        ZielonkaRecursion(game.arena, family, (player, coalition_tag(player)), bound)
     except TooLargeError as exc:
         return str(exc)
     return None
@@ -486,7 +486,7 @@ def fresh_refusal(game, family, player, bound):
 def test_shared_search_refuses_exactly_where_fresh_searches_do():
     # the games share the arena's split memo, but each game counts every
     # split and every subgame it meets, so the table is refused at the
-    # first game a search of its own would refuse, with the same message.
+    # first game a recursion of its own would refuse, with the same message.
     # Just below the largest bound any game needs, a game that counted only
     # the splits no earlier game had met would slip through
     rng = random.Random(9090)
@@ -527,7 +527,7 @@ def test_listed_children_are_the_maximal_sets_on_the_other_side(block):
         view = game.arena.view
         recurrence = [view.recurrence_mask(s) for s in closed_strongly_connected_sets(game.arena)]
         for family, p in threshold_games(game):
-            zg = MullerSearch(game.arena, 10**6).game(family, (p, coalition_tag(p)))
+            zg = ZielonkaRecursion(game.arena, family, (p, coalition_tag(p)), 10**6)
             for node, kids in zg.kids.items():
                 inside = [m for m in recurrence if m & node == m != node and (m in zg.good) != (node in zg.good)]
                 assert kids == sorted(m for m in inside if not any(m & k == m != k for k in inside))
@@ -548,10 +548,10 @@ def test_a_family_of_every_recurrence_set_expands_none_of_them():
         doc = jsonio.graph_game_to_json(game)
         game, uncounted = jsonio.graph_game_from_json(doc), validate_arena(doc["arena"])
         count = len(recurrence_sets_by_mask_scan(game.arena))
-        search, plain = MullerSearch(game.arena, 10**6), MullerSearch(uncounted, 10**6)
         for family, p in threshold_games(game):
             sides = (p, coalition_tag(p))
-            zg, zp = search.game(family, sides), plain.game(family, sides)
+            zg = ZielonkaRecursion(game.arena, family, sides, 10**6)
+            zp = ZielonkaRecursion(uncounted, family, sides, 10**6)
             assert zg.win0 == zp.win0
             assert [jsonio.machine_to_json(zg.machine(s)) for s in (0, 1)] == [
                 jsonio.machine_to_json(zp.machine(s)) for s in (0, 1)
@@ -586,7 +586,7 @@ def test_the_recursion_is_refused_while_its_memo_grows(monkeypatch):
         players = ["A", "B", "C"][: rng.randint(2, 3)]
         game = random_graph_game(rng, rng.randint(4, 7), players, [f"o{i}" for i in range(rng.randint(2, 4))])
         for family, p in threshold_games(game):
-            count = MullerSearch(game.arena, 10**6).game(family, (p, coalition_tag(p))).count
+            count = ZielonkaRecursion(game.arena, family, (p, coalition_tag(p)), 10**6).count
             if count > 2:
                 seen.clear()
                 bound = rng.randint(1, count - 1)

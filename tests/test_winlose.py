@@ -420,7 +420,7 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
         if bin(mask).count("1") % 2 == 0
     )
     game = WinLoseGame(arena, Muller(family), protagonist="P0")
-    assert wl.MullerSearch(arena, 10**6).game(game.objective.family, game.sides()).count == 67
+    assert wl.ZielonkaRecursion(arena, game.objective.family, game.sides(), 10**6).count == 67
     calls = 0
     components = ar.looping_components
 
@@ -444,10 +444,42 @@ def test_muller_refuses_over_bound_trees_while_they_grow(monkeypatch):
     assert len(subgames) <= bound
     # the family {V}: one bound short of its count is refused, its count is not
     small = WinLoseGame(arena, Muller(frozenset({frozenset(vs)})), protagonist="P0")
-    count = wl.MullerSearch(arena, 10**6).game(small.objective.family, small.sides()).count
+    count = wl.ZielonkaRecursion(arena, small.objective.family, small.sides(), 10**6).count
     with pytest.raises(TooLargeError, match=f"Zielonka recursion exceeds {count - 1} subgames and sets"):
         solve_muller(small, count - 1)
     assert solve_muller(small, count).win1 == set(vs)  # side 1 stays on its own self-loop
+
+
+def test_solve_muller_builds_a_machine_only_when_one_is_read(monkeypatch):
+    # the regions are known on return; a side's machine is built when its
+    # strategy is first read, and the memory bound builds only the machines
+    # of sides that keep memory
+    built = []
+    machine = winlose.ZielonkaRecursion.machine
+
+    def counting(self, s):
+        if self.machines[s] is None:
+            built.append(s)
+        return machine(self, s)
+
+    monkeypatch.setattr(winlose.ZielonkaRecursion, "machine", counting)
+    rng = random.Random("lazy muller")
+    kept = 0
+    for _ in range(60):
+        game = random_muller_game(rng, rng.randint(1, 5))
+        res = solve_muller(game)
+        assert res.win0 | res.win1 == frozenset(game.arena.vertices) and not res.win0 & res.win1
+        assert built == []
+        bits = res.memory_bits_used
+        assert built == [s for s in (0, 1) if res.keeps_memory(s)]
+        kept += bool(built)
+        built.clear()
+        assert res.strategy1 is res.strategy1
+        assert res.strategy0 is res.strategy0
+        assert built == [s for s in (1, 0) if not res.keeps_memory(s)]
+        assert bits == max(res.strategy0.memory_bits, res.strategy1.memory_bits)
+        built.clear()
+    assert kept
 
 
 def test_muller_memory_within_record_bound():
