@@ -111,21 +111,32 @@ def arena_to_json(arena: Arena) -> dict:
 
 
 def energy_from_json(doc: Mapping, arena: Arena) -> EnergySpec:
-    """The energy block of an arena document; a refusal names the field, the player and the shape expected."""
+    """The energy block of an arena document, its keys read by ``_names``.
+
+    A refusal names the field, the player and the shape expected, or the
+    least player or vertex a field names that the arena lacks.
+    """
     doc = _object(doc, "energy block")
-    weights = {}
-    for p, vw in _energy_field(doc, "weights", "each player to an object of vertex weights").items():
+    index = arena.view.index
+    weights = _energy_field(doc, "weights", "each player to an object of vertex weights")
+    players = _names(weights, arena.players, "energy weights", "player")
+    for p, vw in weights.items():
         if not isinstance(vw, Mapping):
             raise InvalidInputError(f"energy weights for {p!r} must map vertices to integers")
-        weights[p] = {v: integer(x, "energy weight") for v, x in vw.items()}
+    vertices = _names(set().union(*weights.values()), index, "energy weights")
+    weights = {
+        players[p]: {vertices[v]: integer(x, "energy weight") for v, x in vw.items()} for p, vw in weights.items()
+    }
     caps = {}
-    for p, pair in _energy_field(doc, "caps", "each player to a [lo, hi] pair").items():
+    body = _energy_field(doc, "caps", "each player to a [lo, hi] pair")
+    players = _names(body, arena.players, "energy caps", "player")
+    for p, pair in body.items():
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InvalidInputError(f"energy caps for {p!r} must be a [lo, hi] pair of integers")
-        caps[p] = (integer(pair[0], "energy cap"), integer(pair[1], "energy cap"))
-    priorities = {
-        v: integer(i, "energy priority") for v, i in _energy_field(doc, "priorities", "vertices to integers").items()
-    }
+        caps[players[p]] = (integer(pair[0], "energy cap"), integer(pair[1], "energy cap"))
+    body = _energy_field(doc, "priorities", "vertices to integers")
+    vertices = _names(body, index, "energy priorities")
+    priorities = {vertices[v]: integer(i, "energy priority") for v, i in body.items()}
     spec = EnergySpec(weights, caps, priorities)
     spec.validate(arena)
     return spec
@@ -211,10 +222,33 @@ def _lift_objective(objective, base: Mapping, arena: Arena, max_product_states: 
 
 def _require_in_arena(arena: Arena, named: set, what: str) -> None:
     """Refuse the least vertex of ``named``, in ``skey`` order, that the arena lacks."""
-    index = arena.view.index
-    unknown = sorted([v for v in named if v not in index], key=skey)
+    _refuse_least([v for v in named if v not in arena.view.index], what, "vertex")
+
+
+def _refuse_least(unknown: list, what: str, kind: str) -> None:
     if unknown:
-        raise InvalidInputError(f"{what} vertex {unknown[0]!r} not in arena")
+        raise InvalidInputError(f"{what} {kind} {min(unknown, key=skey)!r} not in arena")
+
+
+def _names(keys, names, what: str, kind: str = "vertex") -> dict:
+    """Each of the object keys ``keys`` mapped to the one of ``names`` it stands for.
+
+    A key that is a name stands for itself.  Object keys are strings, so
+    any other key stands for the one name whose ``str`` it is: ``"1"``
+    stands for vertex ``1`` on an arena with integer ids.  The least key,
+    in ``skey`` order, that stands for no name is refused.
+    """
+    found = {k: k for k in keys if k in names}
+    if len(found) < len(keys):
+        texts: dict = {}
+        for n in names:
+            texts.setdefault(str(n), []).append(n)
+        for k in keys:
+            match = texts.get(str(k), ())
+            if k not in found and len(match) == 1:
+                found[k] = match[0]
+        _refuse_least([k for k in keys if k not in found], what, kind)
+    return found
 
 
 def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> WinLoseGame:
@@ -227,12 +261,13 @@ def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BO
     if protagonist not in arena.players:
         raise InvalidInputError(f"protagonist {protagonist!r} is not a player")
     if isinstance(objective, Parity):
-        named = set(objective.priority)
+        vertices = _names(objective.priority, arena.view.index, "objective")
+        objective = Parity({vertices[v]: i for v, i in objective.priority.items()})
     elif isinstance(objective, Muller):
-        named = set().union(*objective.family)
+        _require_in_arena(arena, set().union(*objective.family), "objective")
     else:
-        named = set(objective.targets if isinstance(objective, Reachability) else objective.safe)
-    _require_in_arena(arena, named, "objective")
+        named = objective.targets if isinstance(objective, Reachability) else objective.safe
+        _require_in_arena(arena, named, "objective")
     if "energy" in doc.get("arena", {}):
         if isinstance(objective, Parity):
             objective.require_total(arena)

@@ -363,6 +363,63 @@ def test_cli_names_the_least_unknown_vertex_an_objective_names(tmp_path, capsys,
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        (["weights", "P0"], {"u": 1, "ww": -1}, "energy weights vertex 'ww' not in arena"),
+        (["weights", "P9"], {"u": 1}, "energy weights player 'P9' not in arena"),
+        (["caps", "P9"], [0, 0], "energy caps player 'P9' not in arena"),
+        (["priorities"], {"u": 0, "w": 1, "zz": 2, "yy": 3}, "energy priorities vertex 'yy' not in arena"),
+    ],
+    ids=["weights-vertex", "weights-player", "caps-player", "priorities-vertex"],
+)
+def test_cli_names_the_least_unknown_name_an_energy_block_names(tmp_path, capsys, field, value, detail):
+    # an unknown name would otherwise be dropped: w would lose its weight
+    doc = with_changes(ENERGY_PARITY_DOC, ["arena", "energy", *field], value)
+    assert main(["solve", write(tmp_path, "energy.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["errors"] == [{"code": "InvalidInputError", "detail": detail}]
+    assert captured.err == ""
+
+
+def with_ids(doc, ids):
+    """``doc`` with its vertices u and w renamed ``ids``; object keys name them by their text."""
+    text = json.dumps(doc)
+    for old, new in zip(["u", "w"], ids):
+        text = text.replace(f'"{old}":', f'"{new}":').replace(f'"{old}"', json.dumps(new))
+    return json.loads(text)
+
+
+ENERGY_GAME_DOC = {
+    "arena": ENERGY_ARENA,
+    "preferences": {"P0": [["lo"], ["hi"]], "P1": [["hi"], ["lo"]]},
+    "outcomes": {"map": [[["u"], "hi"], [["w"], "lo"], [["u", "w"], "lo"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve", {"arena": without(ENERGY_ARENA, ["energy"]), "objective": {"parity": {"u": 0, "w": 1}}}),
+        ("solve", ENERGY_PARITY_DOC),
+        ("solve", {"arena": ENERGY_ARENA, "objective": {"reach": ["w"]}}),
+        ("guarantee", ENERGY_GAME_DOC),
+        ("ne", ENERGY_GAME_DOC),
+    ],
+    ids=["parity", "energy-parity", "energy-reach", "energy-guarantee", "energy-ne"],
+)
+def test_object_keys_name_integer_vertex_ids_by_their_text(tmp_path, capsys, command, doc):
+    # priorities and energy keys are object keys, so always strings; "1"
+    # names vertex 1, and the answer is that of the same document with
+    # string ids "1" and "2"
+    outputs = []
+    for ids in ([1, 2], ["1", "2"]):
+        assert main([command, write(tmp_path, "ids.json", with_ids(doc, ids))]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"1' in outputs[0]
+
+
 PAYOFF_TREE = {
     "tree": {
         "owner": "a",
