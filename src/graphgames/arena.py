@@ -91,6 +91,10 @@ class ArenaIndex:
             m = self._recurrence[s] = m if m and looping_components(m, *self.masks()) == [m] else 0
         return m
 
+    def recurrence_masks(self, sets) -> frozenset:
+        """Index masks of the recurrence sets among ``sets``; the other sets are skipped."""
+        return frozenset(filter(None, map(self.recurrence_mask, sets)))
+
     def splits(self, x: int) -> tuple:
         """The distinct looping components of ``x`` minus one member, over every member."""
         parts = self._splits.get(x)

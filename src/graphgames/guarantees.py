@@ -169,7 +169,7 @@ def best_guarantee(game: GraphGame, player, max_product_states: int = DEFAULT_PR
     solves, solve = [], None
     for j in range(order.num_classes()):
         family = _threshold_family(game, order, order.representative(j))
-        if solve is None or frozenset(filter(None, map(arena.view.recurrence_mask, family))) != solve.good:
+        if solve is None or arena.view.recurrence_masks(family) != solve.good:
             solve = ZielonkaRecursion(arena, family, sides, max_product_states)
         solves.append(solve)
     class_rank = dict.fromkeys(arena.vertices, 0)

@@ -244,9 +244,8 @@ def _names(keys, names, what: str, kind: str = "vertex") -> dict:
         for n in names:
             texts.setdefault(str(n), []).append(n)
         for k in keys:
-            match = texts.get(str(k), ())
-            if k not in found and len(match) == 1:
-                found[k] = match[0]
+            if k not in found and len(texts.get(str(k), ())) == 1:
+                found[k] = texts[str(k)][0]
         _refuse_least([k for k in keys if k not in found], what, kind)
     return found
 

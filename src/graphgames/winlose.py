@@ -501,7 +501,7 @@ class ZielonkaRecursion:
         view = arena.view
         n = len(view.vertices)
         self.arena = arena
-        self.good = frozenset(filter(None, map(view.recurrence_mask, family)))
+        self.good = view.recurrence_masks(family)
         self.sides = sides
         self.bound = bound
         self.count = 0
@@ -717,8 +717,7 @@ def solve_muller(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BO
     """
     if not isinstance(game.objective, Muller):
         raise InvalidInputError("solve_muller requires a Muller objective")
-    family = frozenset(frozenset(s) for s in game.objective.family)
-    return ZielonkaRecursion(game.arena, family, game.sides(), max_product_states)
+    return ZielonkaRecursion(game.arena, map(frozenset, game.objective.family), game.sides(), max_product_states)
 
 
 def solve(game: WinLoseGame, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> ZielonkaRecursion | MemorylessResult:
