@@ -111,7 +111,7 @@ def arena_to_json(arena: Arena) -> dict:
 
 
 def energy_from_json(doc: Mapping, arena: Arena) -> EnergySpec:
-    """The energy block of an arena document, its keys read by ``_names``.
+    """The energy block of an arena document, its keys read by ``_renamed``.
 
     A refusal names the field, the player and the shape expected, or the
     least player or vertex a field names that the arena lacks.
@@ -119,24 +119,25 @@ def energy_from_json(doc: Mapping, arena: Arena) -> EnergySpec:
     doc = _object(doc, "energy block")
     index = arena.view.index
     weights = _energy_field(doc, "weights", "each player to an object of vertex weights")
-    players = _names(weights, arena.players, "energy weights", "player")
+    players = _renamed(weights, arena.players, "energy weights", "player")
     for p, vw in weights.items():
         if not isinstance(vw, Mapping):
             raise InvalidInputError(f"energy weights for {p!r} must map vertices to integers")
-    vertices = _names(set().union(*weights.values()), index, "energy weights")
+    vertices = _renamed(set().union(*weights.values()), index, "energy weights")
     weights = {
-        players[p]: {vertices[v]: integer(x, "energy weight") for v, x in vw.items()} for p, vw in weights.items()
+        players.get(p, p): {vertices.get(v, v): integer(x, "energy weight") for v, x in vw.items()}
+        for p, vw in weights.items()
     }
     caps = {}
     body = _energy_field(doc, "caps", "each player to a [lo, hi] pair")
-    players = _names(body, arena.players, "energy caps", "player")
+    players = _renamed(body, arena.players, "energy caps", "player")
     for p, pair in body.items():
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InvalidInputError(f"energy caps for {p!r} must be a [lo, hi] pair of integers")
-        caps[players[p]] = (integer(pair[0], "energy cap"), integer(pair[1], "energy cap"))
+        caps[players.get(p, p)] = (integer(pair[0], "energy cap"), integer(pair[1], "energy cap"))
     body = _energy_field(doc, "priorities", "vertices to integers")
-    vertices = _names(body, index, "energy priorities")
-    priorities = {vertices[v]: integer(i, "energy priority") for v, i in body.items()}
+    vertices = _renamed(body, index, "energy priorities")
+    priorities = {vertices.get(v, v): integer(i, "energy priority") for v, i in body.items()}
     spec = EnergySpec(weights, caps, priorities)
     spec.validate(arena)
     return spec
@@ -230,24 +231,22 @@ def _refuse_least(unknown: list, what: str, kind: str) -> None:
         raise InvalidInputError(f"{what} {kind} {min(unknown, key=skey)!r} not in arena")
 
 
-def _names(keys, names, what: str, kind: str = "vertex") -> dict:
-    """Each of the object keys ``keys`` mapped to the one of ``names`` it stands for.
+def _renamed(keys, names, what: str, kind: str = "vertex") -> dict:
+    """The object keys among ``keys`` that are no name, each mapped to the one of ``names`` it stands for.
 
-    A key that is a name stands for itself.  Object keys are strings, so
-    any other key stands for the one name whose ``str`` it is: ``"1"``
-    stands for vertex ``1`` on an arena with integer ids.  The least key,
-    in ``skey`` order, that stands for no name is refused.
+    Object keys are strings, so such a key stands for the one name whose
+    ``str`` it is: ``"1"`` stands for vertex ``1`` on an arena with integer
+    ids.  The least key, in ``skey`` order, that stands for no name is
+    refused.
     """
-    found = {k: k for k in keys if k in names}
-    if len(found) < len(keys):
-        texts: dict = {}
-        for n in names:
-            texts.setdefault(str(n), []).append(n)
-        for k in keys:
-            if k not in found and len(texts.get(str(k), ())) == 1:
-                found[k] = texts[str(k)][0]
-        _refuse_least([k for k in keys if k not in found], what, kind)
-    return found
+    others = [k for k in keys if k not in names]
+    if not others:
+        return {}
+    texts: dict = {}
+    for n in names:
+        texts.setdefault(str(n), []).append(n)
+    _refuse_least([k for k in others if len(texts.get(str(k), ())) != 1], what, kind)
+    return {k: texts[str(k)][0] for k in others}
 
 
 def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BOUND) -> WinLoseGame:
@@ -260,8 +259,9 @@ def winlose_from_json(doc: Mapping, max_product_states: int = DEFAULT_PRODUCT_BO
     if protagonist not in arena.players:
         raise InvalidInputError(f"protagonist {protagonist!r} is not a player")
     if isinstance(objective, Parity):
-        vertices = _names(objective.priority, arena.view.index, "objective")
-        objective = Parity({vertices[v]: i for v, i in objective.priority.items()})
+        renamed = _renamed(objective.priority, arena.view.index, "objective")
+        if renamed:
+            objective = Parity({renamed.get(v, v): i for v, i in objective.priority.items()})
     elif isinstance(objective, Muller):
         _require_in_arena(arena, set().union(*objective.family), "objective")
     else:
