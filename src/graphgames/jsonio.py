@@ -227,6 +227,7 @@ def _require_in_arena(arena: Arena, named: set, what: str) -> None:
 
 
 def _refuse_least(unknown: list, what: str, kind: str) -> None:
+    """Refuse the least of the ``unknown`` names, in ``skey`` order, as a ``kind`` the arena lacks."""
     if unknown:
         raise InvalidInputError(f"{what} {kind} {min(unknown, key=skey)!r} not in arena")
 

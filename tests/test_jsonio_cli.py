@@ -382,11 +382,11 @@ def test_cli_names_the_least_unknown_name_an_energy_block_names(tmp_path, capsys
     assert captured.err == ""
 
 
-def with_ids(doc, ids):
-    """``doc`` with its vertices u and w renamed ``ids``; object keys name them by their text."""
+def with_names(doc, old, new):
+    """``doc`` with the names ``old`` renamed ``new``, one by one; object keys name them by their text."""
     text = json.dumps(doc)
-    for old, new in zip(["u", "w"], ids):
-        text = text.replace(f'"{old}":', f'"{new}":').replace(f'"{old}"', json.dumps(new))
+    for o, n in zip(old, new):
+        text = text.replace(f'"{o}":', f'"{n}":').replace(f'"{o}"', json.dumps(n))
     return json.loads(text)
 
 
@@ -398,23 +398,24 @@ ENERGY_GAME_DOC = {
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, old",
     [
-        ("solve", {"arena": without(ENERGY_ARENA, ["energy"]), "objective": {"parity": {"u": 0, "w": 1}}}),
-        ("solve", ENERGY_PARITY_DOC),
-        ("solve", {"arena": ENERGY_ARENA, "objective": {"reach": ["w"]}}),
-        ("guarantee", ENERGY_GAME_DOC),
-        ("ne", ENERGY_GAME_DOC),
+        ("solve", {"arena": without(ENERGY_ARENA, ["energy"]), "objective": {"parity": {"u": 0, "w": 1}}}, "uw"),
+        ("solve", ENERGY_PARITY_DOC, "uw"),
+        ("solve", ENERGY_PARITY_DOC, ["u", "w", "P0", "P1"]),
+        ("solve", {"arena": ENERGY_ARENA, "objective": {"reach": ["w"]}}, "uw"),
+        ("guarantee", ENERGY_GAME_DOC, "uw"),
+        ("ne", ENERGY_GAME_DOC, "uw"),
     ],
-    ids=["parity", "energy-parity", "energy-reach", "energy-guarantee", "energy-ne"],
+    ids=["parity", "energy-parity", "energy-parity-players", "energy-reach", "energy-guarantee", "energy-ne"],
 )
-def test_object_keys_name_integer_vertex_ids_by_their_text(tmp_path, capsys, command, doc):
+def test_object_keys_name_integer_ids_by_their_text(tmp_path, capsys, command, doc, old):
     # priorities and energy keys are object keys, so always strings; "1"
-    # names vertex 1, and the answer is that of the same document with
-    # string ids "1" and "2"
+    # names vertex 1 (or player 1), and the answer is that of the same
+    # document with string ids "1", "2", ...
     outputs = []
-    for ids in ([1, 2], ["1", "2"]):
-        assert main([command, write(tmp_path, "ids.json", with_ids(doc, ids))]) == 0
+    for new in (range(1, 5), map(str, range(1, 5))):
+        assert main([command, write(tmp_path, "ids.json", with_names(doc, old, new))]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert '"1' in outputs[0]
